@@ -99,8 +99,8 @@ func (h groupHealth) Observe(i int, err error) {
 // healthy replicas (one round trip; re-issued to a surviving replica on
 // failure — safe, the query is read-only). A query spanning groups runs
 // Algorithm 2/4 locally with every keyword's artifact fetches going over the
-// wire to its owning group — rrindex/irrindex QueryMulti with remote-backed
-// indexes whose fetches fail over mid-round — which keeps results
+// wire to its owning group — rrindex/irrindex QueryMultiStreamCtx over
+// remote-backed indexes whose fetches fail over mid-round — which keeps results
 // bit-identical to a single engine over the full index (the three-way parity
 // test pins engine == in-process Sharded == this router, and the failover
 // tests pin it under injected faults). Router-side decoded caches front the
@@ -144,7 +144,6 @@ type fanoutConfig struct {
 	decBudget    int64 // PER-GROUP decoded-cache byte budget (caller splits the global flag)
 	cacheShards  int
 	queryPar     int
-	maxIdleConns int // idle keep-alive connections kept per backend (-max-idle-conns; <=0 = default 32)
 	proxyTimeout time.Duration
 	healthTTL    time.Duration // TTL of cached /healthz verdicts (0 = probe every time)
 	probeTimeout time.Duration // per-probe bound on /healthz round trips
@@ -233,7 +232,7 @@ func openFanout(groups [][]string, cfg fanoutConfig) (*fanout, error) {
 	// One keep-alive transport serves every router→backend call — proxied
 	// queries, health probes, and artifact traffic alike — so a backend's
 	// warm connections are shared across paths instead of competing pools.
-	tr := remote.NewTransport(cfg.maxIdleConns)
+	tr := remote.NewTransport()
 	f := &fanout{
 		mode:         cfg.mode,
 		hc:           &http.Client{Transport: tr}, // per-request contexts bound proxy calls
@@ -889,8 +888,6 @@ func (f *fanout) RouterStats(ctx context.Context) *routerStatsJSON {
 				ArtifactFetches: ws.Fetches,
 				WireBytes:       ws.Bytes,
 				BatchedUnits:    ws.BatchedUnits,
-				WireBytesBatch:  ws.BatchBytes,
-				WireBytesUnit:   ws.Bytes - ws.BatchBytes,
 			}
 			if raw := f.scrapeStats(ctx, n); raw != nil {
 				b.Stats = raw

@@ -10,6 +10,9 @@ import (
 	"time"
 
 	"kbtim"
+	"kbtim/internal/artifact"
+	"kbtim/internal/irrindex"
+	"kbtim/internal/remote"
 )
 
 // routerCluster is the full cross-node topology in-process: two backend
@@ -199,18 +202,23 @@ func TestRouterStatsAndHealth(t *testing.T) {
 		t.Fatalf("warmup query: %v", resp.Status)
 	}
 
-	resp, err := http.Get(c.router.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	getStats := func() statsResponse {
+		t.Helper()
+		resp, err := http.Get(c.router.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var stats statsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+			t.Fatal(err)
+		}
+		if stats.Router == nil {
+			t.Fatal("/stats has no router section")
+		}
+		return stats
 	}
-	var stats statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.Router == nil {
-		t.Fatal("/stats has no router section")
-	}
+	stats := getStats()
 	if got := len(stats.Router.Backends); got != 2 {
 		t.Fatalf("router section lists %d backends, want 2", got)
 	}
@@ -230,10 +238,6 @@ func TestRouterStatsAndHealth(t *testing.T) {
 		if b.Stats == nil {
 			t.Fatalf("backend %d stats not embedded", i)
 		}
-		if b.WireBytesBatch+b.WireBytesUnit != b.WireBytes {
-			t.Fatalf("backend %d wire bytes do not split: batch %d + unit %d != total %d",
-				i, b.WireBytesBatch, b.WireBytesUnit, b.WireBytes)
-		}
 	}
 	if stats.Router.FetchRequests == 0 || stats.Router.BatchedUnits == 0 {
 		t.Fatalf("spanning warmup moved no batched artifacts: fetch_requests=%d batched_units=%d",
@@ -241,6 +245,17 @@ func TestRouterStatsAndHealth(t *testing.T) {
 	}
 	if stats.Router.Proxied+stats.Router.Scattered == 0 {
 		t.Fatal("router counted no traffic")
+	}
+	// There is one wire: a single-unit plan is one POST carrying one unit,
+	// not a detour around the batch endpoint.
+	replies, _ := c.fo.groups[0].grp.FetchBatch(context.Background(), remote.KindIRR,
+		[]artifact.Request{{Unit: irrindex.UnitDir}})
+	if err := replies[0].Err; err != nil {
+		t.Fatalf("single-unit fetch: %v", err)
+	}
+	if after := getStats().Router; after.FetchRequests != stats.Router.FetchRequests+1 || after.BatchedUnits != stats.Router.BatchedUnits+1 {
+		t.Fatalf("single-unit plan moved fetch_requests %d->%d, batched_units %d->%d; want +1 and +1",
+			stats.Router.FetchRequests, after.FetchRequests, stats.Router.BatchedUnits, after.BatchedUnits)
 	}
 	if stats.Router.Retries != 0 || stats.Router.Failovers != 0 || stats.Router.Degraded != 0 {
 		t.Fatalf("healthy cluster reports retries=%d failovers=%d degraded=%d, want zeros",
@@ -254,7 +269,8 @@ func TestRouterStatsAndHealth(t *testing.T) {
 			stats.Router.HealthTTLSec, stats.Router.ProbeTimeoutSec)
 	}
 
-	if resp, err = http.Get(c.router.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+	resp, err := http.Get(c.router.URL + "/healthz")
+	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz with live backends: %v %v", resp, err)
 	}
 	resp.Body.Close()

@@ -26,7 +26,7 @@
 // replicas of one shard). Queries whose topics co-locate on one group are
 // proxied whole to a healthy replica of it; spanning queries run the exact
 // scatter-gather merge locally with every keyword's artifact fetch going to
-// its owning group over the versioned /internal/artifact protocol (results
+// its owning group over the batched /internal/artifacts protocol (results
 // stay bit-identical to one engine — see DESIGN.md §6.2). Per-replica
 // circuit breakers feed on both passive traffic outcomes and the /healthz
 // probe loop; failed proxies and artifact fetches retry on a surviving
@@ -50,7 +50,7 @@
 //	               per-backend router sections)
 //	GET  /healthz  liveness (a router is healthy while every shard keeps
 //	               >= 1 healthy replica)
-//	GET  /internal/artifact  raw index artifacts for routers (serve mode)
+//	POST /internal/artifacts  raw index artifacts for routers (serve mode)
 //
 // The server shuts down gracefully: SIGINT/SIGTERM stops accepting new
 // connections and drains in-flight queries (up to -drain), then exits 0.
@@ -109,7 +109,6 @@ func run(args []string) error {
 		proxyTO     = fs.Duration("proxy-timeout", 30*time.Second, "per-call deadline for router→backend opens and proxied queries (router mode)")
 		healthTTL   = fs.Duration("health-ttl", 2*time.Second, "how long a backend /healthz verdict is cached before re-probing (router mode)")
 		probeTO     = fs.Duration("probe-timeout", 2*time.Second, "per-probe deadline for backend /healthz round trips (router mode)")
-		maxIdle     = fs.Int("max-idle-conns", 0, "idle keep-alive connections kept per backend host (0 = default 32; router mode)")
 		deadlineDef = fs.Duration("deadline", 0, "default anytime deadline per query: past it the reply is the best certified seed prefix, partial=true (0 = none; per-request deadline_ms overrides)")
 		model       = fs.String("model", "IC", "propagation model: IC | LT")
 		epsilon     = fs.Float64("epsilon", 0.3, "approximation ε")
@@ -173,7 +172,6 @@ func run(args []string) error {
 		cfg.proxyTimeout = *proxyTO
 		cfg.healthTTL = *healthTTL
 		cfg.probeTimeout = *probeTO
-		cfg.maxIdleConns = *maxIdle
 		fo, err := openFanout(groups, cfg)
 		if err != nil {
 			return err

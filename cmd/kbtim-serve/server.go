@@ -109,7 +109,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	if src, ok := s.eng.(remote.Source); ok {
-		mux.Handle(remote.ArtifactPath, remote.NewHandler(src))
 		mux.Handle(remote.BatchPath, remote.NewBatchHandler(src))
 	}
 	return mux
@@ -254,16 +253,11 @@ type routerBackendJSON struct {
 	Proxied int64 `json:"proxied"`
 	// ArtifactFetches/WireBytes are the cumulative artifact traffic the
 	// router pulled from this node for spanning queries: ArtifactFetches
-	// counts wire round trips (per-unit GETs and batch POSTs alike),
-	// WireBytes their total payload. BatchedUnits is how many artifact units
-	// arrived inside batch replies; WireBytesBatch/WireBytesUnit split
-	// WireBytes between the batched and per-unit paths, so a mixed-version
-	// fleet shows exactly which replicas still speak v1.
+	// counts wire round trips (batch POSTs), WireBytes their total payload,
+	// BatchedUnits the artifact units those replies carried.
 	ArtifactFetches int64 `json:"artifact_fetches"`
 	WireBytes       int64 `json:"wire_bytes"`
 	BatchedUnits    int64 `json:"batched_units"`
-	WireBytesBatch  int64 `json:"wire_bytes_batch"`
-	WireBytesUnit   int64 `json:"wire_bytes_unit"`
 	// Stats embeds the node's own /stats reply verbatim (null if the node
 	// did not answer in time).
 	Stats json.RawMessage `json:"stats,omitempty"`
@@ -291,10 +285,9 @@ type routerStatsJSON struct {
 	Failovers int64 `json:"failovers"`
 	Degraded  int   `json:"degraded"`
 	// FetchRequests is the total artifact round trips the router issued
-	// (batch POSTs and per-unit GETs); BatchedUnits is how many artifact
-	// units those requests carried inside batch replies. UnitsPerRequest =
-	// BatchedUnits/FetchRequests — a healthy batching deployment keeps it
-	// well above 1, while an all-v1 fleet pins it at 0.
+	// (batch POSTs); BatchedUnits is how many artifact units their replies
+	// carried. UnitsPerRequest = BatchedUnits/FetchRequests — the wire
+	// rounds batching saves; a healthy deployment keeps it well above 1.
 	FetchRequests   int64               `json:"fetch_requests"`
 	BatchedUnits    int64               `json:"batched_units"`
 	UnitsPerRequest float64             `json:"units_per_request"`

@@ -1,6 +1,7 @@
 package kbtim
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -266,7 +267,7 @@ func TestEngineQueriesProceedDuringSwap(t *testing.T) {
 	}
 	// The old handle still answers queries (pinned index semantics), and
 	// its file is still open because the in-flight reference holds it.
-	if _, err := old.rr.Query(q.internal()); err != nil {
+	if _, err := old.rr.QueryCtx(context.Background(), q.internal()); err != nil {
 		t.Fatalf("in-flight query lost its index mid-swap: %v", err)
 	}
 	if got := old.refs.Load(); got != 1 {
@@ -276,7 +277,7 @@ func TestEngineQueriesProceedDuringSwap(t *testing.T) {
 	if err := old.release(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := old.rr.Query(q.internal()); err == nil {
+	if _, err := old.rr.QueryCtx(context.Background(), q.internal()); err == nil {
 		t.Fatal("query on a fully released handle should fail (file closed)")
 	}
 

@@ -10,8 +10,9 @@
 //     Put on all paths, and tracked pooled slices never escape into
 //     cached artifacts.
 //   - ctxflow: no context.Background()/TODO() inside the query path
-//     (root package, rrindex, irrindex, coverage), and functions holding
-//     a ctx never call a non-Ctx sibling when a ...Ctx variant exists.
+//     (root package, rrindex, irrindex, indexfile, coverage), and
+//     functions holding a ctx never call a non-Ctx sibling when a
+//     ...Ctx variant exists.
 //   - cacheimmutable: types marked //kbtim:cached (the artifacts stored
 //     in internal/objcache) are never field- or element-written outside
 //     the function that constructed the value or the type's own methods.

@@ -7,8 +7,8 @@ import (
 )
 
 // Ctxflow checks context discipline on the query path. Inside the
-// scoped packages (the root engine package plus rrindex, irrindex, and
-// coverage — the packages a request traverses) it bans
+// scoped packages (the root engine package plus rrindex, irrindex,
+// indexfile, and coverage — the packages a request traverses) it bans
 // context.Background() and context.TODO(): a fresh root context there
 // detaches the work from the caller's deadline and cancellation, which
 // is exactly the bug class PR 5's cross-node cancellation work existed
@@ -37,10 +37,11 @@ var Ctxflow = &Analyzer{
 // to. It is a variable so golden tests can scope their testdata
 // packages in.
 var CtxflowScope = map[string]bool{
-	"kbtim":                   true,
-	"kbtim/internal/rrindex":  true,
-	"kbtim/internal/irrindex": true,
-	"kbtim/internal/coverage": true,
+	"kbtim":                    true,
+	"kbtim/internal/rrindex":   true,
+	"kbtim/internal/irrindex":  true,
+	"kbtim/internal/indexfile": true,
+	"kbtim/internal/coverage":  true,
 }
 
 func runCtxflow(pass *Pass) error {

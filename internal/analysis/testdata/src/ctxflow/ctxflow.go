@@ -67,6 +67,19 @@ func almostWrapper(s *store) int {
 	return n + s.queryCtx(context.Background(), "q")
 }
 
+// fetcher mirrors the remote byte source behind the artifact seam
+// (indexfile.Fetcher).
+type fetcher interface {
+	FetchBatch(ctx context.Context, units []string) [][]byte
+}
+
+// stashMiss is the artifact choke point gone wrong: the one-unit batch a
+// stash miss sends to the wire must ride the query's ctx, or a canceled
+// client keeps paying for round trips.
+func stashMiss(f fetcher, unit string) [][]byte {
+	return f.FetchBatch(context.Background(), []string{unit}) // want "context.Background\(\) on the query path"
+}
+
 // threads does it right.
 func threads(ctx context.Context, s *store) int {
 	return s.queryCtx(ctx, "q") + lookupCtx(ctx, "q")

@@ -1,13 +1,11 @@
-// Package artifact holds the shared vocabulary of the batched artifact
-// protocol: the (unit, topic, aux) request naming one raw index segment, the
-// per-unit reply, and the per-query stash that carries batch-fetched payloads
-// from the round planner to the decode path.
+// Package artifact holds the vocabulary of the artifact fetch protocol: the
+// (unit, topic, aux) request naming one raw index segment, the per-unit
+// reply, and the per-query stash that carries batch-fetched payloads from the
+// round planner to the decode path.
 //
-// It exists because the batch seam crosses package boundaries in both
-// directions: internal/rrindex and internal/irrindex declare BatchFetcher
-// interfaces over these types, and internal/remote implements them — one
-// FetchBatch method can only satisfy both interfaces if the request and reply
-// shapes live in a package below all three.
+// It sits below everything that speaks the protocol: internal/indexfile
+// declares the Fetcher it reads through and plans rounds over these types,
+// and internal/remote moves them over the wire.
 package artifact
 
 import (
@@ -84,12 +82,10 @@ func (s *Stash) Has(req Request) bool {
 }
 
 // Stashed decorates a query's I/O scope with a stash of batch-fetched
-// payloads. The index packages' artifact choke points type-assert for it and
-// consume stashed bytes before falling back to the per-unit fetcher, so the
-// batch seam needs no signature changes anywhere in the decode chain — the
-// stash rides the reader every fetch already receives. Reads that miss the
-// stash (local segments, prelude reads, un-planned units) pass through to
-// the embedded scope unchanged.
+// payloads. The artifact choke point (indexfile.File.Artifact) type-asserts
+// for it and consumes stashed bytes before going to the wire, so the batch
+// seam needs no signature changes anywhere in the decode chain — the stash
+// rides the reader every fetch already receives.
 type Stashed struct {
 	diskio.Segmented
 	S *Stash

@@ -189,7 +189,7 @@ func TestThroughputCacheTiers(t *testing.T) {
 		t.Skip("throughput sweep skipped in -short mode")
 	}
 	env := tinyEnv(t)
-	points, err := RunThroughput(env, News)
+	points, err := RunThroughput(t.Context(), env, News)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,10 +43,9 @@ type RouterThroughputPoint struct {
 	// this point (zero for the local topologies; proxied query traffic is
 	// not artifact wire and is excluded).
 	WireKB float64
-	// RoundTripsPerQuery is the mean artifact wire requests (batch POSTs and
-	// per-unit GETs alike) per query of this point — the latency currency
-	// batching spends down: per-unit fetching pays one round trip per
-	// keyword-partition, batching one per backend per planning round.
+	// RoundTripsPerQuery is the mean artifact wire requests (batch POSTs) per
+	// query of this point — the latency currency batching spends down: one
+	// per backend per planning round, not one per keyword-partition.
 	RoundTripsPerQuery float64
 }
 
@@ -74,7 +73,7 @@ func benchQueryHandler(idx *irrindex.Index) http.HandlerFunc {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		res, err := idx.Query(topic.Query{Topics: req.Topics, K: req.K})
+		res, err := idx.QueryCtx(r.Context(), topic.Query{Topics: req.Topics, K: req.K})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 			return
@@ -222,7 +221,7 @@ func RunRouterThroughput(ctx context.Context, env *Env, f Family) ([]RouterThrou
 		return boxIdx[sm.Owner(w)]
 	}
 	if err := addPoints("2-shard box", func(q topic.Query) (*irrindex.QueryResult, error) {
-		return irrindex.QueryMultiCtx(ctx, boxOwner, q)
+		return irrindex.QueryMultiStreamCtx(ctx, boxOwner, q, wris.StreamOptions{})
 	}, nil); err != nil {
 		return nil, err
 	}
@@ -243,7 +242,6 @@ func RunRouterThroughput(ctx context.Context, env *Env, f Family) ([]RouterThrou
 		}
 		mux := http.NewServeMux()
 		src := remote.IndexSource{IRR: servedIdx}
-		mux.Handle(remote.ArtifactPath, remote.NewHandler(src))
 		mux.Handle(remote.BatchPath, remote.NewBatchHandler(src))
 		mux.Handle("/query", benchQueryHandler(servedIdx))
 		srv := httptest.NewServer(mux)
@@ -272,7 +270,7 @@ func RunRouterThroughput(ctx context.Context, env *Env, f Family) ([]RouterThrou
 	routerQuery := func(q topic.Query) (*irrindex.QueryResult, error) {
 		owners := sm.Shards(q.Topics)
 		if len(owners) > 1 {
-			return irrindex.QueryMultiCtx(ctx, remoteOwner, q)
+			return irrindex.QueryMultiStreamCtx(ctx, remoteOwner, q, wris.StreamOptions{})
 		}
 		// Co-located fast path: proxy the whole query to the owning node.
 		t0 := time.Now()

@@ -98,7 +98,7 @@ func throughputWorkers(env *Env) []int {
 // previous one returns) across the cache and worker sweeps. The workload
 // cycles a fixed query list, so it has the repeated-keyword locality a
 // production ad server sees, and the cached rows report their hit rate.
-func RunThroughput(env *Env, f Family) ([]ThroughputPoint, error) {
+func RunThroughput(ctx context.Context, env *Env, f Family) ([]ThroughputPoint, error) {
 	_, ent, err := env.IRRIndex(f, env.defaultSize(f), wris.SizeTheta, codec.Delta, 0)
 	if err != nil {
 		return nil, err
@@ -164,7 +164,9 @@ func RunThroughput(env *Env, f Family) ([]ThroughputPoint, error) {
 			if objCache != nil {
 				objBefore = objCache.Stats()
 			}
-			point, err := runClosedLoop(idx.Query, queries, workers, queriesPerWorker)
+			point, err := runClosedLoop(func(q topic.Query) (*irrindex.QueryResult, error) {
+				return idx.QueryCtx(ctx, q)
+			}, queries, workers, queriesPerWorker)
 			if err != nil {
 				file.Close()
 				return nil, err
@@ -201,8 +203,8 @@ func RunThroughput(env *Env, f Family) ([]ThroughputPoint, error) {
 
 // runClosedLoop fires `workers` goroutines, each answering its share of the
 // cycled workload back to back through `query`, and aggregates wall-clock
-// throughput. The query func abstracts over one index (Index.Query) and a
-// sharded deployment (irrindex.QueryMulti behind a shardmap).
+// throughput. The query func abstracts over one index (Index.QueryCtx) and a
+// sharded deployment (irrindex.QueryMultiStreamCtx behind a shardmap).
 func runClosedLoop(query func(topic.Query) (*irrindex.QueryResult, error), queries []topic.Query, workers, perWorker int) (ThroughputPoint, error) {
 	var (
 		wg       sync.WaitGroup
@@ -281,7 +283,7 @@ func shardedWorkers(env *Env) []int { return []int{1, 4, 16} }
 // its topics co-locate, exact cross-shard merge otherwise. Results are
 // identical across the axis (the parity tests pin that); this experiment
 // reports what the topology does to throughput.
-func RunShardedThroughput(env *Env, f Family) ([]ShardedThroughputPoint, error) {
+func RunShardedThroughput(ctx context.Context, env *Env, f Family) ([]ShardedThroughputPoint, error) {
 	g, prof, err := env.Dataset(f, env.defaultSize(f))
 	if err != nil {
 		return nil, err
@@ -362,7 +364,7 @@ func RunShardedThroughput(env *Env, f Family) ([]ShardedThroughputPoint, error) 
 			}
 		}
 		query := func(q topic.Query) (*irrindex.QueryResult, error) {
-			return irrindex.QueryMulti(owner, q)
+			return irrindex.QueryMultiStreamCtx(ctx, owner, q, wris.StreamOptions{})
 		}
 		for _, workers := range shardedWorkers(env) {
 			point, err := runClosedLoop(query, queries, workers, queriesPerWorker)
@@ -398,7 +400,7 @@ func ShardedThroughput(ctx context.Context, w io.Writer, env *Env) error {
 		families = []Family{News, Twitter}
 	}
 	for _, f := range families {
-		points, err := RunShardedThroughput(env, f)
+		points, err := RunShardedThroughput(ctx, env, f)
 		if err != nil {
 			return err
 		}
@@ -421,7 +423,7 @@ func Throughput(ctx context.Context, w io.Writer, env *Env) error {
 	t := newTable("Throughput: shared IRR index under concurrent closed-loop clients",
 		"dataset", "cache", "workers", "queries", "q/s", "mean-ms", "hit-rate", "disk-reads")
 	for _, f := range []Family{News, Twitter} {
-		points, err := RunThroughput(env, f)
+		points, err := RunThroughput(ctx, env, f)
 		if err != nil {
 			return err
 		}

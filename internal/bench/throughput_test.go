@@ -15,7 +15,7 @@ func TestRunThroughputShape(t *testing.T) {
 		t.Skip("throughput smoke test skipped in -short mode")
 	}
 	env := tinyEnv(t)
-	points, err := RunThroughput(env, Twitter)
+	points, err := RunThroughput(t.Context(), env, Twitter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRunShardedThroughputShape(t *testing.T) {
 		t.Skip("sharded throughput smoke test skipped in -short mode")
 	}
 	env := tinyEnv(t)
-	points, err := RunShardedThroughput(env, News)
+	points, err := RunShardedThroughput(t.Context(), env, News)
 	if err != nil {
 		t.Fatal(err)
 	}

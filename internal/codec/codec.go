@@ -80,42 +80,6 @@ func DecodeUint32List(out []uint32, buf []byte) ([]uint32, int, error) {
 	return out, pos, nil
 }
 
-// SkipUint32List advances past one delta-encoded list in buf without
-// materializing its members, returning the number of bytes it occupies —
-// exactly the byte position DecodeUint32List would report for a valid
-// stream. Element values are not validated (a corrupt gap that would fail
-// decoding can pass a skip); only varint framing and truncation are checked.
-func SkipUint32List(buf []byte) (int, error) {
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad count", ErrCorrupt)
-	}
-	if count > uint64(len(buf)) { // each element needs ≥1 byte
-		return 0, fmt.Errorf("%w: count %d exceeds buffer", ErrCorrupt, count)
-	}
-	pos := n
-	// first element + count-1 gaps = count varints; a varint ends at its
-	// first byte without the continuation bit.
-	for i := uint64(0); i < count; i++ {
-		j := pos
-		for j < len(buf) && buf[j]&0x80 != 0 {
-			j++
-		}
-		if j >= len(buf) {
-			return 0, fmt.Errorf("%w: truncated at element %d", ErrCorrupt, i)
-		}
-		// Match binary.Uvarint's overflow rule exactly (decode/skip error
-		// parity): more than 10 bytes, or 10 bytes whose last exceeds 1,
-		// does not fit uint64.
-		if width := j - pos + 1; width > binary.MaxVarintLen64 ||
-			(width == binary.MaxVarintLen64 && buf[j] > 1) {
-			return 0, fmt.Errorf("%w: varint overflow at element %d", ErrCorrupt, i)
-		}
-		pos = j + 1
-	}
-	return pos, nil
-}
-
 // AppendRawUint32List encodes the list without compression (count +
 // fixed-width little-endian elements). The "uncompressed" configuration of
 // Table 4.
@@ -146,23 +110,6 @@ func DecodeRawUint32List(out []uint32, buf []byte) ([]uint32, int, error) {
 		pos += 4
 	}
 	return out, pos, nil
-}
-
-// SkipRawUint32List advances past one raw-encoded list, returning its byte
-// length (the position DecodeRawUint32List would report).
-func SkipRawUint32List(buf []byte) (int, error) {
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad count", ErrCorrupt)
-	}
-	if count > uint64(len(buf))/4 { // also guards the count*4 overflow below
-		return 0, fmt.Errorf("%w: count %d exceeds buffer", ErrCorrupt, count)
-	}
-	need := count * 4
-	if uint64(len(buf)-n) < need {
-		return 0, fmt.Errorf("%w: raw list truncated", ErrCorrupt)
-	}
-	return n + int(need), nil
 }
 
 // Compression selects the list encoding used by an index file.
@@ -204,15 +151,4 @@ func (c Compression) DecodeList(out []uint32, buf []byte) ([]uint32, int, error)
 		return DecodeUint32List(out, buf)
 	}
 	return DecodeRawUint32List(out, buf)
-}
-
-// SkipList advances past one encoded list without decoding it, returning
-// the number of bytes DecodeList would consume. Callers that only need to
-// step over a list (e.g. the IRR partition loader counting RR sets) save
-// the whole materialization cost.
-func (c Compression) SkipList(buf []byte) (int, error) {
-	if c == Delta {
-		return SkipUint32List(buf)
-	}
-	return SkipRawUint32List(buf)
 }

@@ -212,123 +212,3 @@ func BenchmarkDecodeDelta(b *testing.B) {
 		}
 	}
 }
-
-// TestSkipDecodeParity: SkipList must report exactly the byte position
-// DecodeList reports, for both codecs, across deterministic random lists
-// and concatenated streams.
-func TestSkipDecodeParity(t *testing.T) {
-	src := rng.New(99)
-	lists := [][]uint32{{}, {0}, {1 << 31}, {0, 1, 2}, {7, 300, 90000, 1 << 29}}
-	for i := 0; i < 50; i++ {
-		n := int(src.Uint64() % 200)
-		seen := map[uint32]bool{}
-		var list []uint32
-		for len(list) < n {
-			v := uint32(src.Uint64())
-			if !seen[v] {
-				seen[v] = true
-				list = append(list, v)
-			}
-		}
-		sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
-		lists = append(lists, list)
-	}
-	for _, c := range []Compression{Raw, Delta} {
-		// Per-list parity.
-		for _, list := range lists {
-			buf := c.AppendList(nil, list)
-			_, dn, err := c.DecodeList(nil, buf)
-			if err != nil {
-				t.Fatalf("%s: decode: %v", c, err)
-			}
-			sn, err := c.SkipList(buf)
-			if err != nil {
-				t.Fatalf("%s: skip: %v", c, err)
-			}
-			if sn != dn {
-				t.Fatalf("%s %v: skip consumed %d bytes, decode %d", c, list, sn, dn)
-			}
-			// Trailing garbage must not change the consumed count.
-			sn2, err := c.SkipList(append(append([]byte(nil), buf...), 0xAB, 0xCD))
-			if err != nil || sn2 != dn {
-				t.Fatalf("%s: skip with trailing bytes: n=%d err=%v", c, sn2, err)
-			}
-		}
-		// Concatenated-stream parity: skipping list by list lands on the
-		// same boundaries decoding does.
-		var buf []byte
-		for _, list := range lists {
-			buf = c.AppendList(buf, list)
-		}
-		dpos, spos := 0, 0
-		for range lists {
-			_, dn, err := c.DecodeList(nil, buf[dpos:])
-			if err != nil {
-				t.Fatal(err)
-			}
-			sn, err := c.SkipList(buf[spos:])
-			if err != nil {
-				t.Fatal(err)
-			}
-			dpos += dn
-			spos += sn
-			if dpos != spos {
-				t.Fatalf("%s: positions diverged: skip %d decode %d", c, spos, dpos)
-			}
-		}
-		if spos != len(buf) {
-			t.Fatalf("%s: %d trailing bytes after skipping all lists", c, len(buf)-spos)
-		}
-	}
-}
-
-func TestSkipRejectsTruncation(t *testing.T) {
-	for _, c := range []Compression{Raw, Delta} {
-		good := c.AppendList(nil, []uint32{10, 500, 100000})
-		for cut := 0; cut < len(good); cut++ {
-			// Parity on bad input too: skip must error exactly when decode
-			// errors (a skip that "succeeds" with a short count on a
-			// truncation decode rejects would desynchronize its caller).
-			_, dn, derr := c.DecodeList(nil, good[:cut])
-			sn, serr := c.SkipList(good[:cut])
-			if (derr == nil) != (serr == nil) {
-				t.Errorf("%s cut %d: decode err=%v, skip err=%v", c, cut, derr, serr)
-				continue
-			}
-			if derr == nil && sn != dn {
-				t.Errorf("%s cut %d: skip consumed %d, decode %d", c, cut, sn, dn)
-			}
-		}
-		if _, err := c.SkipList(nil); err == nil {
-			t.Errorf("%s: empty buffer accepted", c)
-		}
-		// A huge count varint must be rejected, not wrapped into a bogus
-		// short skip (count*4 overflow guard).
-		huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}
-		if n, err := c.SkipList(huge); err == nil {
-			t.Errorf("%s: huge count accepted (n=%d)", c, n)
-		}
-		if _, _, err := c.DecodeList(nil, huge); err == nil {
-			t.Errorf("%s: decode accepted huge count", c)
-		}
-	}
-}
-
-func TestSkipRejectsOverflowVarint(t *testing.T) {
-	// count=1 followed by a 10-byte varint overflowing uint64: Uvarint (and
-	// so DecodeUint32List) rejects it, and SkipUint32List must too.
-	buf := []byte{0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}
-	if _, _, err := DecodeUint32List(nil, buf); err == nil {
-		t.Fatal("decode accepted an overflowing varint")
-	}
-	if n, err := SkipUint32List(buf); err == nil {
-		t.Fatalf("skip accepted an overflowing varint (n=%d)", n)
-	}
-	// The maximal VALID 10-byte varint (last byte 0x01) passes framing in
-	// both; decode then rejects it on the uint32 range check, which skip
-	// does not perform — that value-level divergence is documented.
-	ok := []byte{0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
-	if _, err := SkipUint32List(ok); err != nil {
-		t.Fatalf("skip rejected a valid-framing 10-byte varint: %v", err)
-	}
-}

@@ -14,7 +14,7 @@ import (
 // TestQueryStreamMatchesBatch: the emitted (seed, marginal) sequence of a
 // streamed NRA query, concatenated, is byte-identical to the batch result —
 // including the zero-marginal padding tail, which funnels through the same
-// sink — on both the single-index and the sharded QueryMulti path. The
+// sink — on both the single-index and the sharded QueryMultiStreamCtx path. The
 // running spread lower bound never decreases and lands on EstSpread.
 func TestQueryStreamMatchesBatch(t *testing.T) {
 	g := figure1(t)

@@ -2,6 +2,7 @@ package irrindex
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -41,7 +42,7 @@ func TestQueryConcurrent(t *testing.T) {
 	}
 	baseline := make([]*QueryResult, len(queries))
 	for i, q := range queries {
-		res, err := idx.Query(q)
+		res, err := idx.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +58,7 @@ func TestQueryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				qi := (g + i) % len(queries)
-				res, err := idx.Query(queries[qi])
+				res, err := idx.QueryCtx(context.Background(), queries[qi])
 				if err != nil {
 					errc <- err
 					return
@@ -97,11 +98,11 @@ func TestQueryCachedReaderAgrees(t *testing.T) {
 	}
 
 	q := topic.Query{Topics: []int{topicMusic, topicBook}, K: 2}
-	want, err := plainIdx.Query(q)
+	want, err := plainIdx.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cachedIdx.Query(q); err != nil { // warm the cache
+	if _, err := cachedIdx.QueryCtx(context.Background(), q); err != nil { // warm the cache
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -109,7 +110,7 @@ func TestQueryCachedReaderAgrees(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := cachedIdx.Query(q)
+			res, err := cachedIdx.QueryCtx(context.Background(), q)
 			if err != nil {
 				t.Error(err)
 				return

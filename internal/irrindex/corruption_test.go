@@ -2,6 +2,7 @@ package irrindex
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"kbtim/internal/codec"
@@ -47,7 +48,7 @@ func TestRandomCorruptionNeverPanics(t *testing.T) {
 			if err != nil {
 				return // clean rejection
 			}
-			res, err := idx.Query(q)
+			res, err := idx.QueryCtx(context.Background(), q)
 			if err != nil {
 				return // clean rejection
 			}
@@ -90,7 +91,7 @@ func TestTruncationSweepNeverPanics(t *testing.T) {
 			if err != nil {
 				return
 			}
-			_, _ = idx.Query(topic.Query{Topics: []int{topicMusic}, K: 1})
+			_, _ = idx.QueryCtx(context.Background(), topic.Query{Topics: []int{topicMusic}, K: 1})
 		}()
 	}
 }

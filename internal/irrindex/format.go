@@ -42,12 +42,12 @@ package irrindex
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
 	"kbtim/internal/binfmt"
 	"kbtim/internal/codec"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/wris"
 )
 
@@ -57,7 +57,7 @@ const (
 )
 
 // ErrBadFormat reports a malformed or corrupt index file.
-var ErrBadFormat = errors.New("irrindex: bad index format")
+var ErrBadFormat = indexfile.ErrBadFormat
 
 // Header is the index-wide metadata.
 type Header struct {
@@ -116,26 +116,13 @@ func appendHeader(buf []byte, h *Header, numKeywords int) ([]byte, error) {
 	return buf, nil
 }
 
+// parseHeader reads the format's header from a reader positioned just past
+// the prelude frame (indexfile.Open has checked magic and version).
 func parseHeader(r *binfmt.Reader) (Header, int, error) {
 	var h Header
-	magic := r.Bytes(4)
-	if err := r.Err(); err != nil {
-		return h, 0, err
-	}
-	if string(magic) != indexMagic {
-		return h, 0, fmt.Errorf("%w: bad magic %q", ErrBadFormat, magic)
-	}
-	if v := r.U32(); r.Err() == nil && v != indexVersion {
-		return h, 0, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
-	}
-	r.U64() // preludeLen, consumed by Open
 	h.Compression = codec.Compression(r.U8())
 	h.Sizing = wris.SizingMode(r.U8())
-	nameLen := int(r.U8())
-	name := r.Bytes(nameLen)
-	if r.Err() == nil {
-		h.ModelName = string(name)
-	}
+	h.ModelName = string(r.Bytes(int(r.U8())))
 	h.NumVertices = int(r.U64())
 	h.NumTopics = int(r.U32())
 	h.K = int(r.U32())
@@ -143,7 +130,7 @@ func parseHeader(r *binfmt.Reader) (Header, int, error) {
 	h.PartitionSize = int(r.U32())
 	numKeywords := int(r.U32())
 	if err := r.Err(); err != nil {
-		return h, 0, err
+		return h, 0, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	if !h.Compression.Valid() {
 		return h, 0, fmt.Errorf("%w: unknown compression %d", ErrBadFormat, h.Compression)
@@ -184,10 +171,10 @@ func parseKeywordDir(r *binfmt.Reader, h *Header) (KeywordDir, error) {
 	d.IPLen = int64(r.U64())
 	d.NumIPEntries = int(r.U32())
 	numParts := int(r.U32())
-	if err := r.Err(); err != nil {
-		return d, err
-	}
-	if numParts < 0 || numParts > 1<<28 {
+	// A partition entry is 28 prelude bytes, so the bytes present bound the
+	// count (a truncated read leaves numParts 0 and surfaces through r.Err
+	// below).
+	if numParts < 0 || numParts > r.Remaining()/28 {
 		return d, fmt.Errorf("%w: implausible partition count %d", ErrBadFormat, numParts)
 	}
 	d.Partitions = make([]Partition, numParts)
@@ -201,7 +188,7 @@ func parseKeywordDir(r *binfmt.Reader, h *Header) (KeywordDir, error) {
 		}
 	}
 	if err := r.Err(); err != nil {
-		return d, err
+		return d, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	if d.TopicID < 0 || d.TopicID >= h.NumTopics || d.ThetaW <= 0 ||
 		d.NumIPEntries < 0 || d.NumIPEntries > h.NumVertices {

@@ -2,6 +2,7 @@ package irrindex
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -167,11 +168,11 @@ func TestTheorem3ScoresMatchRR(t *testing.T) {
 		{Topics: []int{topicCar, topicSport}, K: 2},
 		{Topics: []int{topicMusic, topicBook, topicSport, topicCar}, K: 4},
 	} {
-		rrRes, err := rr.Query(q)
+		rrRes, err := rr.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("RR %v: %v", q.Topics, err)
 		}
-		irrRes, err := irr.Query(q)
+		irrRes, err := irr.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("IRR %v: %v", q.Topics, err)
 		}
@@ -225,11 +226,11 @@ func TestTheorem3MediumScale(t *testing.T) {
 			{Topics: []int{0, 2, 3}, K: 15},
 			{Topics: []int{4}, K: 5},
 		} {
-			rrRes, err := rr.Query(q)
+			rrRes, err := rr.QueryCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			irrRes, err := irr.Query(q)
+			irrRes, err := irr.QueryCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,11 +270,11 @@ func TestIRRLoadsFewerSets(t *testing.T) {
 	}
 	rr, irr := buildBoth(t, g, prof, cfg, 10)
 	q := topic.Query{Topics: []int{0, 1}, K: 5}
-	rrRes, err := rr.Query(q)
+	rrRes, err := rr.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	irrRes, err := irr.Query(q)
+	irrRes, err := irr.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,11 +314,11 @@ func TestIRRIOGrowsWithK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := idx.Query(topic.Query{Topics: []int{0, 1}, K: 2})
+	small, err := idx.QueryCtx(context.Background(), topic.Query{Topics: []int{0, 1}, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := idx.Query(topic.Query{Topics: []int{0, 1}, K: 25})
+	large, err := idx.QueryCtx(context.Background(), topic.Query{Topics: []int{0, 1}, K: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestQueryGuarantee(t *testing.T) {
 		{Topics: []int{topicMusic}, K: 2},
 		{Topics: []int{topicMusic, topicBook}, K: 2},
 	} {
-		res, err := irr.Query(q)
+		res, err := irr.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,10 +426,10 @@ func TestQueryValidation(t *testing.T) {
 	g := figure1(t)
 	prof := figure1Profiles(t)
 	_, irr := buildBoth(t, g, prof, testConfig(), 2)
-	if _, err := irr.Query(topic.Query{Topics: []int{0}, K: 99}); err == nil {
+	if _, err := irr.QueryCtx(context.Background(), topic.Query{Topics: []int{0}, K: 99}); err == nil {
 		t.Fatal("k above K accepted")
 	}
-	if _, err := irr.Query(topic.Query{Topics: []int{9}, K: 1}); err == nil {
+	if _, err := irr.QueryCtx(context.Background(), topic.Query{Topics: []int{9}, K: 1}); err == nil {
 		t.Fatal("out-of-space topic accepted")
 	}
 }
@@ -459,11 +460,11 @@ func TestLTModelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := topic.Query{Topics: []int{topicMusic, topicBook}, K: 2}
-	a, err := rr.Query(q)
+	a, err := rr.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := irr.Query(q)
+	b, err := irr.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,11 +512,11 @@ func TestTriggeringModelEquivalence(t *testing.T) {
 			rr.Header().ModelName, irr.Header().ModelName)
 	}
 	q := topic.Query{Topics: []int{topicMusic, topicBook}, K: 3}
-	a, err := rr.Query(q)
+	a, err := rr.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := irr.Query(q)
+	b, err := irr.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,11 +549,11 @@ func TestTheorem3ZeroMarginalPadding(t *testing.T) {
 		{Topics: []int{topicMusic, topicBook}, K: 5},
 		{Topics: []int{topicMusic, topicBook, topicSport, topicCar}, K: 5},
 	} {
-		rrRes, err := rr.Query(q)
+		rrRes, err := rr.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("RR %v: %v", q.Topics, err)
 		}
-		irrRes, err := irr.Query(q)
+		irrRes, err := irr.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("IRR %v: %v", q.Topics, err)
 		}
@@ -634,11 +635,11 @@ func TestDecodedCacheCorrectness(t *testing.T) {
 	}
 	var hits int64
 	for i, q := range queries {
-		a, err := plain.Query(q)
+		a, err := plain.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := cached.Query(q)
+		b, err := cached.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -656,7 +657,7 @@ func TestDecodedCacheCorrectness(t *testing.T) {
 	}
 	// A fully repeated query on a warm cache costs zero reads AND zero
 	// decodes: everything is a decoded hit.
-	warm, err := cached.Query(topic.Query{Topics: []int{0, 1}, K: 10})
+	warm, err := cached.QueryCtx(context.Background(), topic.Query{Topics: []int{0, 1}, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +684,7 @@ func TestDecodedCacheConcurrent(t *testing.T) {
 	}
 	base := make([]*QueryResult, len(queries))
 	for i, q := range queries {
-		r, err := irr.Query(q)
+		r, err := irr.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -697,7 +698,7 @@ func TestDecodedCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				qi := (gi + i) % len(queries)
-				r, err := irr.Query(queries[qi])
+				r, err := irr.QueryCtx(context.Background(), queries[qi])
 				if err != nil {
 					t.Error(err)
 					return

@@ -46,14 +46,15 @@ func TestDecodePartitionErrorReturnsPooledArrays(t *testing.T) {
 	for i := p.Off; i < p.Off+p.Len; i++ {
 		data[i] = 0xFF
 	}
-	idx, err = Open(diskio.NewMem(data, nil))
+	mem := diskio.NewMem(data, nil)
+	idx, err = Open(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d = idx.dirs[topicMusic]
 
 	g0, p0 := pool.Counts()
-	if _, err := idx.decodePartition(context.Background(), idx.r, d, 0, int(d.ThetaW), true); err == nil {
+	if _, err := idx.decodePartition(context.Background(), mem, d, 0, int(d.ThetaW), true); err == nil {
 		t.Fatal("decodePartition succeeded on a 0xFF-filled partition; corruption setup is broken")
 	}
 	g1, p1 := pool.Counts()

@@ -2,6 +2,7 @@ package irrindex
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -73,11 +74,11 @@ func TestQueryParallelismParity(t *testing.T) {
 			par.SetDecodedCache(objcache.NewSharded(16<<20, 4))
 		}
 		for qi, q := range queries {
-			a, err := seq.Query(q)
+			a, err := seq.QueryCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := par.Query(q)
+			b, err := par.QueryCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +114,7 @@ func TestQueryParallelConcurrent(t *testing.T) {
 	}
 	baseline := make([]*QueryResult, len(queries))
 	for i, q := range queries {
-		if baseline[i], err = idx.Query(q); err != nil {
+		if baseline[i], err = idx.QueryCtx(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,7 +126,7 @@ func TestQueryParallelConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				qi := (g + i) % len(queries)
-				res, err := idx.Query(queries[qi])
+				res, err := idx.QueryCtx(context.Background(), queries[qi])
 				if err != nil {
 					t.Error(err)
 					return
@@ -155,11 +156,11 @@ func TestTheorem3HoldsWithParallelism(t *testing.T) {
 		{Topics: []int{topicMusic, topicBook}, K: 3},
 		{Topics: []int{topicBook, topicSport, topicCar}, K: 5},
 	} {
-		a, err := rr.Query(q)
+		a, err := rr.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := irr.Query(q)
+		b, err := irr.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

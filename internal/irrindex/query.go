@@ -2,8 +2,6 @@ package irrindex
 
 import (
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -13,6 +11,7 @@ import (
 	"kbtim/internal/artifact"
 	"kbtim/internal/binfmt"
 	"kbtim/internal/diskio"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/objcache"
 	"kbtim/internal/pool"
 	"kbtim/internal/topic"
@@ -26,19 +25,26 @@ const (
 )
 
 // Index is an opened IRR index ready for incremental query processing.
-// After Open the header and directory are immutable; every Query builds its
+// After Open the header and directory are immutable; every query builds its
 // own NRA state (kwState, heap, scratch buffers) and reads through a
 // per-query I/O scope, so one Index is safe for concurrent use by multiple
 // goroutines (provided the underlying reader supports concurrent positional
-// reads, as diskio.File, diskio.Mem, and diskio.CachedReader all do).
+// reads, as diskio.File, diskio.Mem, and diskio.CachedReader all do). The
+// embedded File carries the substrate shared with the RR index: decoded
+// cache, parallelism and fetcher attachments (set them right after Open),
+// Plan, Keywords, Size.
+//
+// With SetQueryParallelism > 1 a query loads all keywords' IP tables and
+// first partitions concurrently, and each NRA round SPECULATIVELY prefetches
+// every keyword's next partition while the current one is processed. Seeds
+// and spreads are identical either way — NRA state mutation stays sequential
+// in keyword order — but speculative fetches that the query ends up not
+// needing do show up in its I/O stats (that is the price of the latency win;
+// they are decoded-cache warmup, not waste, when a cache is attached).
 type Index struct {
-	hdr     Header
-	dirs    map[int]*KeywordDir
-	r       diskio.Segmented
-	prelude int64           // header+directory byte length (the UnitDir artifact)
-	dec     *objcache.Cache // optional decoded-object cache, set before first Query
-	par     int             // per-query artifact-load parallelism, set before first Query
-	fetch   Fetcher         // optional remote artifact source, set before first Query
+	indexfile.File
+	hdr  Header
+	dirs map[int]*KeywordDir
 }
 
 // Artifact units of the IRR index, as named by the cross-node fetch protocol
@@ -47,7 +53,7 @@ type Index struct {
 // per-offset.
 const (
 	// UnitDir is the index prelude: header plus keyword directory.
-	UnitDir = "dir"
+	UnitDir = indexfile.UnitDir
 	// UnitIP is one keyword's first-occurrence (IP) table; aux is 0.
 	UnitIP = "ip"
 	// UnitPart is one partition block of a keyword; aux is the partition
@@ -55,119 +61,47 @@ const (
 	UnitPart = "part"
 )
 
-// Fetcher returns the raw bytes of one named artifact of this index — the
-// pluggable byte source that lets an Index be backed by a remote node
-// instead of a local file. Implementations must return exactly the bytes
-// the local file holds for that unit (ArtifactBytes on the serving side is
-// the canonical producer), so decoded artifacts — and therefore query
-// results — are bit-identical to a local open of the same file.
-type Fetcher interface {
-	Fetch(ctx context.Context, unit string, topic int, aux int64) ([]byte, error)
-}
-
-// BatchFetcher is an optional Fetcher upgrade: one call moves a whole round
-// of artifacts in (ideally) one wire round trip. FetchBatch must return
-// exactly len(reqs) replies in request order, isolating failures per unit;
-// each successful payload obeys the same bit-identity contract as Fetch.
-// When the NRA query loop finds a BatchFetcher behind a remote index, each
-// fetch round plans its needs — every keyword's next partition plus the
-// speculative lookahead — and moves them in one batch per owning backend;
-// per-unit Fetch remains the fallback for everything else, so results are
-// byte-identical either way.
-type BatchFetcher interface {
-	Fetcher
-	FetchBatch(ctx context.Context, reqs []artifact.Request) []artifact.Reply
-}
-
 // ErrNoArtifact marks an artifact request whose NAME does not resolve on
 // this index — unknown unit, unindexed keyword, out-of-range partition.
-// Serving layers map it to "not served here" (HTTP 404), as distinct from
-// a resolvable artifact whose read failed (a real server error).
-var ErrNoArtifact = errors.New("irrindex: no such artifact")
+var ErrNoArtifact = indexfile.ErrNoArtifact
 
 // Open parses the header and directory of an IRR index accessible via r.
 func Open(r diskio.Segmented) (*Index, error) {
-	head, err := r.ReadSegment(0, 16)
+	f, br, err := indexfile.Open(r, "irrindex", indexMagic, indexVersion)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		return nil, err
 	}
-	if string(head[:4]) != indexMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, head[:4])
-	}
-	if v := binary.LittleEndian.Uint32(head[4:8]); v != indexVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
-	}
-	preludeLen := int64(binary.LittleEndian.Uint64(head[8:16]))
-	if preludeLen < 16 || preludeLen > r.Size() {
-		return nil, fmt.Errorf("%w: implausible prelude length %d", ErrBadFormat, preludeLen)
-	}
-	prelude, err := r.ReadSegment(0, preludeLen)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	br := binfmt.NewReader(prelude)
 	hdr, numKeywords, err := parseHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	idx := &Index{hdr: hdr, dirs: make(map[int]*KeywordDir, numKeywords), r: r, prelude: preludeLen}
+	idx := &Index{File: f, hdr: hdr, dirs: make(map[int]*KeywordDir, numKeywords)}
+	idx.Shape = indexfile.Shape{NumVertices: hdr.NumVertices, NumTopics: hdr.NumTopics, K: hdr.K}
 	for i := 0; i < numKeywords; i++ {
 		d, err := parseKeywordDir(br, &hdr)
 		if err != nil {
 			return nil, err
 		}
-		if d.IPOff < preludeLen || d.IPOff+d.IPLen > r.Size() {
+		if !idx.InPayload(d.IPOff, d.IPLen) {
 			return nil, fmt.Errorf("%w: IP region for topic %d out of file", ErrBadFormat, d.TopicID)
 		}
 		for _, p := range d.Partitions {
-			if p.Off < preludeLen || p.Off+p.Len > r.Size() {
+			if !idx.InPayload(p.Off, p.Len) {
 				return nil, fmt.Errorf("%w: partition out of file for topic %d", ErrBadFormat, d.TopicID)
 			}
 		}
-		dd := d
-		idx.dirs[d.TopicID] = &dd
+		idx.dirs[d.TopicID] = &d
+		idx.AddKeyword(indexfile.Keyword{TopicID: d.TopicID, ThetaW: d.ThetaW, Phi: d.Phi})
 	}
 	return idx, nil
 }
 
-// SetDecodedCache attaches a decoded-object cache: parsed IP tables and
-// partition blocks are cached across queries (with singleflight loading),
-// so hot keywords skip both the disk AND the decode. Must be called before
-// the index is shared between goroutines (i.e. right after Open); pass nil
-// to detach. Cached values are immutable — queries trim inverted lists to
-// their private θ^Q_w by slicing.
-func (idx *Index) SetDecodedCache(c *objcache.Cache) { idx.dec = c }
-
-// SetQueryParallelism bounds how many keywords one Query fetches and
-// decodes concurrently (<= 1 keeps the fully sequential path). With
-// parallelism > 1 a query loads all keywords' IP tables and first partitions
-// concurrently, and each NRA round SPECULATIVELY prefetches every keyword's
-// next partition while the current one is processed. Seeds and spreads are
-// identical either way — NRA state mutation stays sequential in keyword
-// order — but speculative fetches that the query ends up not needing do
-// show up in its I/O stats (that is the price of the latency win; they are
-// decoded-cache warmup, not waste, when a cache is attached). Must be called
-// before the index is shared between goroutines (i.e. right after Open).
-func (idx *Index) SetQueryParallelism(n int) { idx.par = n }
-
-// SetFetcher makes the index remote-backed: every artifact read bypasses the
-// local reader and asks f for the named unit instead (the decoded cache, when
-// attached, still fronts those fetches, so hot keywords skip the wire). Must
-// be called before the index is shared between goroutines (i.e. right after
-// Open); pass nil to go back to local reads.
-func (idx *Index) SetFetcher(f Fetcher) { idx.fetch = f }
-
-// Size returns the total byte length of the underlying index file (for a
-// remote-backed index, the size the serving node advertised).
-func (idx *Index) Size() int64 { return idx.r.Size() }
-
 // ArtifactBytes serves one named artifact's raw bytes from the local index —
-// the serving side of the cross-node fetch protocol. Reads go through the
-// index's shared reader (and so through the segment cache when one is
-// attached). aux is the partition index for UnitPart and ignored otherwise.
+// the serving side of the cross-node fetch protocol. aux is the partition
+// index for UnitPart and ignored otherwise.
 func (idx *Index) ArtifactBytes(unit string, topic int, aux int64) ([]byte, error) {
 	if unit == UnitDir {
-		return idx.r.ReadSegment(0, idx.prelude)
+		return idx.DirBytes()
 	}
 	d := idx.dirs[topic]
 	if d == nil {
@@ -175,128 +109,23 @@ func (idx *Index) ArtifactBytes(unit string, topic int, aux int64) ([]byte, erro
 	}
 	switch unit {
 	case UnitIP:
-		return idx.r.ReadSegment(d.IPOff, d.IPLen)
+		return idx.SegmentBytes(d.IPOff, d.IPLen)
 	case UnitPart:
 		if aux < 0 || aux >= int64(len(d.Partitions)) {
 			return nil, fmt.Errorf("%w: keyword %d has %d partitions, asked for %d", ErrNoArtifact, topic, len(d.Partitions), aux)
 		}
 		p := d.Partitions[aux]
-		return idx.r.ReadSegment(p.Off, p.Len)
+		return idx.SegmentBytes(p.Off, p.Len)
 	default:
 		return nil, fmt.Errorf("%w: unknown artifact unit %q", ErrNoArtifact, unit)
 	}
 }
 
-// artifact returns one artifact's raw bytes for a query: from the remote
-// fetcher when the index is remote-backed (recording the transfer in the
-// query's I/O scope, so wire bytes surface in the usual I/O stats), else one
-// ReadSegment against the local reader. off/length locate the unit in the
-// file — the fetched payload must be exactly that long, a cheap end-to-end
-// check that the remote node serves the same index this directory describes.
-func (idx *Index) artifact(ctx context.Context, r diskio.Segmented, unit string, topic int, aux, off, length int64) ([]byte, error) {
-	if idx.fetch == nil {
-		return r.ReadSegment(off, length)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// A batch-planned round has already moved this unit over the wire; the
-	// stash rides the query's reader, and consuming an entry (Take removes
-	// it) is the moment its transfer lands in the I/O stats.
-	if st, ok := r.(*artifact.Stashed); ok {
-		if b, ok := st.S.Take(artifact.Request{Unit: unit, Topic: topic, Aux: aux}); ok {
-			if int64(len(b)) != length {
-				return nil, fmt.Errorf("irrindex: remote %s artifact for keyword %d is %d bytes, directory says %d",
-					unit, topic, len(b), length)
-			}
-			r.Counter().Record(off, len(b))
-			return b, nil
-		}
-	}
-	b, err := idx.fetch.Fetch(ctx, unit, topic, aux)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(b)) != length {
-		return nil, fmt.Errorf("irrindex: remote %s artifact for keyword %d is %d bytes, directory says %d",
-			unit, topic, len(b), length)
-	}
-	r.Counter().Record(off, len(b))
-	return b, nil
-}
-
 // Header returns the index-wide metadata.
 func (idx *Index) Header() Header { return idx.hdr }
 
-// Keywords returns the indexed topic IDs (unordered).
-func (idx *Index) Keywords() []int {
-	out := make([]int, 0, len(idx.dirs))
-	for t := range idx.dirs {
-		out = append(out, t)
-	}
-	return out
-}
-
 // Dir exposes one keyword's directory entry (nil if not indexed).
 func (idx *Index) Dir(topicID int) *KeywordDir { return idx.dirs[topicID] }
-
-// Plan computes the per-keyword RR-set allocation θ^Q_w = θ^Q·p_w, exactly
-// as the RR index does (line 1 of Algorithm 4 = line 1 of Algorithm 2).
-func (idx *Index) Plan(q topic.Query) (map[int]int, error) {
-	if err := q.Validate(idx.hdr.NumTopics); err != nil {
-		return nil, err
-	}
-	dirs := make([]*KeywordDir, len(q.Topics))
-	for i, w := range q.Topics {
-		if dirs[i] = idx.dirs[w]; dirs[i] == nil {
-			return nil, fmt.Errorf("irrindex: keyword %d not indexed", w)
-		}
-	}
-	return planTopics(&idx.hdr, q, dirs)
-}
-
-// planTopics is the Plan body over an explicit per-topic directory list —
-// the directories may come from ONE index or from several keyword-sharded
-// ones. θ^Q_w depends only on each keyword's (ThetaW, Phi), both frozen per
-// keyword at build time, so a sharded deployment allocates exactly like a
-// single index.
-func planTopics(hdr *Header, q topic.Query, dirs []*KeywordDir) (map[int]int, error) {
-	if err := q.Validate(hdr.NumTopics); err != nil {
-		return nil, err
-	}
-	if q.K > hdr.K {
-		return nil, fmt.Errorf("irrindex: Q.k=%d exceeds index cap K=%d", q.K, hdr.K)
-	}
-	var phiQ float64
-	for _, d := range dirs {
-		phiQ += d.Phi
-	}
-	if phiQ <= 0 {
-		return nil, fmt.Errorf("irrindex: query %v has zero mass", q.Topics)
-	}
-	thetaQ := math.Inf(1)
-	for _, d := range dirs {
-		pw := d.Phi / phiQ
-		if pw <= 0 {
-			continue
-		}
-		if v := float64(d.ThetaW) / pw; v < thetaQ {
-			thetaQ = v
-		}
-	}
-	alloc := make(map[int]int, len(q.Topics))
-	for _, d := range dirs {
-		t := int64(thetaQ*(d.Phi/phiQ) + 1e-9)
-		if t < 1 {
-			t = 1
-		}
-		if t > d.ThetaW {
-			t = d.ThetaW
-		}
-		alloc[d.TopicID] = int(t)
-	}
-	return alloc, nil
-}
 
 // QueryResult is a wris.Result plus IRR-specific access metrics.
 type QueryResult struct {
@@ -326,18 +155,6 @@ type QueryResult struct {
 	Partial bool
 }
 
-// decCounters accumulates one query's decoded-cache traffic.
-type decCounters struct {
-	hits, misses int64
-}
-
-// add folds another goroutine's counters in (used after a parallel fetch
-// joins; never called concurrently).
-func (d *decCounters) add(o decCounters) {
-	d.hits += o.hits
-	d.misses += o.misses
-}
-
 // partFuture is one in-flight speculative partition fetch. The producing
 // goroutine owns blk/err/dec until it closes done; the query consumes them
 // only after <-done.
@@ -346,18 +163,18 @@ type partFuture struct {
 	done chan struct{}
 	blk  *partBlock
 	err  error
-	dec  decCounters
+	dec  indexfile.DecCounters
 }
 
 // kwState is the per-keyword in-memory state of one NRA run.
 type kwState struct {
 	topicID int
+	pos     int // position in the query's keyword list
 	// idx is the index owning this keyword — always the queried index for
-	// single-index queries, possibly a different shard per keyword under
-	// QueryMulti — and r is that index's per-query I/O scope. Every fetch
-	// for this keyword goes through this pair.
-	// r is a diskio.Segmented rather than a bare scope because the batch
-	// planner reroutes remote keywords through a stash-carrying wrapper.
+	// single-index queries, possibly a different shard per keyword for a
+	// spanning one — and r is that index's per-query reader (its I/O scope,
+	// stash-carrying when the index is remote). Every fetch for this keyword
+	// goes through this pair.
 	idx     *Index
 	r       diskio.Segmented
 	dir     *KeywordDir
@@ -383,7 +200,7 @@ type kwState struct {
 	maxParts int
 	pref     *partFuture // speculative next-partition fetch, nil when none
 	// dec/err carry the parallel load phase's results to the join.
-	dec decCounters
+	dec indexfile.DecCounters
 	err error
 }
 
@@ -459,24 +276,15 @@ func (h *candHeap) pop() candidate {
 // lazy upper-bound refresh).
 func (h *candHeap) fix0() { h.down(0) }
 
-// Query answers a KB-TIM query with Algorithm 4: incremental NRA top-k
+// QueryCtx answers a KB-TIM query with Algorithm 4: incremental NRA top-k
 // aggregation over the partitioned, length-sorted inverted lists, with lazy
 // upper-bound refinement, terminating each round as soon as the heap top is
-// COMPLETE and beats every unseen candidate (Σ_w kb[w]). With
-// SetQueryParallelism > 1 the IP tables and first partitions load
-// concurrently and each keyword's next partition is speculatively prefetched
-// while the current NRA round runs; all NRA state mutation stays sequential,
-// so the seed trace is identical to the sequential path.
-func (idx *Index) Query(q topic.Query) (*QueryResult, error) {
-	return QueryMulti(func(int) *Index { return idx }, q)
-}
-
-// QueryCtx is Query with cancellation: ctx is checked at every keyword-load
-// and NRA partition-round boundary (and passed to the remote fetcher, when
-// one is attached), so a canceled caller stops paying for rounds it no
-// longer wants.
+// COMPLETE and beats every unseen candidate (Σ_w kb[w]). ctx is checked at
+// every keyword-load and NRA partition-round boundary (and passed to the
+// remote fetcher, when one is attached), so a canceled caller stops paying
+// for rounds it no longer wants.
 func (idx *Index) QueryCtx(ctx context.Context, q topic.Query) (*QueryResult, error) {
-	return QueryMultiCtx(ctx, func(int) *Index { return idx }, q)
+	return idx.QueryStreamCtx(ctx, q, wris.StreamOptions{})
 }
 
 // QueryStreamCtx is QueryCtx with anytime hooks: so.Emit receives each seed
@@ -487,7 +295,7 @@ func (idx *Index) QueryStreamCtx(ctx context.Context, q topic.Query, so wris.Str
 	return QueryMultiStreamCtx(ctx, func(int) *Index { return idx }, q, so)
 }
 
-// QueryMulti answers a KB-TIM query with Algorithm 4 over a
+// QueryMultiStreamCtx answers a KB-TIM query with Algorithm 4 over a
 // keyword-partitioned set of indexes: owner(w) returns the Index holding
 // keyword w (nil = not indexed anywhere). The NRA aggregation is already
 // organized as per-keyword state advancing round by round; here each
@@ -498,141 +306,35 @@ func (idx *Index) QueryStreamCtx(ctx context.Context, q topic.Query, so wris.Str
 // sequential in query-keyword order — so a query spanning N shard indexes
 // returns exactly the seeds, marginals, and spread a single full index
 // would. The reported IO is the sum over the involved indexes' scopes.
-func QueryMulti(owner func(topic int) *Index, q topic.Query) (*QueryResult, error) {
-	return QueryMultiCtx(context.Background(), owner, q)
-}
-
-// QueryMultiCtx is QueryMulti with cancellation: ctx is checked before every
-// keyword's IP load and at the top of every NRA partition round, so a
-// canceled query stops within one round — it never fetches another full
-// round of partitions for a client that hung up. Outstanding speculative
-// prefetches are still drained before returning (they read through this
-// query's I/O scope), so cancellation never leaks a goroutine into a
-// released index handle.
-func QueryMultiCtx(ctx context.Context, owner func(topic int) *Index, q topic.Query) (*QueryResult, error) {
-	return QueryMultiStreamCtx(ctx, owner, q, wris.StreamOptions{})
-}
-
-// QueryMultiStreamCtx is QueryMultiCtx with anytime hooks; QueryMultiCtx is
-// this function with zero options, so batch and streaming share one body and
-// parity holds by construction. so.Emit is invoked synchronously the moment
-// the NRA certification test (heap top COMPLETE with ub ≥ Σ_w kb[w]) decides
-// a seed — the defining win of the IRR layout is that this happens while
-// partitions are still unloaded — carrying the seed, its marginal, and the
-// running spread lower bound Covered/θ^Q·φ^Q of the emitted prefix. A
-// non-zero so.Deadline is checked at the same partition-round boundary as
-// cancellation; once expired the loop stops and returns the certified prefix
-// with Partial=true (zero-marginal padding is skipped — padding is only
-// correct once every partition is decided, which a cut-short query cannot
-// claim).
+//
+// Batch and streaming are this one body (zero options = batch), so parity
+// holds by construction. so.Emit is invoked synchronously the moment the NRA
+// certification test (heap top COMPLETE with ub ≥ Σ_w kb[w]) decides a seed
+// — the defining win of the IRR layout is that this happens while partitions
+// are still unloaded — carrying the seed, its marginal, and the running
+// spread lower bound Covered/θ^Q·φ^Q of the emitted prefix. ctx is checked
+// before every keyword's IP load and at the top of every NRA partition
+// round, so a canceled query never fetches another full round of partitions
+// for a client that hung up; outstanding speculative prefetches are still
+// drained before returning (they read through this query's I/O scope), so
+// cancellation never leaks a goroutine into a released index handle. A
+// non-zero so.Deadline is checked at the same partition-round boundary; once
+// expired the loop stops and returns the certified prefix with Partial=true
+// (zero-marginal padding is skipped — padding is only correct once every
+// partition is decided, which a cut-short query cannot claim).
 func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q topic.Query, so wris.StreamOptions) (*QueryResult, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if len(q.Topics) == 0 {
-		return nil, fmt.Errorf("irrindex: query needs at least one keyword")
-	}
-	// Resolve the owning indexes. The overwhelmingly common case — every
-	// keyword on ONE index (single-engine deployments, replicate shards,
-	// co-located fast paths) — is detected first so it allocates none of
-	// the multi-index bookkeeping; only genuinely spanning queries pay.
-	base := owner(q.Topics[0])
-	if base == nil {
-		return nil, fmt.Errorf("irrindex: keyword %d not indexed", q.Topics[0])
-	}
-	multi := false
-	for _, w := range q.Topics[1:] {
-		ix := owner(w)
-		if ix == nil {
-			return nil, fmt.Errorf("irrindex: keyword %d not indexed", w)
-		}
-		if ix != base {
-			multi = true
-		}
-	}
-	var (
-		idxOf  []*Index        // per-topic owner, nil when single-index
-		uniq   []*Index        // distinct involved indexes, nil when single
-		scopes []*diskio.Scope // per-query I/O scopes, parallel to uniq
-		scope0 *diskio.Scope   // the single-index scope
-	)
-	if multi {
-		idxOf = make([]*Index, len(q.Topics))
-		for i, w := range q.Topics {
-			ix := owner(w)
-			idxOf[i] = ix
-			known := false
-			for _, u := range uniq {
-				if u == ix {
-					known = true
-					break
-				}
-			}
-			if !known {
-				uniq = append(uniq, ix)
-			}
-		}
-		for _, u := range uniq[1:] {
-			if u.hdr.NumVertices != base.hdr.NumVertices || u.hdr.NumTopics != base.hdr.NumTopics || u.hdr.K != base.hdr.K {
-				return nil, fmt.Errorf("irrindex: shard indexes built over different datasets or caps (|V| %d vs %d, |T| %d vs %d, K %d vs %d)",
-					base.hdr.NumVertices, u.hdr.NumVertices, base.hdr.NumTopics, u.hdr.NumTopics, base.hdr.K, u.hdr.K)
-			}
-		}
-		// All reads go through per-query scopes (one per involved index):
-		// precise I/O accounting with no shared cursor, so concurrent
-		// queries cannot race or pollute each other's sequential/random
-		// classification.
-		scopes = make([]*diskio.Scope, len(uniq))
-		for i, u := range uniq {
-			scopes[i] = diskio.NewScope(u.r)
-		}
-	} else {
-		scope0 = diskio.NewScope(base.r)
-	}
-	idxAt := func(i int) *Index {
-		if idxOf == nil {
-			return base
-		}
-		return idxOf[i]
-	}
-	scopeAt := func(i int) *diskio.Scope {
-		if idxOf == nil {
-			return scope0
-		}
-		for j, u := range uniq {
-			if u == idxOf[i] {
-				return scopes[j]
-			}
-		}
-		return nil // unreachable: every owner is in uniq
-	}
-	// Validate BEFORE the directory lookups so an out-of-space keyword is
-	// reported as such ("outside topic space"), not as a coverage gap.
-	if err := q.Validate(base.hdr.NumTopics); err != nil {
-		return nil, err
-	}
-	dirOf := make([]*KeywordDir, len(q.Topics))
-	for i, w := range q.Topics {
-		if dirOf[i] = idxAt(i).dirs[w]; dirOf[i] == nil {
-			return nil, fmt.Errorf("irrindex: keyword %d not indexed", w)
-		}
-	}
-	nv := base.hdr.NumVertices
-	alloc, err := planTopics(&base.hdr, q, dirOf)
+	rq, err := indexfile.Resolve("irrindex", owner, q)
 	if err != nil {
 		return nil, err
 	}
-	par := base.par
-	for _, u := range uniq {
-		if u.par > par {
-			par = u.par
-		}
-	}
+	nv, alloc, phiQ, par := rq.Base.hdr.NumVertices, rq.Alloc, rq.PhiQ, rq.Par
 
-	var dec decCounters
+	var dec indexfile.DecCounters
 	states := make([]*kwState, 0, len(q.Topics))
-	var phiQ float64
 	var blocks []*partBlock // consumed query-private (pool-backed) blocks
 	h := &candHeap{}
 	pushed := pool.Bools(nv)
@@ -662,7 +364,7 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 			st.pref = nil
 			<-f.done
 			if fold {
-				dec.add(f.dec)
+				dec.Add(f.dec)
 			}
 			if f.blk != nil {
 				f.blk.release() // no-op for cache-shared blocks
@@ -691,12 +393,13 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	}()
 
 	for i, w := range q.Topics {
-		d := dirOf[i]
-		phiQ += d.Phi
+		ix := rq.Index(i)
+		d := ix.dirs[w]
 		st := &kwState{
 			topicID:  w,
-			idx:      idxAt(i),
-			r:        scopeAt(i),
+			pos:      i,
+			idx:      ix,
+			r:        rq.Reader(i),
 			dir:      d,
 			thetaQw:  alloc[w],
 			next:     0,
@@ -717,13 +420,11 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	h.s = candPool.Get(hintCands)[:0]
 
 	spec := par > 1
-	// Wire batching: every remote batch-capable index gets a per-query stash
-	// and each keyword's reads are rerouted through a stash-carrying reader;
-	// from here on each fetch round PLANS its needs (all keywords' next
-	// partitions plus the speculative lookahead), groups them by owning
-	// index, and moves them in one batch round trip per backend. Local
-	// indexes and plain fetchers make this a no-op.
-	wp := newWirePlanner(states, spec)
+	// Wire batching: each fetch round PLANS its needs (all keywords' next
+	// partitions plus the speculative lookahead) and moves them in one batch
+	// round trip per owning backend; the keywords' stash-carrying readers then
+	// serve the decodes. Local indexes make this a no-op.
+	wp := wirePlanner{rq: &rq, spec: spec}
 	wp.planInitial(ctx, states)
 	if spec && len(states) > 1 {
 		// Parallel load phase: every keyword's IP table is fetched and
@@ -748,7 +449,7 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		}
 		wg.Wait()
 		for _, st := range states {
-			dec.add(st.dec)
+			dec.Add(st.dec)
 			if st.err != nil {
 				return nil, fmt.Errorf("irrindex: keyword %d IP: %w", st.topicID, st.err)
 			}
@@ -983,15 +684,9 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		res.PartitionsLoaded += st.fetched
 	}
 	res.EstSpread = float64(res.Covered) / float64(totalTheta) * phiQ
-	if multi {
-		for _, s := range scopes {
-			res.IO = res.IO.Add(s.Stats())
-		}
-	} else {
-		res.IO = scope0.Stats()
-	}
-	res.DecodedHits = dec.hits
-	res.DecodedMisses = dec.misses
+	res.IO = rq.IO()
+	res.DecodedHits = dec.Hits
+	res.DecodedMisses = dec.Misses
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -1007,42 +702,16 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 // Without speculation the planner fetches exactly the round's needs.
 const specLookahead = 4
 
-// wirePlanner batches the query's wire needs per fetch round: one stash per
-// remote batch-capable index, shared by all of that index's keywords and by
-// the per-unit decode path that consumes it (see Index.artifact).
+// wirePlanner batches the query's wire needs per fetch round into the
+// query's per-index stashes, which the per-unit decode path consumes (see
+// indexfile.File.Artifact). Over local indexes every method is a no-op.
 type wirePlanner struct {
-	stashes map[*Index]*artifact.Stash
-	spec    bool
-}
-
-// newWirePlanner prepares a stash for every involved index whose fetcher is
-// batch-capable and reroutes those keywords' reads through a stash-carrying
-// reader. Queries over local indexes (or plain fetchers) get a planner whose
-// every method is a no-op.
-func newWirePlanner(states []*kwState, spec bool) *wirePlanner {
-	wp := &wirePlanner{spec: spec}
-	for _, st := range states {
-		if st.idx.fetch == nil {
-			continue
-		}
-		if _, ok := st.idx.fetch.(BatchFetcher); !ok {
-			continue
-		}
-		stash := wp.stashes[st.idx]
-		if stash == nil {
-			if wp.stashes == nil {
-				wp.stashes = make(map[*Index]*artifact.Stash)
-			}
-			stash = artifact.NewStash()
-			wp.stashes[st.idx] = stash
-		}
-		st.r = &artifact.Stashed{Segmented: st.r, S: stash}
-	}
-	return wp
+	rq   *indexfile.Query[*Index]
+	spec bool
 }
 
 // lookahead is the per-keyword partition chunk one batch round asks for.
-func (wp *wirePlanner) lookahead() int {
+func (wp wirePlanner) lookahead() int {
 	if wp.spec {
 		return specLookahead
 	}
@@ -1052,42 +721,37 @@ func (wp *wirePlanner) lookahead() int {
 // partCovered reports whether partition pi of st's keyword needs no wire:
 // an in-flight speculative future is fetching it, a prior batch already
 // stashed it, or the decoded cache holds it.
-func (wp *wirePlanner) partCovered(st *kwState, stash *artifact.Stash, pi int) bool {
+func (wp wirePlanner) partCovered(st *kwState, pi int) bool {
 	if f := st.pref; f != nil && f.pi == pi {
 		return true
 	}
-	if stash.Has(artifact.Request{Unit: UnitPart, Topic: st.dir.TopicID, Aux: int64(pi)}) {
-		return true
+	return wp.rq.Stashed(st.pos, artifact.Request{Unit: UnitPart, Topic: st.topicID, Aux: int64(pi)}) ||
+		st.idx.Resident(objcache.Key{Region: regionPart, Topic: int32(st.topicID), Aux: int64(pi)})
+}
+
+// wantChunk queues the uncovered partitions of st's lookahead chunk starting
+// at partition from.
+func (wp wirePlanner) wantChunk(st *kwState, from int) {
+	for pi := from; pi < from+wp.lookahead() && pi < st.maxParts; pi++ {
+		if !wp.partCovered(st, pi) {
+			wp.rq.Want(st.pos, artifact.Request{Unit: UnitPart, Topic: st.topicID, Aux: int64(pi)})
+		}
 	}
-	return st.idx.dec != nil &&
-		st.idx.dec.Contains(objcache.Key{Region: regionPart, Topic: int32(st.dir.TopicID), Aux: int64(pi)})
 }
 
 // planInitial batches the query's opening needs — every keyword's IP table
 // and its first partition chunk — into one round trip per owning index.
-func (wp *wirePlanner) planInitial(ctx context.Context, states []*kwState) {
-	if wp.stashes == nil {
+func (wp wirePlanner) planInitial(ctx context.Context, states []*kwState) {
+	if !wp.rq.Remote() {
 		return
 	}
-	var plans map[*Index][]artifact.Request
 	for _, st := range states {
-		stash := wp.stashes[st.idx]
-		if stash == nil {
-			continue
+		if !st.idx.Resident(objcache.Key{Region: regionIP, Topic: int32(st.topicID)}) {
+			wp.rq.Want(st.pos, artifact.Request{Unit: UnitIP, Topic: st.topicID})
 		}
-		if plans == nil {
-			plans = make(map[*Index][]artifact.Request)
-		}
-		if st.idx.dec == nil || !st.idx.dec.Contains(objcache.Key{Region: regionIP, Topic: int32(st.dir.TopicID)}) {
-			plans[st.idx] = append(plans[st.idx], artifact.Request{Unit: UnitIP, Topic: st.dir.TopicID})
-		}
-		for pi := 0; pi < wp.lookahead() && pi < st.maxParts; pi++ {
-			if !wp.partCovered(st, stash, pi) {
-				plans[st.idx] = append(plans[st.idx], artifact.Request{Unit: UnitPart, Topic: st.dir.TopicID, Aux: int64(pi)})
-			}
-		}
+		wp.wantChunk(st, 0)
 	}
-	wp.issue(ctx, plans)
+	wp.rq.Fetch(ctx)
 }
 
 // planRound batches the partitions the coming fetch round will read. It
@@ -1095,14 +759,13 @@ func (wp *wirePlanner) planInitial(ctx context.Context, states []*kwState) {
 // the speculative next when prefetching is on) are not already covered; a
 // triggered index then gets the full lookahead chunk of EVERY keyword it
 // owns, so the following rounds ride the stash instead of the wire.
-func (wp *wirePlanner) planRound(ctx context.Context, states []*kwState) {
-	if wp.stashes == nil {
+func (wp wirePlanner) planRound(ctx context.Context, states []*kwState) {
+	if !wp.rq.Remote() {
 		return
 	}
 	var need map[*Index]bool
 	for _, st := range states {
-		stash := wp.stashes[st.idx]
-		if stash == nil || st.next >= st.maxParts {
+		if st.next >= st.maxParts {
 			continue
 		}
 		span := 1
@@ -1110,7 +773,7 @@ func (wp *wirePlanner) planRound(ctx context.Context, states []*kwState) {
 			span = 2 // the round consumes next and kicks a prefetch of next+1
 		}
 		for pi := st.next; pi < st.next+span && pi < st.maxParts; pi++ {
-			if !wp.partCovered(st, stash, pi) {
+			if !wp.partCovered(st, pi) {
 				if need == nil {
 					need = make(map[*Index]bool)
 				}
@@ -1122,51 +785,19 @@ func (wp *wirePlanner) planRound(ctx context.Context, states []*kwState) {
 	if need == nil {
 		return
 	}
-	plans := make(map[*Index][]artifact.Request)
 	for _, st := range states {
-		stash := wp.stashes[st.idx]
-		if stash == nil || !need[st.idx] {
-			continue
-		}
-		for pi := st.next; pi < st.next+wp.lookahead() && pi < st.maxParts; pi++ {
-			if !wp.partCovered(st, stash, pi) {
-				plans[st.idx] = append(plans[st.idx], artifact.Request{Unit: UnitPart, Topic: st.dir.TopicID, Aux: int64(pi)})
-			}
+		if need[st.idx] {
+			wp.wantChunk(st, st.next)
 		}
 	}
-	wp.issue(ctx, plans)
-}
-
-// issue moves each index's plan in one FetchBatch (concurrently across
-// indexes, so a spanning query's backends are hit in parallel) and stashes
-// every successful payload. Failed units are simply not stashed: the
-// per-unit fetch path retries them with its own failover and surfaces
-// errors with the usual keyword context. Single-unit plans are dropped —
-// one POST saves nothing over one GET.
-func (wp *wirePlanner) issue(ctx context.Context, plans map[*Index][]artifact.Request) {
-	var wg sync.WaitGroup
-	for ix, reqs := range plans {
-		if len(reqs) < 2 {
-			continue
-		}
-		wg.Add(1)
-		go func(bf BatchFetcher, stash *artifact.Stash, reqs []artifact.Request) {
-			defer wg.Done()
-			for k, rep := range bf.FetchBatch(ctx, reqs) {
-				if rep.Err == nil {
-					stash.Put(reqs[k], rep.Payload)
-				}
-			}
-		}(ix.fetch.(BatchFetcher), wp.stashes[ix], reqs)
-	}
-	wg.Wait()
+	wp.rq.Fetch(ctx)
 }
 
 // loadIP attaches a keyword's first-occurrence table to st, through the
 // decoded cache when one is attached. The table is shared read-only between
 // queries.
-func (idx *Index) loadIP(ctx context.Context, r diskio.Segmented, st *kwState, dec *decCounters) error {
-	if idx.dec == nil {
+func (idx *Index) loadIP(ctx context.Context, r diskio.Segmented, st *kwState, dec *indexfile.DecCounters) error {
+	if idx.DecodedCache() == nil {
 		ip, err := idx.decodeIP(ctx, r, st.dir)
 		if err != nil {
 			return err
@@ -1181,8 +812,7 @@ func (idx *Index) loadIP(ctx context.Context, r diskio.Segmented, st *kwState, d
 	// Detach cancellation for the load; the canceled query still stops at
 	// its next boundary check.
 	lctx := context.WithoutCancel(ctx)
-	v, hit, err := idx.dec.GetOrLoad(
-		objcache.Key{Region: regionIP, Topic: int32(st.dir.TopicID)},
+	v, err := idx.Cached(objcache.Key{Region: regionIP, Topic: int32(st.dir.TopicID)}, dec,
 		func() (any, int64, error) {
 			ip, err := idx.decodeIP(lctx, r, st.dir)
 			if err != nil {
@@ -1193,11 +823,6 @@ func (idx *Index) loadIP(ctx context.Context, r diskio.Segmented, st *kwState, d
 		})
 	if err != nil {
 		return err
-	}
-	if hit {
-		dec.hits++
-	} else {
-		dec.misses++
 	}
 	st.ip = v.(map[uint32]int32)
 	st.fillIPHot()
@@ -1217,7 +842,7 @@ func (st *kwState) fillIPHot() {
 // decodeIP reads and parses a keyword's first-occurrence table through the
 // query's scope.
 func (idx *Index) decodeIP(ctx context.Context, r diskio.Segmented, d *KeywordDir) (map[uint32]int32, error) {
-	buf, err := idx.artifact(ctx, r, UnitIP, d.TopicID, 0, d.IPOff, d.IPLen)
+	buf, err := idx.Artifact(ctx, r, artifact.Request{Unit: UnitIP, Topic: d.TopicID}, d.IPOff, d.IPLen)
 	if err != nil {
 		return nil, err
 	}
@@ -1293,7 +918,7 @@ func (idx *Index) prefetchPartition(ctx context.Context, r diskio.Segmented, st 
 // them once their cross-keyword upper bound is known), and, when spec is
 // set, kicks off the NEXT partition's speculative fetch. Query-private
 // blocks are appended to *blocks for release at query end.
-func (idx *Index) loadNextPartition(ctx context.Context, r diskio.Segmented, st *kwState, pushed []bool, dec *decCounters, sem chan struct{}, blocks *[]*partBlock, pending []uint32) ([]uint32, error) {
+func (idx *Index) loadNextPartition(ctx context.Context, r diskio.Segmented, st *kwState, pushed []bool, dec *indexfile.DecCounters, sem chan struct{}, blocks *[]*partBlock, pending []uint32) ([]uint32, error) {
 	if st.next >= st.maxParts {
 		return pending, nil
 	}
@@ -1303,7 +928,7 @@ func (idx *Index) loadNextPartition(ctx context.Context, r diskio.Segmented, st 
 	if f := st.pref; f != nil && f.pi == pi {
 		st.pref = nil
 		<-f.done
-		dec.add(f.dec)
+		dec.Add(f.dec)
 		blk, err = f.blk, f.err
 	} else {
 		blk, err = idx.partition(ctx, r, st.dir, pi, st.thetaQw, dec)
@@ -1360,14 +985,13 @@ func (idx *Index) loadNextPartition(ctx context.Context, r diskio.Segmented, st 
 // so its lists are trimmed to IDs < thetaQw during decode; the cached
 // artifact is decoded in full (and never pooled) because it is shared by
 // queries with different θ^Q_w.
-func (idx *Index) partition(ctx context.Context, r diskio.Segmented, d *KeywordDir, pi, thetaQw int, dec *decCounters) (*partBlock, error) {
-	if idx.dec == nil {
+func (idx *Index) partition(ctx context.Context, r diskio.Segmented, d *KeywordDir, pi, thetaQw int, dec *indexfile.DecCounters) (*partBlock, error) {
+	if idx.DecodedCache() == nil {
 		return idx.decodePartition(ctx, r, d, pi, thetaQw, true)
 	}
 	// Detached ctx for the same singleflight-sharing reason as loadIP.
 	lctx := context.WithoutCancel(ctx)
-	v, hit, err := idx.dec.GetOrLoad(
-		objcache.Key{Region: regionPart, Topic: int32(d.TopicID), Aux: int64(pi)},
+	v, err := idx.Cached(objcache.Key{Region: regionPart, Topic: int32(d.TopicID), Aux: int64(pi)}, dec,
 		func() (any, int64, error) {
 			blk, err := idx.decodePartition(lctx, r, d, pi, int(d.ThetaW), false)
 			if err != nil {
@@ -1382,11 +1006,6 @@ func (idx *Index) partition(ctx context.Context, r diskio.Segmented, d *KeywordD
 	if err != nil {
 		return nil, err
 	}
-	if hit {
-		dec.hits++
-	} else {
-		dec.misses++
-	}
 	return v.(*partBlock), nil
 }
 
@@ -1400,7 +1019,7 @@ func (idx *Index) partition(ctx context.Context, r diskio.Segmented, d *KeywordD
 // per-user subslices never move.
 func (idx *Index) decodePartition(ctx context.Context, r diskio.Segmented, d *KeywordDir, pi, limit int, pooled bool) (_ *partBlock, err error) {
 	p := d.Partitions[pi]
-	buf, err := idx.artifact(ctx, r, UnitPart, d.TopicID, int64(pi), p.Off, p.Len)
+	buf, err := idx.Artifact(ctx, r, artifact.Request{Unit: UnitPart, Topic: d.TopicID, Aux: int64(pi)}, p.Off, p.Len)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package irrindex
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -101,11 +102,11 @@ func TestQueryMultiShardParity(t *testing.T) {
 	} {
 		full, owner := shardFixture(t, 4, mode.cache, mode.par)
 		for qi, q := range queries {
-			want, err := full.Query(q)
+			want, err := full.QueryCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := QueryMulti(owner, q)
+			got, err := QueryMultiStreamCtx(context.Background(), owner, q, wris.StreamOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +138,7 @@ func TestQueryMultiConcurrent(t *testing.T) {
 	baseline := make([]*QueryResult, len(queries))
 	for i, q := range queries {
 		var err error
-		if baseline[i], err = QueryMulti(owner, q); err != nil {
+		if baseline[i], err = QueryMultiStreamCtx(context.Background(), owner, q, wris.StreamOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +150,7 @@ func TestQueryMultiConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				qi := (g + i) % len(queries)
-				res, err := QueryMulti(owner, queries[qi])
+				res, err := QueryMultiStreamCtx(context.Background(), owner, queries[qi], wris.StreamOptions{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -167,13 +168,13 @@ func TestQueryMultiConcurrent(t *testing.T) {
 // TestQueryMultiErrors: unknown keywords and empty topic sets are rejected.
 func TestQueryMultiErrors(t *testing.T) {
 	_, owner := shardFixture(t, 2, false, 0)
-	if _, err := QueryMulti(func(int) *Index { return nil }, topic.Query{Topics: []int{0}, K: 2}); err == nil {
+	if _, err := QueryMultiStreamCtx(context.Background(), func(int) *Index { return nil }, topic.Query{Topics: []int{0}, K: 2}, wris.StreamOptions{}); err == nil {
 		t.Fatal("nil owner accepted")
 	}
-	if _, err := QueryMulti(owner, topic.Query{Topics: nil, K: 2}); err == nil {
+	if _, err := QueryMultiStreamCtx(context.Background(), owner, topic.Query{Topics: nil, K: 2}, wris.StreamOptions{}); err == nil {
 		t.Fatal("empty topic set accepted")
 	}
-	if _, err := QueryMulti(owner, topic.Query{Topics: []int{0}, K: 0}); err == nil {
+	if _, err := QueryMultiStreamCtx(context.Background(), owner, topic.Query{Topics: []int{0}, K: 0}, wris.StreamOptions{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }

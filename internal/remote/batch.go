@@ -15,40 +15,9 @@ import (
 	"kbtim/internal/artifact"
 )
 
-// Protocol (version 2) — the batched companion to the per-unit GET. One POST
-// moves a whole fetch round:
-//
-//	POST <BatchPath>
-//	{"kind":"rr","units":[{"unit":"sets","topic":3,"aux":7}, ...]}
-//
-//	200 → X-Kbtim-Artifact-Version: 2, X-Kbtim-Index-Size: <file bytes of
-//	      the first successfully served unit, 0 if none>, and a body with
-//	      one record per requested unit IN REQUEST ORDER:
-//
-//	        status byte | uvarint length | payload
-//
-//	      status 0 = ok (payload is the stored artifact bytes verbatim),
-//	      1 = not served on this node (payload is the error text; terminal,
-//	      the name resolves the same way on every replica), 2 = failed
-//	      (payload is the error text; retryable on another replica).
-//	      Failures are isolated per unit: one missing keyword never fails
-//	      the round's other fetches.
-//	404/405 → the node predates the batch protocol. The client remembers
-//	      (per backend) and serves every later round per-unit over v1, so
-//	      mixed-version fleets keep working.
-//	400 → malformed batch request.
-//
-// The record stream is strictly ordered and length-prefixed, so a client
-// whose connection dies mid-body keeps every fully parsed record and can
-// re-issue just the unserved remainder to the next replica.
 const (
-	// BatchVersion is the batched artifact protocol version.
-	BatchVersion = 2
-	// BatchPath is the conventional mount point of the batch handler on a
-	// kbtim-serve node.
-	BatchPath = "/internal/artifacts"
-
-	// Per-unit status bytes in a batch reply.
+	// Per-unit status bytes in a batch reply (wire format in the package
+	// comment).
 	batchOK        = 0
 	batchNotServed = 1
 	batchFailed    = 2
@@ -58,18 +27,6 @@ const (
 	maxBatchUnits = 4096
 	// maxBatchBody bounds the JSON request body the handler will read.
 	maxBatchBody = 1 << 20
-)
-
-// errBatchUnsupported reports that the backend does not speak the batch
-// protocol (it answered 404/405 to BatchPath). Callers fall back to per-unit
-// v1 fetches; the client caches the verdict so the probe happens once.
-var errBatchUnsupported = errors.New("remote: node does not speak the batch protocol")
-
-// Client.batchMode states (atomic).
-const (
-	batchUnknown     = 0 // not probed yet: try a batch, learn from the answer
-	batchUnsupported = 1 // node answered 404/405: v1 per-unit only
-	batchSupported   = 2 // node served a batch: keep batching
 )
 
 // batchUnitJSON / batchRequestJSON are the POST body shape.
@@ -84,10 +41,10 @@ type batchRequestJSON struct {
 	Units []batchUnitJSON `json:"units"`
 }
 
-// NewBatchHandler returns the HTTP handler serving batched artifact requests
-// from src — mount it at BatchPath, next to the v1 handler. Every requested
-// unit is answered in order with its own status record, so a unit that does
-// not resolve (or whose read fails) degrades that unit alone.
+// NewBatchHandler returns the HTTP handler serving artifact requests from src
+// — mount it at BatchPath. Every requested unit is answered in order with its
+// own status record, so a unit that does not resolve (or whose read fails)
+// degrades that unit alone.
 func NewBatchHandler(src Source) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -123,7 +80,7 @@ func NewBatchHandler(src Source) http.Handler {
 				if size == 0 {
 					size = sz
 				}
-			case notServed(err):
+			case errors.Is(err, ErrNoArtifact):
 				status = batchNotServed
 				payload = []byte(err.Error())
 			default:
@@ -150,15 +107,10 @@ func NewBatchHandler(src Source) http.Handler {
 //
 // A non-nil error means the round trip itself failed; the returned replies
 // are then the fully parsed PREFIX (possibly empty) of the response, so the
-// caller can re-issue just the unserved remainder elsewhere. A backend that
-// does not speak the protocol yields errBatchUnsupported exactly once and is
-// remembered; callers then serve the round per-unit over v1.
+// caller can re-issue just the unserved remainder elsewhere.
 func (c *Client) FetchBatch(ctx context.Context, kind string, reqs []artifact.Request) ([]artifact.Reply, int64, error) {
 	if len(reqs) == 0 {
 		return nil, 0, nil
-	}
-	if c.batchMode.Load() == batchUnsupported {
-		return nil, 0, errBatchUnsupported
 	}
 	units := make([]batchUnitJSON, len(reqs))
 	for i, r := range reqs {
@@ -178,15 +130,7 @@ func (c *Client) FetchBatch(ctx context.Context, kind string, reqs []artifact.Re
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		// No batch endpoint on this node: a v1-only backend. Remember, so a
-		// mixed-version fleet pays this probe once per backend, not per round.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-		c.batchMode.Store(batchUnsupported)
-		return nil, 0, errBatchUnsupported
-	default:
+	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, 0, fmt.Errorf("remote: batch of %d %s units: %s: %s", len(reqs), kind, resp.Status, bytes.TrimSpace(msg))
 	}
@@ -197,7 +141,12 @@ func (c *Client) FetchBatch(ctx context.Context, kind string, reqs []artifact.Re
 	if err != nil || size < 0 {
 		return nil, 0, fmt.Errorf("remote: missing or bad %s header %q", headerIndexSize, resp.Header.Get(headerIndexSize))
 	}
-	c.batchMode.Store(batchSupported)
+	// The handler always declares the body length, which is what bounds the
+	// payload allocations below by bytes the peer committed to send.
+	owed := resp.ContentLength
+	if owed < 0 {
+		return nil, 0, errors.New("remote: batch reply declares no Content-Length")
+	}
 	c.fetches.Add(1)
 
 	// Parse the ordered record stream. Any truncation or corruption returns
@@ -214,9 +163,11 @@ func (c *Client) FetchBatch(ctx context.Context, kind string, reqs []artifact.Re
 		if err != nil {
 			return replies, size, fmt.Errorf("remote: batch reply truncated in unit %d of %d: %w", i+1, len(reqs), err)
 		}
-		if n > maxArtifactBytes {
-			return replies, size, fmt.Errorf("remote: batch unit exceeds %d-byte cap", int64(maxArtifactBytes))
+		if n > maxArtifactBytes || int64(n) > owed {
+			return replies, size, fmt.Errorf("remote: batch unit %d of %d claims %d bytes; the reply owes at most %d (cap %d)",
+				i+1, len(reqs), n, owed, int64(maxArtifactBytes))
 		}
+		owed -= int64(n)
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return replies, size, fmt.Errorf("remote: batch reply truncated in unit %d of %d: %w", i+1, len(reqs), err)
@@ -225,7 +176,6 @@ func (c *Client) FetchBatch(ctx context.Context, kind string, reqs []artifact.Re
 		switch status {
 		case batchOK:
 			c.bytes.Add(int64(n))
-			c.batchBytes.Add(int64(n))
 			c.batchedUnits.Add(1)
 			replies = append(replies, artifact.Reply{Payload: buf})
 		case batchNotServed:
@@ -241,41 +191,22 @@ func (c *Client) FetchBatch(ctx context.Context, kind string, reqs []artifact.Re
 	return replies, size, nil
 }
 
-// FetchBatch implements the index packages' BatchFetcher over one client:
-// one POST when the backend speaks v2, a per-unit v1 loop when it does not,
-// and — after a mid-body failure — per-unit fetches for just the units the
-// parsed prefix did not cover. Always returns len(reqs) replies.
-func (f kindFetcher) FetchBatch(ctx context.Context, reqs []artifact.Request) []artifact.Reply {
-	out := make([]artifact.Reply, len(reqs))
-	replies, _, err := f.c.FetchBatch(ctx, f.kind, reqs)
-	copy(out, replies)
-	if err == nil {
-		return out
-	}
-	for i := len(replies); i < len(reqs); i++ {
-		if ctx.Err() != nil {
-			out[i] = artifact.Reply{Err: ctx.Err()}
-			continue
-		}
-		b, ferr := f.Fetch(ctx, reqs[i].Unit, reqs[i].Topic, reqs[i].Aux)
-		out[i] = artifact.Reply{Payload: b, Err: ferr}
-	}
-	return out
-}
-
 // FetchBatch retrieves a whole round of artifacts from the replica group in
 // (ideally) one round trip, with whole-batch failover: a replica that fails
 // mid-batch keeps every reply it fully delivered, and only the UNSERVED
-// REMAINDER is re-issued to the next replica. Per-unit semantics match
-// Fetch: a not-served reply is terminal (the name resolves identically on
-// every replica of the shard), a mismatching advertised index size discards
-// that replica's entire answer, and a canceled context stops the rotation
-// without blaming a replica. A v1-only replica serves the remainder through
-// the group's per-unit failover Fetch. Always returns len(reqs) replies.
-func (g *Group) FetchBatch(ctx context.Context, kind string, reqs []artifact.Request) []artifact.Reply {
+// REMAINDER is re-issued to the next replica. Reads start at the
+// shardmap.Affinity-preferred replica of the first unit's topic. A not-served
+// reply is terminal and no fault (the node answered; the name resolves
+// identically on every replica of the shard), a reply advertising a different
+// index size than the group opened discards that replica's entire answer (it
+// serves a different file: a fault, not a source of parity-breaking bytes),
+// and a canceled context stops the rotation without blaming a replica. Always
+// returns len(reqs) replies, plus the index file size the serving replica
+// advertised (0 when no unit succeeded).
+func (g *Group) FetchBatch(ctx context.Context, kind string, reqs []artifact.Request) ([]artifact.Reply, int64) {
 	out := make([]artifact.Reply, len(reqs))
 	if len(reqs) == 0 {
-		return out
+		return out, 0
 	}
 	pending := make([]int, len(reqs))
 	for i := range pending {
@@ -283,32 +214,28 @@ func (g *Group) FetchBatch(ctx context.Context, kind string, reqs []artifact.Req
 	}
 	order := g.tryOrder(reqs[0].Topic)
 	want := g.recordedSize(kind)
-	var lastErr error
+	var (
+		lastErr    error
+		advertised int64
+	)
 	for attempt, i := range order {
 		if len(pending) == 0 {
-			return out
+			return out, advertised
 		}
 		sub := make([]artifact.Request, len(pending))
 		for k, pi := range pending {
 			sub[k] = reqs[pi]
 		}
 		replies, size, err := g.clients[i].FetchBatch(ctx, kind, sub)
-		if errors.Is(err, errBatchUnsupported) {
-			// A v1-only replica: serve the remainder per-unit through the
-			// group's own Fetch, which keeps per-unit failover and size
-			// checks intact on mixed-version fleets.
-			for _, pi := range pending {
-				b, _, ferr := g.Fetch(ctx, kind, reqs[pi].Unit, reqs[pi].Topic, reqs[pi].Aux)
-				out[pi] = artifact.Reply{Payload: b, Err: ferr}
-			}
-			return out
-		}
 		if err == nil && size != 0 && want != 0 && size != want {
 			// The replica answered cleanly but serves a DIFFERENT file; none
 			// of its bytes may be used (parity), so the whole sub-batch stays
 			// pending for the next replica.
 			err = fmt.Errorf("%w: advertises a %d-byte %s index, group opened a %d-byte one", ErrReplicaMismatch, size, kind, want)
 			replies = nil
+		}
+		if advertised == 0 && len(replies) > 0 {
+			advertised = size
 		}
 		served := false
 		var rest []int
@@ -335,7 +262,7 @@ func (g *Group) FetchBatch(ctx context.Context, kind string, reqs []artifact.Req
 				for _, pi := range pending {
 					out[pi] = artifact.Reply{Err: err}
 				}
-				return out
+				return out, advertised
 			}
 			g.observe(i, err)
 			lastErr = err
@@ -352,10 +279,17 @@ func (g *Group) FetchBatch(ctx context.Context, kind string, reqs []artifact.Req
 	for _, pi := range pending {
 		out[pi] = artifact.Reply{Err: fmt.Errorf("remote: all %d replicas failed the batch, last: %w", len(order), lastErr)}
 	}
-	return out
+	return out, advertised
 }
 
-// FetchBatch implements the index packages' BatchFetcher over the group.
+// groupFetcher binds a group to one index kind: the indexfile.Fetcher that
+// lets a spanning query fail over to a surviving replica mid-round.
+type groupFetcher struct {
+	g    *Group
+	kind string
+}
+
 func (f groupFetcher) FetchBatch(ctx context.Context, reqs []artifact.Request) []artifact.Reply {
-	return f.g.FetchBatch(ctx, f.kind, reqs)
+	replies, _ := f.g.FetchBatch(ctx, f.kind, reqs)
+	return replies
 }

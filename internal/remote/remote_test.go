@@ -2,15 +2,21 @@ package remote_test
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"kbtim"
+	"kbtim/internal/artifact"
 	"kbtim/internal/diskio"
 	"kbtim/internal/irrindex"
 	"kbtim/internal/objcache"
@@ -18,6 +24,7 @@ import (
 	"kbtim/internal/rrindex"
 	"kbtim/internal/shardmap"
 	"kbtim/internal/topic"
+	"kbtim/internal/wris"
 )
 
 // kbtim.Engine is the production Source implementation; pin that here so a
@@ -45,6 +52,7 @@ type cluster struct {
 	rrLocal   *rrindex.Index
 	irrLocal  *irrindex.Index
 	clients   []*remote.Client
+	urls      []string // backend base URLs, parallel to clients
 }
 
 func (c *cluster) rrOwner(w int) *rrindex.Index {
@@ -127,17 +135,18 @@ func newCluster(t *testing.T, cacheBytes int64) *cluster {
 			t.Fatal(err)
 		}
 		mux := http.NewServeMux()
-		mux.Handle(remote.ArtifactPath, remote.NewHandler(eng))
 		mux.Handle(remote.BatchPath, remote.NewBatchHandler(eng))
 		srv := httptest.NewServer(mux)
 		t.Cleanup(srv.Close)
 		client := remote.NewClient(srv.URL, srv.Client())
 		c.clients = append(c.clients, client)
-		rr, err := client.OpenRR(ctx)
+		c.urls = append(c.urls, srv.URL)
+		g := remote.NewGroup([]*remote.Client{client}, nil)
+		rr, err := g.OpenRR(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		irr, err := client.OpenIRR(ctx)
+		irr, err := g.OpenIRR(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,11 +195,11 @@ func TestRemoteParity(t *testing.T) {
 	c := newCluster(t, 0)
 	ctx := context.Background()
 	for _, q := range parityQueries() {
-		wantRR, err := c.rrLocal.Query(q)
+		wantRR, err := c.rrLocal.QueryCtx(ctx, q)
 		if err != nil {
 			t.Fatalf("local rr %v: %v", q.Topics, err)
 		}
-		gotRR, err := rrindex.QueryMultiCtx(ctx, c.rrOwner, q)
+		gotRR, err := rrindex.QueryMultiStreamCtx(ctx, c.rrOwner, q, wris.StreamOptions{})
 		if err != nil {
 			t.Fatalf("remote rr %v: %v", q.Topics, err)
 		}
@@ -201,11 +210,11 @@ func TestRemoteParity(t *testing.T) {
 				gotRR.Seeds, gotRR.Marginals, gotRR.EstSpread,
 				wantRR.Seeds, wantRR.Marginals, wantRR.EstSpread)
 		}
-		wantIRR, err := c.irrLocal.Query(q)
+		wantIRR, err := c.irrLocal.QueryCtx(ctx, q)
 		if err != nil {
 			t.Fatalf("local irr %v: %v", q.Topics, err)
 		}
-		gotIRR, err := irrindex.QueryMultiCtx(ctx, c.irrOwner, q)
+		gotIRR, err := irrindex.QueryMultiStreamCtx(ctx, c.irrOwner, q, wris.StreamOptions{})
 		if err != nil {
 			t.Fatalf("remote irr %v: %v", q.Topics, err)
 		}
@@ -232,7 +241,7 @@ func TestRemoteDecodedCacheKeepsHotArtifactsOffTheWire(t *testing.T) {
 	c := newCluster(t, 1<<20)
 	ctx := context.Background()
 	q := topic.Query{Topics: []int{0, 1, 2, 3, 4, 5, 6, 7}, K: 5}
-	first, err := irrindex.QueryMultiCtx(ctx, c.irrOwner, q)
+	first, err := irrindex.QueryMultiStreamCtx(ctx, c.irrOwner, q, wris.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +249,7 @@ func TestRemoteDecodedCacheKeepsHotArtifactsOffTheWire(t *testing.T) {
 	for _, cl := range c.clients {
 		fetchesAfterFirst += cl.Stats().Fetches
 	}
-	second, err := irrindex.QueryMultiCtx(ctx, c.irrOwner, q)
+	second, err := irrindex.QueryMultiStreamCtx(ctx, c.irrOwner, q, wris.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,24 +269,77 @@ func TestRemoteDecodedCacheKeepsHotArtifactsOffTheWire(t *testing.T) {
 	}
 }
 
+// fetchOne moves one artifact as a one-unit batch and flattens the transport
+// and per-unit errors.
+func fetchOne(ctx context.Context, c *remote.Client, kind string, req artifact.Request) ([]byte, error) {
+	replies, _, err := c.FetchBatch(ctx, kind, []artifact.Request{req})
+	if err != nil {
+		return nil, err
+	}
+	return replies[0].Payload, replies[0].Err
+}
+
 // TestRemoteProtocolErrors pins the failure surface: unknown units and
-// unindexed keywords are 404s with the source's message, and a canceled
-// context aborts the fetch.
+// unknown kinds are not-served replies with the source's message, and a
+// canceled context aborts the fetch.
 func TestRemoteProtocolErrors(t *testing.T) {
 	c := newCluster(t, 0)
 	ctx := context.Background()
-	if _, _, err := c.clients[0].Fetch(ctx, remote.KindRR, "bogus", 0, 0); err == nil ||
+	if _, err := fetchOne(ctx, c.clients[0], remote.KindRR, artifact.Request{Unit: "bogus"}); !errors.Is(err, remote.ErrNotServed) ||
 		!strings.Contains(err.Error(), "unknown artifact unit") {
-		t.Fatalf("bogus unit: got %v, want an unknown-unit 404", err)
+		t.Fatalf("bogus unit: got %v, want an unknown-unit not-served reply", err)
 	}
-	if _, _, err := c.clients[0].Fetch(ctx, "bogus", rrindex.UnitInv, 0, 0); err == nil ||
+	if _, err := fetchOne(ctx, c.clients[0], "bogus", artifact.Request{Unit: rrindex.UnitInv}); !errors.Is(err, remote.ErrNotServed) ||
 		!strings.Contains(err.Error(), "unknown index kind") {
-		t.Fatalf("bogus kind: got %v, want an unknown-kind 404", err)
+		t.Fatalf("bogus kind: got %v, want an unknown-kind not-served reply", err)
 	}
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, _, err := c.clients[0].Fetch(canceled, remote.KindRR, rrindex.UnitDir, 0, 0); err == nil {
+	if _, err := fetchOne(canceled, c.clients[0], remote.KindRR, artifact.Request{Unit: rrindex.UnitDir}); err == nil {
 		t.Fatal("canceled fetch succeeded")
+	}
+}
+
+// TestFetchBatchHostileLength: a reply whose first record claims a 1 GiB
+// payload in a 12-byte body must fail with a bounded error BEFORE any
+// allocation of that size, keeping the record parsed ahead of it; and a reply
+// with no declared length is refused outright.
+func TestFetchBatchHostileLength(t *testing.T) {
+	var chunked atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Kbtim-Artifact-Version", strconv.Itoa(remote.BatchVersion))
+		w.Header().Set("X-Kbtim-Index-Size", "4096")
+		body := []byte{0, 3, 'a', 'b', 'c'}      // unit 1: ok, 3 bytes
+		body = append(body, 0)                   // unit 2: ok, ...
+		body = binary.AppendUvarint(body, 1<<30) // ... claiming 1 GiB
+		body = append(body, 'x')                 // ... and delivering one byte
+		if chunked.Load() {
+			w.(http.Flusher).Flush() // commits the header without a Content-Length
+		}
+		w.Write(body)
+	}))
+	defer srv.Close()
+	cl := remote.NewClient(srv.URL, srv.Client())
+	reqs := []artifact.Request{{Unit: "inv", Topic: 1}, {Unit: "inv", Topic: 2}}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	replies, _, err := cl.FetchBatch(context.Background(), remote.KindRR, reqs)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "claims 1073741824 bytes") {
+		t.Fatalf("hostile length: got %v, want a bounded-claim error", err)
+	}
+	if len(replies) != 1 || string(replies[0].Payload) != "abc" {
+		t.Fatalf("parsed prefix = %+v; want the one record delivered ahead of the hostile one", replies)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("hostile length allocated %d bytes; want nothing near the claimed 1 GiB", grew)
+	}
+
+	chunked.Store(true)
+	if _, _, err := cl.FetchBatch(context.Background(), remote.KindRR, reqs); err == nil ||
+		!strings.Contains(err.Error(), "Content-Length") {
+		t.Fatalf("reply without a declared length: got %v, want a refusal", err)
 	}
 }
 
@@ -287,9 +349,7 @@ func TestRemoteProtocolErrors(t *testing.T) {
 // instead of re-paying TCP setup per round trip.
 func TestTransportReusesConnections(t *testing.T) {
 	c := newCluster(t, 0)
-	srv := httptest.NewServer(proxyTo(t, c.clients[0]))
-	defer srv.Close()
-	cl := remote.NewClient(srv.URL, &http.Client{Transport: remote.NewTransport(4)})
+	cl := remote.NewClient(c.urls[0], &http.Client{Transport: remote.NewTransport()})
 	var got, reused int
 	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
 		GotConn: func(info httptrace.GotConnInfo) {
@@ -301,7 +361,7 @@ func TestTransportReusesConnections(t *testing.T) {
 	})
 	const rounds = 5
 	for i := 0; i < rounds; i++ {
-		if _, _, err := cl.Fetch(ctx, remote.KindRR, rrindex.UnitDir, 0, 0); err != nil {
+		if _, err := fetchOne(ctx, cl, remote.KindRR, artifact.Request{Unit: rrindex.UnitDir}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -320,7 +380,7 @@ func TestRemoteWireBytesAccounted(t *testing.T) {
 	for _, cl := range c.clients {
 		before += cl.Stats().Bytes
 	}
-	res, err := rrindex.QueryMultiCtx(ctx, c.rrOwner, topic.Query{Topics: []int{0, 1, 2, 3, 4, 5, 6, 7}, K: 5})
+	res, err := rrindex.QueryMultiStreamCtx(ctx, c.rrOwner, topic.Query{Topics: []int{0, 1, 2, 3, 4, 5, 6, 7}, K: 5}, wris.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

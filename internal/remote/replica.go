@@ -8,7 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"kbtim/internal/artifact"
 	"kbtim/internal/diskio"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/irrindex"
 	"kbtim/internal/rrindex"
 	"kbtim/internal/shardmap"
@@ -60,15 +62,14 @@ type dirRecord struct {
 
 // Group fetches index artifacts from a set of interchangeable replicas of
 // ONE shard — every replica serves a byte-identical index file, so an
-// artifact GET is idempotent across them and a failed fetch can be re-issued
+// artifact fetch is idempotent across them and a failed one can be re-issued
 // to a surviving replica without violating the parity invariant.
 //
 // Reads of topic w start at the shardmap.Affinity-preferred replica (hot
 // keywords spread deterministically across the set) and rotate on failure:
 // available replicas first, then — if every replica is reported down — the
 // rest, so a stale health verdict degrades to a retry instead of an outright
-// failure. A 404 (ErrNotServed) returns immediately: the name resolves the
-// same way on every replica.
+// failure (see FetchBatch).
 //
 // A Group is safe for concurrent use.
 type Group struct {
@@ -140,71 +141,30 @@ func (g *Group) recordDir(kind string, prelude []byte, size int64) {
 	g.dirs[kind] = dirRecord{prelude: append([]byte(nil), prelude...), size: size}
 }
 
-// Fetch retrieves one artifact from any replica, failing over on transient
-// faults. The advertised index size of every response is checked against the
-// size recorded when the group opened that kind: a replica advertising a
-// different size serves a different file and is treated as faulty, not as a
-// source of (parity-breaking) bytes.
-func (g *Group) Fetch(ctx context.Context, kind, unit string, topic int, aux int64) ([]byte, int64, error) {
-	order := g.tryOrder(topic)
-	var lastErr error
-	for attempt, i := range order {
-		b, size, err := g.clients[i].Fetch(ctx, kind, unit, topic, aux)
-		if err == nil {
-			if want := g.recordedSize(kind); want != 0 && size != want {
-				err = fmt.Errorf("%w: advertises a %d-byte %s index, group opened a %d-byte one", ErrReplicaMismatch, size, kind, want)
-			}
-		}
-		if err == nil {
-			g.observe(i, nil)
-			if attempt > 0 {
-				g.failovers.Add(1)
-			}
-			return b, size, nil
-		}
-		if errors.Is(err, ErrNotServed) {
-			// The node answered; the name just does not resolve — which is a
-			// property of the (identical) file, not of this replica.
-			g.observe(i, nil)
-			return nil, 0, err
-		}
-		if ctx.Err() != nil {
-			// The caller gave up; do not blame the replica, do not keep trying.
-			return nil, 0, err
-		}
-		g.observe(i, err)
-		lastErr = err
-		if attempt < len(order)-1 {
-			g.retries.Add(1)
-		}
+// openDir fetches kind's prelude through the failover fetch — a one-unit
+// batch, served by the first replica that answers — records it as the group's
+// reference view, and returns it as the reader a remote index opens on.
+func (g *Group) openDir(ctx context.Context, kind string) (*stubReader, error) {
+	replies, size := g.FetchBatch(ctx, kind, []artifact.Request{{Unit: indexfile.UnitDir}})
+	if err := replies[0].Err; err != nil {
+		return nil, err
 	}
-	return nil, 0, fmt.Errorf("remote: all %d replicas failed, last: %w", len(order), lastErr)
+	g.recordDir(kind, replies[0].Payload, size)
+	return &stubReader{prelude: replies[0].Payload, size: size, counter: diskio.NewCounter()}, nil
 }
 
-// groupFetcher binds a group to one index kind, satisfying rrindex.Fetcher
-// and irrindex.Fetcher — the per-keyword artifact source that lets a
-// spanning query fail over to a surviving replica mid-round.
-type groupFetcher struct {
-	g    *Group
-	kind string
-}
-
-func (f groupFetcher) Fetch(ctx context.Context, unit string, topic int, aux int64) ([]byte, error) {
-	b, _, err := f.g.Fetch(ctx, f.kind, unit, topic, aux)
-	return b, err
-}
-
-// OpenRR opens the shard's RR index through the group: the dir artifact
-// comes from the first replica that answers (recorded as the group's
-// reference view), and the returned index reads every payload artifact
-// through the failover Fetch.
+// OpenRR opens the shard's RR index through the group: the header and
+// keyword directory are parsed by the exact code a local open runs (including
+// offset validation against the advertised file size), and the returned index
+// reads every payload artifact through the failover FetchBatch. Attach a
+// decoded cache (SetDecodedCache) to keep hot artifacts on this side of the
+// wire.
 func (g *Group) OpenRR(ctx context.Context) (*rrindex.Index, error) {
-	prelude, size, err := g.Fetch(ctx, KindRR, rrindex.UnitDir, 0, 0)
+	r, err := g.openDir(ctx, KindRR)
 	if err != nil {
 		return nil, err
 	}
-	g.recordDir(KindRR, prelude, size)
-	idx, err := rrindex.Open(&stubReader{prelude: prelude, size: size, counter: diskio.NewCounter()})
+	idx, err := rrindex.Open(r)
 	if err != nil {
 		return nil, err
 	}
@@ -214,12 +174,11 @@ func (g *Group) OpenRR(ctx context.Context) (*rrindex.Index, error) {
 
 // OpenIRR opens the shard's IRR index through the group; see OpenRR.
 func (g *Group) OpenIRR(ctx context.Context) (*irrindex.Index, error) {
-	prelude, size, err := g.Fetch(ctx, KindIRR, irrindex.UnitDir, 0, 0)
+	r, err := g.openDir(ctx, KindIRR)
 	if err != nil {
 		return nil, err
 	}
-	g.recordDir(KindIRR, prelude, size)
-	idx, err := irrindex.Open(&stubReader{prelude: prelude, size: size, counter: diskio.NewCounter()})
+	idx, err := irrindex.Open(r)
 	if err != nil {
 		return nil, err
 	}
@@ -242,14 +201,14 @@ func (g *Group) Validate(ctx context.Context, i int, kind string) error {
 	if !ok {
 		return fmt.Errorf("remote: group never opened a %s index to validate against", kind)
 	}
-	unit := rrindex.UnitDir
-	if kind == KindIRR {
-		unit = irrindex.UnitDir
-	}
-	prelude, size, err := g.clients[i].Fetch(ctx, kind, unit, 0, 0)
+	replies, size, err := g.clients[i].FetchBatch(ctx, kind, []artifact.Request{{Unit: indexfile.UnitDir}})
 	if err != nil {
 		return err
 	}
+	if err := replies[0].Err; err != nil {
+		return err
+	}
+	prelude := replies[0].Payload
 	if size != rec.size || !bytes.Equal(prelude, rec.prelude) {
 		return fmt.Errorf("%w: %s dir is %d bytes in a %d-byte file, group reference is %d bytes in a %d-byte file",
 			ErrReplicaMismatch, kind, len(prelude), size, len(rec.prelude), rec.size)

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -20,6 +22,7 @@ import (
 	"kbtim/internal/remote"
 	"kbtim/internal/rrindex"
 	"kbtim/internal/shardmap"
+	"kbtim/internal/wris"
 )
 
 // flakyHandler fails the next `failN` requests with a 500 before passing
@@ -123,8 +126,8 @@ func (h *stubHealth) Observe(i int, err error) {
 // whole-request 500 injector and a batch-reply truncator).
 type replicaCluster struct {
 	groups  []*remote.Group
-	flaky   []*flakyHandler   // per shard, wraps replica 0
-	trunc   []*truncBatch     // per shard, wraps replica 0 under flaky
+	flaky   []*flakyHandler    // per shard, wraps replica 0
+	trunc   []*truncBatch      // per shard, wraps replica 0 under flaky
 	clients [][]*remote.Client // per shard, [replica0, replica1]
 	rrIdx   []*rrindex.Index
 	irrIdx  []*irrindex.Index
@@ -199,7 +202,6 @@ func newReplicaCluster(t *testing.T) *replicaCluster {
 			t.Fatal(err)
 		}
 		mux := http.NewServeMux()
-		mux.Handle(remote.ArtifactPath, remote.NewHandler(eng))
 		mux.Handle(remote.BatchPath, remote.NewBatchHandler(eng))
 		tb := &truncBatch{inner: mux}
 		fh := &flakyHandler{inner: tb}
@@ -248,7 +250,7 @@ func openSegmented(t *testing.T, path string) diskio.Segmented {
 // invariant: with one replica of every shard dropping a burst of artifact
 // fetches mid-run, spanning queries still return byte-identical seeds,
 // marginals, and spreads to a directly opened full index — the Group
-// re-issues each failed GET on the surviving replica.
+// re-issues each failed batch on the surviving replica.
 func TestGroupFailoverParity(t *testing.T) {
 	c := newReplicaCluster(t)
 	ctx := context.Background()
@@ -256,11 +258,11 @@ func TestGroupFailoverParity(t *testing.T) {
 		fh.failN.Store(4) // next 4 fetches on replica 0 of each shard fail
 	}
 	for _, q := range parityQueries() {
-		want, err := c.rrLocal.Query(q)
+		want, err := c.rrLocal.QueryCtx(ctx, q)
 		if err != nil {
 			t.Fatalf("local rr %v: %v", q.Topics, err)
 		}
-		got, err := rrindex.QueryMultiCtx(ctx, c.rrOwner, q)
+		got, err := rrindex.QueryMultiStreamCtx(ctx, c.rrOwner, q, wris.StreamOptions{})
 		if err != nil {
 			t.Fatalf("failover rr %v: %v", q.Topics, err)
 		}
@@ -271,7 +273,7 @@ func TestGroupFailoverParity(t *testing.T) {
 				got.Seeds, got.Marginals, got.EstSpread,
 				want.Seeds, want.Marginals, want.EstSpread)
 		}
-		gotIRR, err := irrindex.QueryMultiCtx(ctx, c.irrOwner, q)
+		gotIRR, err := irrindex.QueryMultiStreamCtx(ctx, c.irrOwner, q, wris.StreamOptions{})
 		if err != nil {
 			t.Fatalf("failover irr %v: %v", q.Topics, err)
 		}
@@ -327,19 +329,22 @@ func TestGroupBatchTruncationFailover(t *testing.T) {
 	if len(topics) < 3 || shardmap.Affinity(topics[0], 2) != 0 {
 		t.Skip("universe does not give shard 0 three keywords with a replica-0-affine first")
 	}
+	// The reference bytes come from the local full index, off the wire: a
+	// keyword's artifacts are bit-identical however the universe is sharded.
 	reqs := make([]artifact.Request, len(topics))
 	want := make([][]byte, len(topics))
 	for i, w := range topics {
 		reqs[i] = artifact.Request{Unit: rrindex.UnitInv, Topic: w}
-		b, _, err := g.Fetch(ctx, remote.KindRR, rrindex.UnitInv, w, 0)
+		b, err := c.rrLocal.ArtifactBytes(rrindex.UnitInv, w, 0)
 		if err != nil {
-			t.Fatalf("reference fetch topic %d: %v", w, err)
+			t.Fatalf("reference read topic %d: %v", w, err)
 		}
 		want[i] = b
 	}
 	before := g.Stats()
+	survivorBefore := c.clients[0][1].Stats().BatchedUnits // the group's dir opens are one-unit batches too
 	c.trunc[0].cut.Store(1)
-	replies := g.FetchBatch(ctx, remote.KindRR, reqs)
+	replies, _ := g.FetchBatch(ctx, remote.KindRR, reqs)
 	if got := c.trunc[0].hits.Load(); got != 1 {
 		t.Fatalf("truncator fired %d times; want exactly 1 (batch routed to replica 0 once)", got)
 	}
@@ -357,62 +362,61 @@ func TestGroupBatchTruncationFailover(t *testing.T) {
 	}
 	// The survivor's batch served exactly the remainder: every unit except
 	// the one record the dying replica fully delivered.
-	if bu := c.clients[0][1].Stats().BatchedUnits; bu != int64(len(reqs)-1) {
+	if bu := c.clients[0][1].Stats().BatchedUnits - survivorBefore; bu != int64(len(reqs)-1) {
 		t.Fatalf("survivor served %d batched units; want the %d-unit remainder", bu, len(reqs)-1)
 	}
 }
 
-// TestGroupMixedVersionFallback: a v2 router batching against a v1-only
-// backend (no BatchPath endpoint) must serve every unit per-unit over v1,
-// byte-identically, and remember the verdict so the probe happens once.
-func TestGroupMixedVersionFallback(t *testing.T) {
+// TestGroupNoBatchEndpointIsAFault: a replica answering 404 on BatchPath (a
+// node that mounts no artifact endpoint) is an ordinary replica fault — it is
+// observed as one, and the next replica serves the WHOLE batch
+// byte-identically.
+func TestGroupNoBatchEndpointIsAFault(t *testing.T) {
 	base := newCluster(t, 0)
 	ctx := context.Background()
-	var batchProbes atomic.Int64
-	v1mux := http.NewServeMux()
-	v1mux.Handle(remote.ArtifactPath, proxyTo(t, base.clients[0]))
-	v1srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == remote.BatchPath {
-			batchProbes.Add(1)
-		}
-		v1mux.ServeHTTP(w, r)
-	}))
-	defer v1srv.Close()
-	cl := remote.NewClient(v1srv.URL, v1srv.Client())
-	g := remote.NewGroup([]*remote.Client{cl}, nil)
-	if _, err := g.OpenRR(ctx); err != nil {
-		t.Fatal(err)
-	}
+	bare := httptest.NewServer(http.NotFoundHandler())
+	defer bare.Close()
 	var topics []int
 	for w := 0; w < base.sm.NumTopics() && len(topics) < 3; w++ {
 		if base.sm.Owner(w) == 0 {
 			topics = append(topics, w)
 		}
 	}
+	// Put the endpoint-less replica at the batch's affinity-preferred slot so
+	// the round deterministically has to fail over.
+	replicas := make([]*remote.Client, 2)
+	pref := shardmap.Affinity(topics[0], 2)
+	replicas[pref] = remote.NewClient(bare.URL, bare.Client())
+	replicas[1-pref] = base.clients[0]
+	health := newStubHealth(2)
+	g := remote.NewGroup(replicas, health)
 	reqs := make([]artifact.Request, len(topics))
 	for i, w := range topics {
 		reqs[i] = artifact.Request{Unit: rrindex.UnitInv, Topic: w}
 	}
-	for round := 0; round < 2; round++ {
-		replies := g.FetchBatch(ctx, remote.KindRR, reqs)
-		for i, rep := range replies {
-			if rep.Err != nil {
-				t.Fatalf("round %d unit %d: %v", round, i, rep.Err)
-			}
-			want, _, err := base.clients[0].Fetch(ctx, remote.KindRR, rrindex.UnitInv, topics[i], 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rep.Payload, want) {
-				t.Fatalf("round %d unit %d: v1-fallback payload differs from direct fetch", round, i)
-			}
+	servedBefore := base.clients[0].Stats()
+	replies, _ := g.FetchBatch(ctx, remote.KindRR, reqs)
+	for i, rep := range replies {
+		if rep.Err != nil {
+			t.Fatalf("unit %d: %v", i, rep.Err)
+		}
+		want, err := base.rrLocal.ArtifactBytes(rrindex.UnitInv, topics[i], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rep.Payload, want) {
+			t.Fatalf("unit %d: failover payload differs from the local file", i)
 		}
 	}
-	if n := batchProbes.Load(); n != 1 {
-		t.Fatalf("v1-only backend probed %d times for the batch endpoint; want exactly 1 (verdict remembered)", n)
+	if len(health.observed) != 2 || health.observed[0] == nil || health.observed[1] != nil {
+		t.Fatalf("observations %v; want the 404 as a fault, then the survivor's success", health.observed)
 	}
-	if ws := cl.Stats(); ws.BatchedUnits != 0 || ws.Fetches == 0 {
-		t.Fatalf("mixed-version fallback stats %+v; want zero batched units over nonzero per-unit fetches", ws)
+	if s := g.Stats(); s.Retries != 1 || s.Failovers != 1 {
+		t.Fatalf("stats %+v; want one retry and one failover", s)
+	}
+	ws := base.clients[0].Stats()
+	if ws.Fetches-servedBefore.Fetches != 1 || ws.BatchedUnits-servedBefore.BatchedUnits != int64(len(reqs)) {
+		t.Fatalf("survivor served %+v -> %+v; want the whole %d-unit batch in one round trip", servedBefore, ws, len(reqs))
 	}
 }
 
@@ -447,17 +451,18 @@ func TestGroupOpensDegraded(t *testing.T) {
 	}
 }
 
-// TestGroupNotServedIsNotAFault: a 404 (name does not resolve) is a property
+// TestGroupNotServedIsNotAFault: a not-served reply (name does not resolve) is a property
 // of the byte-identical file, not of the replica that answered — the Group
 // must return it immediately instead of hammering every replica.
 func TestGroupNotServedIsNotAFault(t *testing.T) {
 	c := newReplicaCluster(t)
 	g := c.groups[0]
-	if _, _, err := g.Fetch(context.Background(), remote.KindRR, "bogus", 0, 0); !errors.Is(err, remote.ErrNotServed) {
+	replies, _ := g.FetchBatch(context.Background(), remote.KindRR, []artifact.Request{{Unit: "bogus"}})
+	if err := replies[0].Err; !errors.Is(err, remote.ErrNotServed) {
 		t.Fatalf("bogus unit: got %v, want ErrNotServed", err)
 	}
 	if s := g.Stats(); s.Retries != 0 {
-		t.Fatalf("a 404 was retried %d times across replicas", s.Retries)
+		t.Fatalf("a not-served reply was retried %d times across replicas", s.Retries)
 	}
 }
 
@@ -471,7 +476,7 @@ func TestGroupMismatchedReplicaRejected(t *testing.T) {
 	good := base.clients[0]
 	// A second "replica" re-serving the same shard-0 artifacts with the
 	// advertised size header shifted: answers fine, claims a different file.
-	tampered := httptest.NewServer(&sizeTamper{inner: proxyTo(t, good), delta: 7})
+	tampered := httptest.NewServer(&sizeTamper{inner: proxyTo(t, base.urls[0]), delta: 7})
 	defer tampered.Close()
 	health := newStubHealth(2)
 	health.down[1].Store(true) // keep the tampered replica out of the open
@@ -495,7 +500,8 @@ func TestGroupMismatchedReplicaRejected(t *testing.T) {
 		if shardmap.Affinity(w, 2) != 1 {
 			continue // only keywords whose preferred replica is the tampered one
 		}
-		if _, _, err := g.Fetch(ctx, remote.KindRR, rrindex.UnitDir, w, 0); err != nil {
+		replies, _ := g.FetchBatch(ctx, remote.KindRR, []artifact.Request{{Unit: rrindex.UnitDir, Topic: w}})
+		if err := replies[0].Err; err != nil {
 			t.Fatalf("fetch of topic %d with a mismatched preferred replica: %v", w, err)
 		}
 		sawMismatch = true
@@ -517,26 +523,13 @@ func TestGroupMismatchedReplicaRejected(t *testing.T) {
 	}
 }
 
-// proxyTo forwards artifact requests to another node — a stand-in for a
-// second server over the same files when only a client handle is available.
-func proxyTo(t *testing.T, c *remote.Client) http.Handler {
+// proxyTo forwards artifact requests to the node at base — a stand-in for a
+// second server over the same files.
+func proxyTo(t *testing.T, base string) http.Handler {
 	t.Helper()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		topic, _ := strconv.Atoi(q.Get("topic"))
-		aux, _ := strconv.ParseInt(q.Get("aux"), 10, 64)
-		b, size, err := c.Fetch(r.Context(), q.Get("kind"), q.Get("unit"), topic, aux)
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, remote.ErrNotServed) {
-				status = http.StatusNotFound
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		w.Header().Set("X-Kbtim-Artifact-Version", strconv.Itoa(remote.Version))
-		w.Header().Set("X-Kbtim-Index-Size", strconv.FormatInt(size, 10))
-		w.WriteHeader(http.StatusOK)
-		w.Write(b)
-	})
+	u, err := url.Parse(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return httputil.NewSingleHostReverseProxy(u)
 }

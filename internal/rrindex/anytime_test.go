@@ -14,7 +14,7 @@ import (
 
 // TestQueryStreamMatchesBatch: the emitted (seed, marginal) sequence of a
 // streamed query, concatenated, is byte-identical to the batch result, on
-// both the single-index and the sharded QueryMulti path; the running spread
+// both the single-index and the sharded QueryMultiStreamCtx path; the running spread
 // lower bound never decreases and lands exactly on the final EstSpread.
 func TestQueryStreamMatchesBatch(t *testing.T) {
 	idx, _ := buildFigure1(t, codec.Delta, wris.SizeTheta)

@@ -2,6 +2,7 @@ package rrindex
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"kbtim/internal/codec"
@@ -51,13 +52,13 @@ func BenchmarkQueryAllocs(b *testing.B) {
 	idx := benchIndex(b)
 	idx.SetDecodedCache(objcache.NewSharded(32<<20, 0))
 	q := topic.Query{Topics: []int{0, 2, 4}, K: 10}
-	if _, err := idx.Query(q); err != nil { // warm the decoded cache
+	if _, err := idx.QueryCtx(context.Background(), q); err != nil { // warm the decoded cache
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := idx.Query(q); err != nil {
+		if _, err := idx.QueryCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +72,7 @@ func BenchmarkQueryAllocsUncached(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := idx.Query(q); err != nil {
+		if _, err := idx.QueryCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

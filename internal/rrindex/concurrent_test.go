@@ -1,6 +1,7 @@
 package rrindex
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -24,7 +25,7 @@ func TestQueryConcurrent(t *testing.T) {
 	}
 	baseline := make([]*QueryResult, len(queries))
 	for i, q := range queries {
-		res, err := idx.Query(q)
+		res, err := idx.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +41,7 @@ func TestQueryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				qi := (g + i) % len(queries)
-				res, err := idx.Query(queries[qi])
+				res, err := idx.QueryCtx(context.Background(), queries[qi])
 				if err != nil {
 					errc <- err
 					return
@@ -70,18 +71,22 @@ func TestQueryConcurrent(t *testing.T) {
 // cached run must serve hits on repetition, and its disk I/O must shrink.
 func TestQueryCachedReaderAgrees(t *testing.T) {
 	idx, _ := buildFigure1(t, codec.Delta, wris.SizeTheta)
-	cachedIdx := reopenCached(t, idx)
+	raw, _ := figure1Bytes(t, codec.Delta, wris.SizeTheta)
+	cachedIdx, err := Open(diskio.NewCachedReader(diskio.NewMem(raw, nil), 1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	q := topic.Query{Topics: []int{topicMusic, topicBook}, K: 2}
-	plain, err := idx.Query(q)
+	plain, err := idx.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := cachedIdx.Query(q)
+	first, err := cachedIdx.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := cachedIdx.Query(q)
+	second, err := cachedIdx.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,19 +102,4 @@ func TestQueryCachedReaderAgrees(t *testing.T) {
 	if second.IO.Total() >= first.IO.Total() {
 		t.Fatalf("cache did not reduce disk I/O: first=%+v second=%+v", first.IO, second.IO)
 	}
-}
-
-// reopenCached reopens idx's underlying bytes behind a generous
-// CachedReader.
-func reopenCached(t *testing.T, idx *Index) *Index {
-	t.Helper()
-	raw, err := idx.r.ReadSegment(0, idx.r.Size())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := Open(diskio.NewCachedReader(diskio.NewMem(raw, nil), 1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cached
 }

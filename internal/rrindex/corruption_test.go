@@ -2,6 +2,7 @@ package rrindex
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"kbtim/internal/codec"
@@ -46,7 +47,7 @@ func TestRandomCorruptionNeverPanics(t *testing.T) {
 			if err != nil {
 				return
 			}
-			res, err := idx.Query(q)
+			res, err := idx.QueryCtx(context.Background(), q)
 			if err != nil {
 				return
 			}
@@ -87,7 +88,7 @@ func TestTruncationSweepNeverPanics(t *testing.T) {
 			if err != nil {
 				return
 			}
-			_, _ = idx.Query(topic.Query{Topics: []int{topicMusic}, K: 1})
+			_, _ = idx.QueryCtx(context.Background(), topic.Query{Topics: []int{topicMusic}, K: 1})
 		}()
 	}
 }

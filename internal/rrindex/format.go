@@ -26,11 +26,12 @@ package rrindex
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
+	"kbtim/internal/binfmt"
 	"kbtim/internal/codec"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/wris"
 )
 
@@ -43,7 +44,7 @@ const (
 )
 
 // ErrBadFormat reports a malformed or corrupt index file.
-var ErrBadFormat = errors.New("rrindex: bad index format")
+var ErrBadFormat = indexfile.ErrBadFormat
 
 // Header is the index-wide metadata.
 type Header struct {
@@ -112,79 +113,20 @@ func appendHeader(buf []byte, h *Header, numKeywords int) ([]byte, error) {
 	return buf, nil
 }
 
-// headerReader incrementally parses from a byte slice with error capture.
-type headerReader struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (r *headerReader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.pos+n > len(r.buf) {
-		r.err = fmt.Errorf("%w: truncated at byte %d", ErrBadFormat, r.pos)
-		return nil
-	}
-	b := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-func (r *headerReader) u8() byte {
-	b := r.bytes(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *headerReader) u32() uint32 {
-	b := r.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *headerReader) u64() uint64 {
-	b := r.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *headerReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func parseHeader(r *headerReader) (Header, int, error) {
+// parseHeader reads the format's header from a reader positioned just past
+// the prelude frame (indexfile.Open has checked magic and version).
+func parseHeader(r *binfmt.Reader) (Header, int, error) {
 	var h Header
-	magic := r.bytes(4)
-	if r.err != nil {
-		return h, 0, r.err
-	}
-	if string(magic) != indexMagic {
-		return h, 0, fmt.Errorf("%w: bad magic %q", ErrBadFormat, magic)
-	}
-	if v := r.u32(); r.err == nil && v != indexVersion {
-		return h, 0, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
-	}
-	r.u64() // prelude length, already consumed by the caller's segment read
-	h.Compression = codec.Compression(r.u8())
-	h.Sizing = wris.SizingMode(r.u8())
-	nameLen := int(r.u8())
-	name := r.bytes(nameLen)
-	if r.err == nil {
-		h.ModelName = string(name)
-	}
-	h.NumVertices = int(r.u64())
-	h.NumTopics = int(r.u32())
-	h.K = int(r.u32())
-	h.Epsilon = r.f64()
-	numKeywords := int(r.u32())
-	if r.err != nil {
-		return h, 0, r.err
+	h.Compression = codec.Compression(r.U8())
+	h.Sizing = wris.SizingMode(r.U8())
+	h.ModelName = string(r.Bytes(int(r.U8())))
+	h.NumVertices = int(r.U64())
+	h.NumTopics = int(r.U32())
+	h.K = int(r.U32())
+	h.Epsilon = r.F64()
+	numKeywords := int(r.U32())
+	if err := r.Err(); err != nil {
+		return h, 0, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	if !h.Compression.Valid() {
 		return h, 0, fmt.Errorf("%w: unknown compression %d", ErrBadFormat, h.Compression)
@@ -212,30 +154,29 @@ func appendKeywordDir(buf []byte, d *KeywordDir) []byte {
 	return buf
 }
 
-func parseKeywordDir(r *headerReader, h *Header) (KeywordDir, error) {
+func parseKeywordDir(r *binfmt.Reader, h *Header) (KeywordDir, error) {
 	var d KeywordDir
-	d.TopicID = int(r.u32())
-	d.ThetaW = int64(r.u64())
-	d.TFSum = r.f64()
-	d.Phi = r.f64()
-	d.SetsOff = int64(r.u64())
-	d.SetsLen = int64(r.u64())
-	d.InvOff = int64(r.u64())
-	d.InvLen = int64(r.u64())
-	d.NumInvLists = int(r.u32())
-	numCk := int(r.u32())
-	if r.err != nil {
-		return d, r.err
-	}
-	if numCk < 0 || numCk > 1<<28 {
+	d.TopicID = int(r.U32())
+	d.ThetaW = int64(r.U64())
+	d.TFSum = r.F64()
+	d.Phi = r.F64()
+	d.SetsOff = int64(r.U64())
+	d.SetsLen = int64(r.U64())
+	d.InvOff = int64(r.U64())
+	d.InvLen = int64(r.U64())
+	d.NumInvLists = int(r.U32())
+	numCk := int(r.U32())
+	// A checkpoint is 8 prelude bytes, so the bytes present bound the count
+	// (a truncated read leaves numCk 0 and surfaces through r.Err below).
+	if numCk < 0 || numCk > r.Remaining()/8 {
 		return d, fmt.Errorf("%w: implausible checkpoint count %d", ErrBadFormat, numCk)
 	}
 	d.Checkpoints = make([]int64, numCk)
 	for i := range d.Checkpoints {
-		d.Checkpoints[i] = int64(r.u64())
+		d.Checkpoints[i] = int64(r.U64())
 	}
-	if r.err != nil {
-		return d, r.err
+	if err := r.Err(); err != nil {
+		return d, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	if d.TopicID < 0 || d.TopicID >= h.NumTopics || d.ThetaW <= 0 ||
 		d.SetsLen < 0 || d.InvLen < 0 || d.NumInvLists < 0 || d.NumInvLists > h.NumVertices {

@@ -49,15 +49,3 @@ func TestHeaderRejectsBadModelName(t *testing.T) {
 		t.Fatal("oversized model name accepted")
 	}
 }
-
-func TestHeaderReaderTruncation(t *testing.T) {
-	r := &headerReader{buf: []byte{1, 2}}
-	r.u64()
-	if r.err == nil {
-		t.Fatal("truncated u64 accepted")
-	}
-	// Sticky error: subsequent reads return zero values.
-	if r.u8() != 0 || r.u32() != 0 || r.f64() != 0 {
-		t.Fatal("reads after error not zeroed")
-	}
-}

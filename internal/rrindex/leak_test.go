@@ -42,14 +42,15 @@ func TestDecodeSetsErrorReturnsPooledArrays(t *testing.T) {
 	for i := d.SetsOff; i < d.SetsOff+d.SetsLen; i++ {
 		data[i] = 0xFF
 	}
-	idx, err = Open(diskio.NewMem(data, nil))
+	mem := diskio.NewMem(data, nil)
+	idx, err = Open(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d = idx.dirs[topicMusic]
 
 	g0, p0 := pool.Counts()
-	if _, err := idx.decodeSets(context.Background(), idx.r, d, int(d.ThetaW), true); err == nil {
+	if _, err := idx.decodeSets(context.Background(), mem, d, int(d.ThetaW), true); err == nil {
 		t.Fatal("decodeSets succeeded on a 0xFF-filled sets region; corruption setup is broken")
 	}
 	g1, p1 := pool.Counts()

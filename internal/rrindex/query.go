@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"kbtim/internal/artifact"
 	"kbtim/internal/coverage"
 	"kbtim/internal/diskio"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/objcache"
 	"kbtim/internal/pool"
 	"kbtim/internal/rrset"
@@ -27,19 +27,17 @@ const (
 )
 
 // Index is an opened RR index ready for query processing. After Open the
-// header and directory are immutable and every Query works on its own
+// header and directory are immutable and every query works on its own
 // scratch state and a per-query I/O scope, so one Index is safe for
 // concurrent use by multiple goroutines (provided the underlying reader
 // supports concurrent positional reads, as diskio.File, diskio.Mem, and
-// diskio.CachedReader all do).
+// diskio.CachedReader all do). The embedded File carries the substrate shared
+// with the IRR index: decoded cache, parallelism and fetcher attachments
+// (set them right after Open), Plan, Keywords, Size.
 type Index struct {
-	hdr     Header
-	dirs    map[int]*KeywordDir
-	r       diskio.Segmented
-	prelude int64           // header+directory byte length (the UnitDir artifact)
-	dec     *objcache.Cache // optional decoded-object cache, set before first Query
-	par     int             // per-query artifact-load parallelism, set before first Query
-	fetch   Fetcher         // optional remote artifact source, set before first Query
+	indexfile.File
+	hdr  Header
+	dirs map[int]*KeywordDir
 }
 
 // Artifact units of the RR index, as named by the cross-node fetch protocol
@@ -48,7 +46,7 @@ type Index struct {
 // per-offset.
 const (
 	// UnitDir is the index prelude: header plus keyword directory.
-	UnitDir = "dir"
+	UnitDir = indexfile.UnitDir
 	// UnitSets is one keyword's θ-prefix of RR sets; aux is the prefix
 	// length t (the payload is the checkpoint-aligned first prefixBytes(t)
 	// bytes of the sets region).
@@ -57,111 +55,43 @@ const (
 	UnitInv = "inv"
 )
 
-// Fetcher returns the raw bytes of one named artifact of this index — the
-// pluggable byte source that lets an Index be backed by a remote node
-// instead of a local file. Implementations must return exactly the bytes
-// the local file holds for that unit (ArtifactBytes on the serving side is
-// the canonical producer), so decoded artifacts — and therefore query
-// results — are bit-identical to a local open of the same file.
-type Fetcher interface {
-	Fetch(ctx context.Context, unit string, topic int, aux int64) ([]byte, error)
-}
-
-// BatchFetcher is an optional Fetcher upgrade: one call moves a whole round
-// of artifacts in (ideally) one wire round trip. FetchBatch must return
-// exactly len(reqs) replies in request order, isolating failures per unit;
-// each successful payload obeys the same bit-identity contract as Fetch.
-// When the query planner finds a BatchFetcher behind a remote index it
-// gathers every unit the round will need, peels decoded-cache residents off,
-// and batches the rest — per-unit Fetch remains the fallback for everything
-// else, so results are byte-identical either way.
-type BatchFetcher interface {
-	Fetcher
-	FetchBatch(ctx context.Context, reqs []artifact.Request) []artifact.Reply
-}
-
 // ErrNoArtifact marks an artifact request whose NAME does not resolve on
 // this index — unknown unit, unindexed keyword, out-of-range refinement.
-// Serving layers map it to "not served here" (HTTP 404), as distinct from
-// a resolvable artifact whose read failed (a real server error).
-var ErrNoArtifact = errors.New("rrindex: no such artifact")
+var ErrNoArtifact = indexfile.ErrNoArtifact
 
 // Open parses the header and directory of an index accessible through r.
 // The payload stays on "disk" and is fetched per query.
 func Open(r diskio.Segmented) (*Index, error) {
-	head, err := r.ReadSegment(0, 16)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	if string(head[:4]) != indexMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, head[:4])
-	}
-	if v := binary.LittleEndian.Uint32(head[4:8]); v != indexVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
-	}
-	preludeLen := int64(binary.LittleEndian.Uint64(head[8:16]))
-	if preludeLen < 16 || preludeLen > r.Size() {
-		return nil, fmt.Errorf("%w: implausible prelude length %d", ErrBadFormat, preludeLen)
-	}
-	prelude, err := r.ReadSegment(0, preludeLen)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	hr := &headerReader{buf: prelude}
-	hdr, numKeywords, err := parseHeader(hr)
+	f, br, err := indexfile.Open(r, "rrindex", indexMagic, indexVersion)
 	if err != nil {
 		return nil, err
 	}
-	idx := &Index{hdr: hdr, dirs: make(map[int]*KeywordDir, numKeywords), r: r, prelude: preludeLen}
+	hdr, numKeywords, err := parseHeader(br)
+	if err != nil {
+		return nil, err
+	}
+	idx := &Index{File: f, hdr: hdr, dirs: make(map[int]*KeywordDir, numKeywords)}
+	idx.Shape = indexfile.Shape{NumVertices: hdr.NumVertices, NumTopics: hdr.NumTopics, K: hdr.K}
 	for i := 0; i < numKeywords; i++ {
-		d, err := parseKeywordDir(hr, &hdr)
+		d, err := parseKeywordDir(br, &hdr)
 		if err != nil {
 			return nil, err
 		}
-		if d.SetsOff < preludeLen || d.SetsOff+d.SetsLen > r.Size() ||
-			d.InvOff < preludeLen || d.InvOff+d.InvLen > r.Size() {
+		if !idx.InPayload(d.SetsOff, d.SetsLen) || !idx.InPayload(d.InvOff, d.InvLen) {
 			return nil, fmt.Errorf("%w: payload offsets for topic %d out of file", ErrBadFormat, d.TopicID)
 		}
-		dd := d
-		idx.dirs[d.TopicID] = &dd
+		idx.dirs[d.TopicID] = &d
+		idx.AddKeyword(indexfile.Keyword{TopicID: d.TopicID, ThetaW: d.ThetaW, Phi: d.Phi})
 	}
 	return idx, nil
 }
 
-// SetDecodedCache attaches a decoded-object cache: parsed RR-set batch
-// prefixes and inverted tables are cached across queries (with singleflight
-// loading), so hot keywords skip both the disk AND the decode. Must be
-// called before the index is shared between goroutines (i.e. right after
-// Open); pass nil to detach. Cached values are immutable — queries trim to
-// their private θ^Q_w by slicing.
-func (idx *Index) SetDecodedCache(c *objcache.Cache) { idx.dec = c }
-
-// SetQueryParallelism bounds how many keywords one Query fetches and
-// decodes concurrently (<= 1 keeps the fully sequential path). Seeds and
-// spreads are identical either way — artifacts are merged in keyword order
-// after the parallel fetch — only latency and the sequential/random shape of
-// per-query I/O stats change. Must be called before the index is shared
-// between goroutines (i.e. right after Open).
-func (idx *Index) SetQueryParallelism(n int) { idx.par = n }
-
-// SetFetcher makes the index remote-backed: every artifact read bypasses the
-// local reader and asks f for the named unit instead (the decoded cache, when
-// attached, still fronts those fetches, so hot keywords skip the wire). Must
-// be called before the index is shared between goroutines (i.e. right after
-// Open); pass nil to go back to local reads.
-func (idx *Index) SetFetcher(f Fetcher) { idx.fetch = f }
-
-// Size returns the total byte length of the underlying index file (for a
-// remote-backed index, the size the serving node advertised).
-func (idx *Index) Size() int64 { return idx.r.Size() }
-
 // ArtifactBytes serves one named artifact's raw bytes from the local index —
-// the serving side of the cross-node fetch protocol. Reads go through the
-// index's shared reader (and so through the segment cache when one is
-// attached). aux is the θ-prefix length for UnitSets and ignored otherwise.
+// the serving side of the cross-node fetch protocol. aux is the θ-prefix
+// length for UnitSets and ignored otherwise.
 func (idx *Index) ArtifactBytes(unit string, topic int, aux int64) ([]byte, error) {
 	if unit == UnitDir {
-		return idx.r.ReadSegment(0, idx.prelude)
+		return idx.DirBytes()
 	}
 	d := idx.dirs[topic]
 	if d == nil {
@@ -172,63 +102,16 @@ func (idx *Index) ArtifactBytes(unit string, topic int, aux int64) ([]byte, erro
 		if aux < 1 {
 			return nil, fmt.Errorf("%w: sets artifact needs a positive prefix length, got %d", ErrNoArtifact, aux)
 		}
-		return idx.r.ReadSegment(d.SetsOff, d.prefixBytes(aux))
+		return idx.SegmentBytes(d.SetsOff, d.prefixBytes(aux))
 	case UnitInv:
-		return idx.r.ReadSegment(d.InvOff, d.InvLen)
+		return idx.SegmentBytes(d.InvOff, d.InvLen)
 	default:
 		return nil, fmt.Errorf("%w: unknown artifact unit %q", ErrNoArtifact, unit)
 	}
 }
 
-// artifact returns one artifact's raw bytes for a query: from the remote
-// fetcher when the index is remote-backed (recording the transfer in the
-// query's I/O scope, so wire bytes surface in the usual I/O stats), else one
-// ReadSegment against the local reader. off/length locate the unit in the
-// file — the fetched payload must be exactly that long, a cheap end-to-end
-// check that the remote node serves the same index this directory describes.
-func (idx *Index) artifact(ctx context.Context, r diskio.Segmented, unit string, topic int, aux, off, length int64) ([]byte, error) {
-	if idx.fetch == nil {
-		return r.ReadSegment(off, length)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// A batch-planned round has already moved this unit over the wire; the
-	// stash rides the query's reader, and consuming an entry (Take removes
-	// it) is the moment its transfer lands in the I/O stats.
-	if st, ok := r.(*artifact.Stashed); ok {
-		if b, ok := st.S.Take(artifact.Request{Unit: unit, Topic: topic, Aux: aux}); ok {
-			if int64(len(b)) != length {
-				return nil, fmt.Errorf("rrindex: remote %s artifact for keyword %d is %d bytes, directory says %d",
-					unit, topic, len(b), length)
-			}
-			r.Counter().Record(off, len(b))
-			return b, nil
-		}
-	}
-	b, err := idx.fetch.Fetch(ctx, unit, topic, aux)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(b)) != length {
-		return nil, fmt.Errorf("rrindex: remote %s artifact for keyword %d is %d bytes, directory says %d",
-			unit, topic, len(b), length)
-	}
-	r.Counter().Record(off, len(b))
-	return b, nil
-}
-
 // Header returns the index-wide metadata.
 func (idx *Index) Header() Header { return idx.hdr }
-
-// Keywords returns the indexed topic IDs (unordered).
-func (idx *Index) Keywords() []int {
-	out := make([]int, 0, len(idx.dirs))
-	for t := range idx.dirs {
-		out = append(out, t)
-	}
-	return out
-}
 
 // Dir exposes one keyword's directory entry (nil if not indexed).
 func (idx *Index) Dir(topicID int) *KeywordDir { return idx.dirs[topicID] }
@@ -256,77 +139,6 @@ type QueryResult struct {
 	Partial bool
 }
 
-// decCounters accumulates one query's decoded-cache traffic.
-type decCounters struct {
-	hits, misses int64
-}
-
-// add folds another goroutine's counters in (used after a parallel fetch
-// phase joins; never called concurrently).
-func (d *decCounters) add(o decCounters) {
-	d.hits += o.hits
-	d.misses += o.misses
-}
-
-// Plan computes θ^Q and the per-keyword allocation θ^Q_w = θ^Q·p_w of
-// Algorithm 2 lines 1–4, using the φ_w values frozen into the index.
-func (idx *Index) Plan(q topic.Query) (map[int]int, error) {
-	if err := q.Validate(idx.hdr.NumTopics); err != nil {
-		return nil, err
-	}
-	dirs := make([]*KeywordDir, len(q.Topics))
-	for i, w := range q.Topics {
-		if dirs[i] = idx.dirs[w]; dirs[i] == nil {
-			return nil, fmt.Errorf("rrindex: keyword %d not indexed", w)
-		}
-	}
-	return planTopics(&idx.hdr, q, dirs)
-}
-
-// planTopics is the Plan body over an explicit per-topic directory list —
-// the directories may come from ONE index or from several keyword-sharded
-// ones. θ^Q_w depends only on each keyword's (ThetaW, Phi), both frozen per
-// keyword at build time, which is why a sharded deployment allocates exactly
-// like a single index (the parity the sharded tests pin).
-func planTopics(hdr *Header, q topic.Query, dirs []*KeywordDir) (map[int]int, error) {
-	if err := q.Validate(hdr.NumTopics); err != nil {
-		return nil, err
-	}
-	if q.K > hdr.K {
-		return nil, fmt.Errorf("rrindex: Q.k=%d exceeds index cap K=%d", q.K, hdr.K)
-	}
-	var phiQ float64
-	for _, d := range dirs {
-		phiQ += d.Phi
-	}
-	if phiQ <= 0 {
-		return nil, fmt.Errorf("rrindex: query %v has zero mass", q.Topics)
-	}
-	thetaQ := math.Inf(1)
-	for _, d := range dirs {
-		pw := d.Phi / phiQ
-		if pw <= 0 {
-			continue
-		}
-		if v := float64(d.ThetaW) / pw; v < thetaQ {
-			thetaQ = v
-		}
-	}
-	alloc := make(map[int]int, len(q.Topics))
-	for _, d := range dirs {
-		pw := d.Phi / phiQ
-		t := int64(thetaQ*pw + 1e-9)
-		if t < 1 {
-			t = 1
-		}
-		if t > d.ThetaW {
-			t = d.ThetaW
-		}
-		alloc[d.TopicID] = int(t)
-	}
-	return alloc, nil
-}
-
 // setsView maps one keyword's RR-set batch into the query's global set-ID
 // space: set (start+i) is batch.Set(i).
 type setsView struct {
@@ -343,24 +155,19 @@ type kwArtifacts struct {
 	// cache-free path, pool-backed.
 	pverts []uint32
 	pids   []int32
-	dec    decCounters
+	dec    indexfile.DecCounters
 	err    error
 }
 
-// Query answers a KB-TIM query with Algorithm 2: load θ^Q_w RR sets and the
-// inverted file of every query keyword, then run greedy maximum coverage.
-// With SetQueryParallelism > 1 the per-keyword fetch+decode runs
-// concurrently (bounded), and the merge into query state stays sequential in
-// keyword order, so results are identical to the sequential path.
-func (idx *Index) Query(q topic.Query) (*QueryResult, error) {
-	return QueryMulti(func(int) *Index { return idx }, q)
-}
-
-// QueryCtx is Query with cancellation: ctx is checked at every keyword-load
-// boundary (and passed to the remote fetcher, when one is attached), so a
-// canceled caller stops paying for fetches it no longer wants.
+// QueryCtx answers a KB-TIM query with Algorithm 2: load θ^Q_w RR sets and
+// the inverted file of every query keyword, then run greedy maximum coverage.
+// With SetQueryParallelism > 1 the per-keyword fetch+decode runs concurrently
+// (bounded), and the merge into query state stays sequential in keyword
+// order, so results are identical to the sequential path. ctx is checked at
+// every keyword-load boundary (and passed to the remote fetcher, when one is
+// attached), so a canceled caller stops paying for fetches it no longer wants.
 func (idx *Index) QueryCtx(ctx context.Context, q topic.Query) (*QueryResult, error) {
-	return QueryMultiCtx(ctx, func(int) *Index { return idx }, q)
+	return idx.QueryStreamCtx(ctx, q, wris.StreamOptions{})
 }
 
 // QueryStreamCtx is QueryCtx with anytime hooks: so.Emit receives each seed
@@ -370,7 +177,12 @@ func (idx *Index) QueryStreamCtx(ctx context.Context, q topic.Query, so wris.Str
 	return QueryMultiStreamCtx(ctx, func(int) *Index { return idx }, q, so)
 }
 
-// QueryMulti answers a KB-TIM query with Algorithm 2 over a
+// errDeadline marks a keyword fetch abandoned because the streaming deadline
+// expired — the anytime path's "stop now" signal, converted to a Partial
+// result (never surfaced as an error) before QueryMultiStreamCtx returns.
+var errDeadline = errors.New("rrindex: query deadline expired")
+
+// QueryMultiStreamCtx answers a KB-TIM query with Algorithm 2 over a
 // keyword-partitioned set of indexes: owner(w) returns the Index holding
 // keyword w (nil = not indexed anywhere). Per-keyword artifacts are
 // bit-identical however the keyword universe is partitioned (each keyword's
@@ -380,157 +192,54 @@ func (idx *Index) QueryStreamCtx(ctx context.Context, q topic.Query, so wris.Str
 // the seeds, marginals, and spread a single full index would. Each involved
 // index reads through its own per-query I/O scope; the reported IO is their
 // sum.
-func QueryMulti(owner func(topic int) *Index, q topic.Query) (*QueryResult, error) {
-	return QueryMultiCtx(context.Background(), owner, q)
-}
-
-// QueryMultiCtx is QueryMulti with cancellation: ctx is checked before every
-// keyword's artifact load (the unit of work between checks, so cancellation
-// latency is bounded by one fetch+decode) and once more before the coverage
-// solve. A canceled query returns ctx.Err() wrapped in the usual keyword
-// error context.
-func QueryMultiCtx(ctx context.Context, owner func(topic int) *Index, q topic.Query) (*QueryResult, error) {
-	return QueryMultiStreamCtx(ctx, owner, q, wris.StreamOptions{})
-}
-
-// errDeadline marks a keyword fetch abandoned because the streaming deadline
-// expired — the anytime path's "stop now" signal, converted to a Partial
-// result (never surfaced as an error) before QueryMultiStreamCtx returns.
-var errDeadline = errors.New("rrindex: query deadline expired")
-
-// QueryMultiStreamCtx is QueryMultiCtx with anytime hooks; QueryMultiCtx is
-// this function with zero options, so the batch path and the streaming path
-// are one body and parity holds by construction. so.Emit receives each seed
-// synchronously as greedy selection certifies it, with the running spread
-// lower bound of the emitted prefix. A non-zero so.Deadline turns timeout
-// into degradation: the query checks the deadline at every keyword-load
-// boundary and before every greedy pick, and once expired returns whatever
-// prefix is certified so far with Partial=true (RR certifies nothing until
-// all artifacts are merged, so a deadline during loading yields an empty
-// Partial result).
+//
+// Batch and streaming are this one body (zero options = batch), so parity
+// holds by construction. so.Emit receives each seed synchronously as greedy
+// selection certifies it, with the running spread lower bound of the emitted
+// prefix. ctx is checked before every keyword's artifact load (the unit of
+// work between checks, so cancellation latency is bounded by one
+// fetch+decode) and once more before the coverage solve. A non-zero
+// so.Deadline turns timeout into degradation: it is checked at every
+// keyword-load boundary and before every greedy pick, and once expired the
+// query returns whatever prefix is certified so far with Partial=true (RR
+// certifies nothing until all artifacts are merged, so a deadline during
+// loading yields an empty Partial result).
 func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q topic.Query, so wris.StreamOptions) (*QueryResult, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if len(q.Topics) == 0 {
-		return nil, fmt.Errorf("rrindex: query needs at least one keyword")
-	}
-	// Resolve the owning indexes. The overwhelmingly common case — every
-	// keyword on ONE index (single-engine deployments, replicate shards,
-	// co-located fast paths) — is detected first so it allocates none of
-	// the multi-index bookkeeping; only genuinely spanning queries pay.
-	base := owner(q.Topics[0])
-	if base == nil {
-		return nil, fmt.Errorf("rrindex: keyword %d not indexed", q.Topics[0])
-	}
-	multi := false
-	for _, w := range q.Topics[1:] {
-		ix := owner(w)
-		if ix == nil {
-			return nil, fmt.Errorf("rrindex: keyword %d not indexed", w)
-		}
-		if ix != base {
-			multi = true
-		}
-	}
-	var (
-		idxOf  []*Index        // per-topic owner, nil when single-index
-		uniq   []*Index        // distinct involved indexes, nil when single
-		scopes []*diskio.Scope // per-query I/O scopes, parallel to uniq
-		scope0 *diskio.Scope   // the single-index scope
-	)
-	if multi {
-		idxOf = make([]*Index, len(q.Topics))
-		for i, w := range q.Topics {
-			ix := owner(w)
-			idxOf[i] = ix
-			known := false
-			for _, u := range uniq {
-				if u == ix {
-					known = true
-					break
-				}
-			}
-			if !known {
-				uniq = append(uniq, ix)
-			}
-		}
-		for _, u := range uniq[1:] {
-			if u.hdr.NumVertices != base.hdr.NumVertices || u.hdr.NumTopics != base.hdr.NumTopics || u.hdr.K != base.hdr.K {
-				return nil, fmt.Errorf("rrindex: shard indexes built over different datasets or caps (|V| %d vs %d, |T| %d vs %d, K %d vs %d)",
-					base.hdr.NumVertices, u.hdr.NumVertices, base.hdr.NumTopics, u.hdr.NumTopics, base.hdr.K, u.hdr.K)
-			}
-		}
-		// All reads go through per-query scopes (one per involved index):
-		// precise I/O accounting with no shared cursor, so concurrent
-		// queries cannot race or pollute each other's sequential/random
-		// classification.
-		scopes = make([]*diskio.Scope, len(uniq))
-		for i, u := range uniq {
-			scopes[i] = diskio.NewScope(u.r)
-		}
-	} else {
-		scope0 = diskio.NewScope(base.r)
-	}
-	idxAt := func(i int) *Index {
-		if idxOf == nil {
-			return base
-		}
-		return idxOf[i]
-	}
-	scopeAt := func(i int) *diskio.Scope {
-		if idxOf == nil {
-			return scope0
-		}
-		for j, u := range uniq {
-			if u == idxOf[i] {
-				return scopes[j]
-			}
-		}
-		return nil // unreachable: every owner is in uniq
-	}
-	// Validate BEFORE the directory lookups so an out-of-space keyword is
-	// reported as such ("outside topic space"), not as a coverage gap.
-	if err := q.Validate(base.hdr.NumTopics); err != nil {
-		return nil, err
-	}
-	dirOf := make([]*KeywordDir, len(q.Topics))
-	for i, w := range q.Topics {
-		if dirOf[i] = idxAt(i).dirs[w]; dirOf[i] == nil {
-			return nil, fmt.Errorf("rrindex: keyword %d not indexed", w)
-		}
-	}
-	alloc, err := planTopics(&base.hdr, q, dirOf)
+	rq, err := indexfile.Resolve("rrindex", owner, q)
 	if err != nil {
 		return nil, err
 	}
+	base, alloc := rq.Base, rq.Alloc
 
-	// Batch round: the allocation above fixes every artifact this query will
-	// read, so a remote index with a batch-capable fetcher gets all its units
-	// in ONE round trip per owning backend (decoded-cache residents peeled
-	// off first). The payloads ride per-index stashes that the unchanged
-	// fetch path consumes unit by unit — local indexes and plain fetchers
-	// skip this entirely.
-	var stashes map[*Index]*artifact.Stash
-	if !so.Expired() {
-		stashes = planWire(ctx, q.Topics, idxAt, dirOf, alloc)
-	}
-	readerAt := func(i int) diskio.Segmented {
-		s := scopeAt(i)
-		if st := stashes[idxAt(i)]; st != nil {
-			return &artifact.Stashed{Segmented: s, S: st}
+	// Batch round: Algorithm 2 reads exactly two artifacts per keyword — the
+	// θ^Q_w sets prefix and the inverted region — and the allocation fixes
+	// both before any fetch starts, so a remote index gets all its units
+	// (minus decoded-cache residents) in ONE round trip per owning backend.
+	// The unchanged fetch path then consumes them from the stash unit by unit.
+	if rq.Remote() && !so.Expired() {
+		for i, w := range q.Topics {
+			ix, t := rq.Index(i), int64(alloc[w])
+			if !ix.Resident(objcache.Key{Region: regionSets, Topic: int32(w), Aux: t}) {
+				rq.Want(i, artifact.Request{Unit: UnitSets, Topic: w, Aux: t})
+			}
+			if !ix.Resident(objcache.Key{Region: regionInv, Topic: int32(w)}) {
+				rq.Want(i, artifact.Request{Unit: UnitInv, Topic: w})
+			}
 		}
-		return s
+		rq.Fetch(ctx)
 	}
 
-	var dec decCounters
+	var dec indexfile.DecCounters
 	views := make([]setsView, 0, len(q.Topics))
 	lists := pool.Int32Lists(base.hdr.NumVertices)
 	defer pool.PutInt32Lists(lists)
 	offset := int32(0)
 	loaded := make(map[int]int, len(alloc))
-	var phiQ float64
+	phiQ := rq.PhiQ
 
 	// Fetch phase: every keyword's set prefix and inverted artifact is
 	// fetched and decoded into private (or cache-shared) state — nothing
@@ -538,7 +247,8 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	// keywords load concurrently (bounded); the merge below is sequential in
 	// keyword order either way, so results are identical.
 	arts := make([]kwArtifacts, len(q.Topics))
-	fetchOne := func(a *kwArtifacts, ix *Index, r diskio.Segmented, d *KeywordDir, t int) {
+	fetchOne := func(a *kwArtifacts, ix *Index, r diskio.Segmented, w, t int) {
+		d := ix.dirs[w]
 		// The keyword-load boundary is the cancellation unit: a canceled
 		// query abandons every keyword it has not started yet. The anytime
 		// deadline shares the boundary, but resolves to a Partial result
@@ -554,18 +264,13 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		if a.err != nil {
 			return
 		}
-		if ix.dec == nil {
+		if ix.DecodedCache() == nil {
 			a.pverts, a.pids, a.err = ix.decodeInvPairs(ctx, r, d, t)
 		} else {
 			a.inv, a.err = ix.invTable(ctx, r, d, &a.dec)
 		}
 	}
-	par := base.par
-	for _, u := range uniq {
-		if u.par > par {
-			par = u.par
-		}
-	}
+	par := rq.Par
 	if par > len(q.Topics) {
 		par = len(q.Topics)
 	}
@@ -574,17 +279,17 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		var wg sync.WaitGroup
 		for i, w := range q.Topics {
 			wg.Add(1)
-			go func(a *kwArtifacts, ix *Index, r diskio.Segmented, d *KeywordDir, t int) {
+			go func(a *kwArtifacts, ix *Index, r diskio.Segmented, w, t int) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				fetchOne(a, ix, r, d, t)
-			}(&arts[i], idxAt(i), readerAt(i), dirOf[i], alloc[w])
+				fetchOne(a, ix, r, w, t)
+			}(&arts[i], rq.Index(i), rq.Reader(i), w, alloc[w])
 		}
 		wg.Wait()
 	} else {
 		for i, w := range q.Topics {
-			fetchOne(&arts[i], idxAt(i), readerAt(i), dirOf[i], alloc[w])
+			fetchOne(&arts[i], rq.Index(i), rq.Reader(i), w, alloc[w])
 			if arts[i].err != nil {
 				break // later keywords keep zero artifacts; merge reports the error
 			}
@@ -596,7 +301,7 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 				pool.PutUint32s(arts[i].pverts)
 				pool.PutInt32s(arts[i].pids)
 			}
-			if idxAt(i).dec == nil && arts[i].batch != nil {
+			if rq.Index(i).DecodedCache() == nil && arts[i].batch != nil {
 				// Query-private pool-backed batches (never cache-shared).
 				pool.PutUint32s(arts[i].batch.Flat)
 				pool.PutInt64s(arts[i].batch.Off)
@@ -606,7 +311,7 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	deadlineHit := false
 	for i, w := range q.Topics {
 		a := &arts[i]
-		dec.add(a.dec)
+		dec.Add(a.dec)
 		if errors.Is(a.err, errDeadline) {
 			deadlineHit = true
 			continue
@@ -619,20 +324,12 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		// The deadline expired while artifacts were still loading: RR-greedy
 		// certifies no seed before every keyword's sets are merged, so the
 		// best certified prefix is empty. Report what was spent and stop.
-		var io diskio.Stats
-		if multi {
-			for _, s := range scopes {
-				io = io.Add(s.Stats())
-			}
-		} else {
-			io = scope0.Stats()
-		}
 		return &QueryResult{
 			Result:        wris.Result{Elapsed: time.Since(start)},
-			IO:            io,
+			IO:            rq.IO(),
 			Loaded:        loaded,
-			DecodedHits:   dec.hits,
-			DecodedMisses: dec.misses,
+			DecodedHits:   dec.Hits,
+			DecodedMisses: dec.Misses,
 			Partial:       true,
 		}, nil
 	}
@@ -672,15 +369,14 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	// one-pass merge produced.
 	for i, w := range q.Topics {
 		a := &arts[i]
-		d := dirOf[i]
-		phiQ += d.Phi
 		t := alloc[w]
 		if a.inv != nil {
 			for j, v := range a.inv.verts {
-				list := a.inv.lists[j]
+				list, dst := a.inv.lists[j], lists[v]
 				for _, id := range list[:trimLen(list, t)] {
-					lists[v] = append(lists[v], id+offset)
+					dst = append(dst, id+offset)
 				}
+				lists[v] = dst
 			}
 		} else {
 			for j, v := range a.pverts {
@@ -728,14 +424,6 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	if err != nil {
 		return nil, err
 	}
-	var io diskio.Stats
-	if multi {
-		for _, s := range scopes {
-			io = io.Add(s.Stats())
-		}
-	} else {
-		io = scope0.Stats()
-	}
 	return &QueryResult{
 		Result: wris.Result{
 			Seeds:     res.Seeds,
@@ -745,80 +433,12 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 			Elapsed:   time.Since(start),
 		},
 		Marginals:     res.Marginal,
-		IO:            io,
+		IO:            rq.IO(),
 		Loaded:        loaded,
-		DecodedHits:   dec.hits,
-		DecodedMisses: dec.misses,
+		DecodedHits:   dec.Hits,
+		DecodedMisses: dec.Misses,
 		Partial:       res.Partial,
 	}, nil
-}
-
-// planWire is the RR query's batch round. Algorithm 2 reads exactly two
-// artifacts per keyword — the θ^Q_w sets prefix and the inverted region —
-// and the allocation fixes both before any fetch starts, so for every
-// remote batch-capable index the complete wire need is known up front: it
-// is gathered here, minus units already resident in that index's decoded
-// cache, and moved in one FetchBatch per owning index (concurrently across
-// indexes for spanning queries). Successful payloads land in per-index
-// stashes; failed units are simply not stashed, so the per-unit fetch path
-// retries them with its own failover and surfaces errors with the usual
-// keyword context. Plans that would batch a single unit are dropped — one
-// POST saves nothing over one GET.
-func planWire(ctx context.Context, topics []int, idxAt func(int) *Index, dirOf []*KeywordDir, alloc map[int]int) map[*Index]*artifact.Stash {
-	var plans map[*Index][]artifact.Request
-	for i := range topics {
-		ix := idxAt(i)
-		if ix.fetch == nil {
-			continue
-		}
-		if _, ok := ix.fetch.(BatchFetcher); !ok {
-			continue
-		}
-		d := dirOf[i]
-		t := int64(alloc[topics[i]])
-		var reqs []artifact.Request
-		if ix.dec == nil || !ix.dec.Contains(objcache.Key{Region: regionSets, Topic: int32(d.TopicID), Aux: t}) {
-			reqs = append(reqs, artifact.Request{Unit: UnitSets, Topic: d.TopicID, Aux: t})
-		}
-		if ix.dec == nil || !ix.dec.Contains(objcache.Key{Region: regionInv, Topic: int32(d.TopicID)}) {
-			reqs = append(reqs, artifact.Request{Unit: UnitInv, Topic: d.TopicID})
-		}
-		if len(reqs) == 0 {
-			continue
-		}
-		if plans == nil {
-			plans = make(map[*Index][]artifact.Request)
-		}
-		plans[ix] = append(plans[ix], reqs...)
-	}
-	var (
-		stashes map[*Index]*artifact.Stash
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-	)
-	for ix, reqs := range plans {
-		if len(reqs) < 2 {
-			continue
-		}
-		wg.Add(1)
-		go func(ix *Index, bf BatchFetcher, reqs []artifact.Request) {
-			defer wg.Done()
-			st := artifact.NewStash()
-			for k, rep := range bf.FetchBatch(ctx, reqs) {
-				if rep.Err == nil {
-					st.Put(reqs[k], rep.Payload)
-				}
-			}
-			mu.Lock()
-			if stashes == nil {
-				stashes = make(map[*Index]*artifact.Stash)
-			}
-			stashes[ix] = st
-			mu.Unlock()
-		}(ix, ix.fetch.(BatchFetcher), reqs)
-	}
-	wg.Wait()
-	return stashes
 }
 
 // trimLen returns how many leading IDs of the ascending list are below the
@@ -832,8 +452,8 @@ func trimLen(list []int32, t int) int {
 // distinct prefix is its own artifact, exactly as hot repeated queries
 // produce). Without a cache the batch is query-private and pool-backed; the
 // caller returns it after the solve.
-func (idx *Index) setsPrefix(ctx context.Context, r diskio.Segmented, d *KeywordDir, t int, dec *decCounters) (*rrset.Batch, error) {
-	if idx.dec == nil {
+func (idx *Index) setsPrefix(ctx context.Context, r diskio.Segmented, d *KeywordDir, t int, dec *indexfile.DecCounters) (*rrset.Batch, error) {
+	if idx.DecodedCache() == nil {
 		return idx.decodeSets(ctx, r, d, t, true)
 	}
 	// The loader runs under singleflight: concurrent queries share one
@@ -843,8 +463,7 @@ func (idx *Index) setsPrefix(ctx context.Context, r diskio.Segmented, d *Keyword
 	// cache either way); the canceled query still stops at its next
 	// keyword-load boundary.
 	lctx := context.WithoutCancel(ctx)
-	v, hit, err := idx.dec.GetOrLoad(
-		objcache.Key{Region: regionSets, Topic: int32(d.TopicID), Aux: int64(t)},
+	v, err := idx.Cached(objcache.Key{Region: regionSets, Topic: int32(d.TopicID), Aux: int64(t)}, dec,
 		func() (any, int64, error) {
 			b, err := idx.decodeSets(lctx, r, d, t, false)
 			if err != nil {
@@ -855,11 +474,6 @@ func (idx *Index) setsPrefix(ctx context.Context, r diskio.Segmented, d *Keyword
 	if err != nil {
 		return nil, err
 	}
-	if hit {
-		dec.hits++
-	} else {
-		dec.misses++
-	}
 	return v.(*rrset.Batch), nil
 }
 
@@ -869,7 +483,7 @@ func (idx *Index) setsPrefix(ctx context.Context, r diskio.Segmented, d *Keyword
 // (query-private use only — NEVER for a batch published to the decoded
 // cache, whose artifacts are shared and immutable).
 func (idx *Index) decodeSets(ctx context.Context, r diskio.Segmented, d *KeywordDir, t int, pooled bool) (_ *rrset.Batch, err error) {
-	buf, err := idx.artifact(ctx, r, UnitSets, d.TopicID, int64(t), d.SetsOff, d.prefixBytes(int64(t)))
+	buf, err := idx.Artifact(ctx, r, artifact.Request{Unit: UnitSets, Topic: d.TopicID, Aux: int64(t)}, d.SetsOff, d.prefixBytes(int64(t)))
 	if err != nil {
 		return nil, err
 	}
@@ -954,7 +568,7 @@ func (idx *Index) decodeInvPairs(ctx context.Context, r diskio.Segmented, d *Key
 // and streams each (vertex, ascending RR-ID list) pair through fn; the list
 // aliases decode scratch and must not be retained.
 func (idx *Index) walkInv(ctx context.Context, r diskio.Segmented, d *KeywordDir, fn func(v uint32, ids []uint32)) error {
-	buf, err := idx.artifact(ctx, r, UnitInv, d.TopicID, 0, d.InvOff, d.InvLen)
+	buf, err := idx.Artifact(ctx, r, artifact.Request{Unit: UnitInv, Topic: d.TopicID}, d.InvOff, d.InvLen)
 	if err != nil {
 		return err
 	}
@@ -984,11 +598,10 @@ func (idx *Index) walkInv(ctx context.Context, r diskio.Segmented, d *KeywordDir
 // invTable returns keyword d's decoded inverted table from the decoded
 // cache. The artifact is decoded in full (untrimmed) because it is shared
 // by queries with different allocations.
-func (idx *Index) invTable(ctx context.Context, r diskio.Segmented, d *KeywordDir, dec *decCounters) (*invTable, error) {
+func (idx *Index) invTable(ctx context.Context, r diskio.Segmented, d *KeywordDir, dec *indexfile.DecCounters) (*invTable, error) {
 	// Detached ctx for the same singleflight-sharing reason as setsPrefix.
 	lctx := context.WithoutCancel(ctx)
-	v, hit, err := idx.dec.GetOrLoad(
-		objcache.Key{Region: regionInv, Topic: int32(d.TopicID)},
+	v, err := idx.Cached(objcache.Key{Region: regionInv, Topic: int32(d.TopicID)}, dec,
 		func() (any, int64, error) {
 			tbl, err := idx.decodeInv(lctx, r, d)
 			if err != nil {
@@ -1002,11 +615,6 @@ func (idx *Index) invTable(ctx context.Context, r diskio.Segmented, d *KeywordDi
 		})
 	if err != nil {
 		return nil, err
-	}
-	if hit {
-		dec.hits++
-	} else {
-		dec.misses++
 	}
 	return v.(*invTable), nil
 }

@@ -2,6 +2,7 @@ package rrindex
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -78,8 +79,9 @@ func testConfig() wris.Config {
 	}
 }
 
-// buildFigure1 builds an in-memory index over the running example.
-func buildFigure1(t testing.TB, comp codec.Compression, sizing wris.SizingMode) (*Index, *BuildStats) {
+// figure1Bytes builds the index file over the running example (seeded, so
+// every call yields the same bytes).
+func figure1Bytes(t testing.TB, comp codec.Compression, sizing wris.SizingMode) ([]byte, *BuildStats) {
 	t.Helper()
 	g := figure1(t)
 	prof := figure1Profiles(t)
@@ -91,7 +93,14 @@ func buildFigure1(t testing.TB, comp codec.Compression, sizing wris.SizingMode) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Open(diskio.NewMem(buf.Bytes(), nil))
+	return buf.Bytes(), stats
+}
+
+// buildFigure1 builds an in-memory index over the running example.
+func buildFigure1(t testing.TB, comp codec.Compression, sizing wris.SizingMode) (*Index, *BuildStats) {
+	t.Helper()
+	raw, stats := figure1Bytes(t, comp, sizing)
+	idx, err := Open(diskio.NewMem(raw, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +138,7 @@ func TestQueryGuarantee(t *testing.T) {
 		{Topics: []int{topicMusic, topicBook}, K: 2},
 		{Topics: []int{topicCar, topicSport}, K: 1},
 	} {
-		res, err := idx.Query(q)
+		res, err := idx.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("query %v: %v", q.Topics, err)
 		}
@@ -211,11 +220,11 @@ func TestCompressionModesAgree(t *testing.T) {
 	idxRaw, statsRaw := buildFigure1(t, codec.Raw, wris.SizeTheta)
 	idxDelta, statsDelta := buildFigure1(t, codec.Delta, wris.SizeTheta)
 	q := topic.Query{Topics: []int{topicMusic, topicBook}, K: 2}
-	r1, err := idxRaw.Query(q)
+	r1, err := idxRaw.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := idxDelta.Query(q)
+	r2, err := idxDelta.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +279,7 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	counter.Reset()
 	q := topic.Query{Topics: []int{topicMusic, topicBook}, K: 2}
-	res, err := idx.Query(q)
+	res, err := idx.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +322,7 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		return // corrupted directory — also acceptable
 	}
 	for _, w := range idx.Keywords() {
-		_, qerr := idx.Query(topic.Query{Topics: []int{w}, K: 1})
+		_, qerr := idx.QueryCtx(context.Background(), topic.Query{Topics: []int{w}, K: 1})
 		if qerr != nil {
 			return // loudly failed, as desired
 		}
@@ -371,7 +380,7 @@ func TestMediumScaleConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := topic.Query{Topics: []int{0, 1}, K: 10}
-	fromIndex, err := idx.Query(q)
+	fromIndex, err := idx.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,11 +428,11 @@ func TestDecodedCacheCorrectness(t *testing.T) {
 	}
 	var hits int64
 	for _, q := range queries {
-		a, err := plain.Query(q)
+		a, err := plain.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := cached.Query(q)
+		b, err := cached.QueryCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +451,7 @@ func TestDecodedCacheCorrectness(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("repeated workload produced no decoded-cache hits")
 	}
-	warm, err := cached.Query(topic.Query{Topics: []int{topicMusic, topicBook}, K: 3})
+	warm, err := cached.QueryCtx(context.Background(), topic.Query{Topics: []int{topicMusic, topicBook}, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +469,7 @@ func TestDecodedCacheConcurrent(t *testing.T) {
 	cache := objcache.New(1 << 20)
 	idx.SetDecodedCache(cache)
 	q := topic.Query{Topics: []int{topicMusic, topicBook}, K: 3}
-	base, err := idx.Query(q)
+	base, err := idx.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +479,7 @@ func TestDecodedCacheConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				r, err := idx.Query(q)
+				r, err := idx.QueryCtx(context.Background(), q)
 				if err != nil {
 					t.Error(err)
 					return

@@ -2,6 +2,7 @@ package rrindex
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -93,11 +94,11 @@ func TestQueryMultiShardParity(t *testing.T) {
 	for _, cache := range []bool{false, true} {
 		full, owner, _ := shardFixture(t, 4, cache)
 		for qi, q := range queries {
-			want, err := full.Query(q)
+			want, err := full.QueryCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := QueryMulti(owner, q)
+			got, err := QueryMultiStreamCtx(context.Background(), owner, q, wris.StreamOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,13 +122,13 @@ func TestQueryMultiShardParity(t *testing.T) {
 // rejected, not silently merged.
 func TestQueryMultiErrors(t *testing.T) {
 	full, owner, _ := shardFixture(t, 2, false)
-	if _, err := QueryMulti(func(int) *Index { return nil }, topic.Query{Topics: []int{0}, K: 2}); err == nil {
+	if _, err := QueryMultiStreamCtx(context.Background(), func(int) *Index { return nil }, topic.Query{Topics: []int{0}, K: 2}, wris.StreamOptions{}); err == nil {
 		t.Fatal("nil owner accepted")
 	}
-	if _, err := QueryMulti(owner, topic.Query{Topics: nil, K: 2}); err == nil {
+	if _, err := QueryMultiStreamCtx(context.Background(), owner, topic.Query{Topics: nil, K: 2}, wris.StreamOptions{}); err == nil {
 		t.Fatal("empty topic set accepted")
 	}
-	if _, err := QueryMulti(owner, topic.Query{Topics: []int{0, 0}, K: 2}); err == nil {
+	if _, err := QueryMultiStreamCtx(context.Background(), owner, topic.Query{Topics: []int{0, 0}, K: 2}, wris.StreamOptions{}); err == nil {
 		t.Fatal("duplicate topics accepted")
 	}
 
@@ -156,7 +157,7 @@ func TestQueryMultiErrors(t *testing.T) {
 		}
 		return full
 	}
-	if _, err := QueryMulti(mixed, topic.Query{Topics: []int{0, 1}, K: 2}); err == nil {
+	if _, err := QueryMultiStreamCtx(context.Background(), mixed, topic.Query{Topics: []int{0, 1}, K: 2}, wris.StreamOptions{}); err == nil {
 		t.Fatal("mismatched shard headers accepted")
 	}
 }

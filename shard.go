@@ -58,7 +58,7 @@ type ShardStat struct {
 // subset: a query whose topics co-locate on one shard takes the fast path
 // (that engine answers it exactly as a single-engine deployment would), and
 // a query spanning shards is answered by the exact cross-index merge
-// (rrindex/irrindex QueryMulti), which returns bit-identical seeds,
+// (rrindex/irrindex QueryMultiStreamCtx), which returns bit-identical seeds,
 // marginals, and spreads to a single full index — per-keyword build
 // determinism makes shard payloads equal to the full index's, and the merge
 // runs in query-keyword order. In replicate mode every shard holds the full
@@ -106,8 +106,8 @@ func NewSharded(engines []*Engine, mode ShardMode, perShardWorkers int) (*Sharde
 	numUsers := engines[0].ds.NumUsers()
 	for i, e := range engines[1:] {
 		if e.ds.NumTopics() != numTopics || e.ds.NumUsers() != numUsers {
-			// Guard the single-shard fast path too: QueryMulti re-checks
-			// headers on scatter, but a co-located query goes straight to
+			// Guard the single-shard fast path too: the cross-index merge
+			// re-checks headers on scatter, but a co-located query goes straight to
 			// one engine and would silently answer from the wrong dataset.
 			return nil, fmt.Errorf("kbtim: shard %d dataset (%d users, %d topics) differs from shard 0's (%d users, %d topics)",
 				i+1, e.ds.NumUsers(), e.ds.NumTopics(), numUsers, numTopics)
@@ -390,7 +390,7 @@ func (s *Sharded) pin(shards []int, acquire func(*Engine) (*indexHandle, error))
 }
 
 // ArtifactBytes implements the cross-node artifact-serving interface
-// (remote.Source) so a sharded box still mounts /internal/artifact — and
+// (remote.Source) so a sharded box still mounts /internal/artifacts — and
 // answers every request with a diagnosis instead of a bare route 404. A
 // fan-out router expects SINGLE-ENGINE backends (node i serving shard i's
 // "<index>.s<i>" file): a multi-shard box holds several disjoint keyword
