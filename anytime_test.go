@@ -8,6 +8,16 @@ import (
 	"time"
 )
 
+// queryFn is a Query method with its strategy fixed, so the tables below can
+// range over (deployment, strategy) pairs with one call shape.
+type queryFn func(context.Context, Query, StreamOptions) (*Result, error)
+
+func withStrategy(s Strategy, query func(context.Context, Strategy, Query, StreamOptions) (*Result, error)) queryFn {
+	return func(ctx context.Context, q Query, so StreamOptions) (*Result, error) {
+		return query(ctx, s, q, so)
+	}
+}
+
 // TestStreamMatchesBatch is the root-package anytime property: for every
 // strategy (rr, irr) over both a single Engine and a sharded deployment,
 // the emitted (seed, marginal) sequence concatenated is byte-identical to
@@ -17,12 +27,11 @@ func TestStreamMatchesBatch(t *testing.T) {
 	ds := shardedDataset(t)
 	s, single := buildSharded(t, ds, 2, ShardHash, 0)
 
-	type queryFn func(context.Context, Query, StreamOptions) (*Result, error)
 	paths := map[string]queryFn{
-		"engine/rr":   single.QueryRRStreamCtx,
-		"engine/irr":  single.QueryIRRStreamCtx,
-		"sharded/rr":  s.QueryRRStreamCtx,
-		"sharded/irr": s.QueryIRRStreamCtx,
+		"engine/rr":   withStrategy(StrategyRR, single.Query),
+		"engine/irr":  withStrategy(StrategyIRR, single.Query),
+		"sharded/rr":  withStrategy(StrategyRR, s.Query),
+		"sharded/irr": withStrategy(StrategyIRR, s.Query),
 	}
 	for _, q := range shardedQueries() {
 		for name, run := range paths {
@@ -73,9 +82,9 @@ func TestStreamDeadline(t *testing.T) {
 	_, single := buildSharded(t, ds, 2, ShardHash, 0)
 	q := Query{Topics: []int{0, 1}, K: 3}
 
-	for name, run := range map[string]func(context.Context, Query, StreamOptions) (*Result, error){
-		"rr":  single.QueryRRStreamCtx,
-		"irr": single.QueryIRRStreamCtx,
+	for name, run := range map[string]queryFn{
+		"rr":  withStrategy(StrategyRR, single.Query),
+		"irr": withStrategy(StrategyIRR, single.Query),
 	} {
 		res, err := run(context.Background(), q, StreamOptions{Deadline: time.Now().Add(-time.Second)})
 		if err != nil {

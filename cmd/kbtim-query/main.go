@@ -112,17 +112,6 @@ func main() {
 		}
 	}
 
-	// openSharded assembles the per-shard engines over the "<index>.s<i>"
-	// files kbtim-build -shards wrote; queries through it return exactly
-	// what the unsharded index would.
-	openSharded := func(rrPath, irrPath string) *kbtim.Sharded {
-		s, err := kbtim.OpenShardedIndexes(ds, opts, rrPath, irrPath, *shards, kbtim.ShardMode(*shardMode), 0)
-		if err != nil {
-			log.Fatalf("kbtim-query: %v", err)
-		}
-		return s
-	}
-
 	var res *kbtim.Result
 	var q kbtim.Query
 	switch *method {
@@ -134,28 +123,36 @@ func main() {
 			log.Fatalf("kbtim-query: %v", terr)
 		}
 		q = kbtim.Query{Topics: topics, K: *k}
-		switch {
-		case *method == "wris":
+		if *method == "wris" {
 			res, err = eng.QueryWRIS(q)
-		case *method == "rr" && *shards > 1:
-			s := openSharded(*indexPath, "")
-			defer s.Close()
-			res, err = s.QueryRRStreamCtx(ctx, q, so)
-		case *method == "rr":
-			if err := eng.OpenRRIndex(*indexPath); err != nil {
-				log.Fatalf("kbtim-query: %v", err)
-			}
-			res, err = eng.QueryRRStreamCtx(ctx, q, so)
-		case *method == "irr" && *shards > 1:
-			s := openSharded("", *indexPath)
-			defer s.Close()
-			res, err = s.QueryIRRStreamCtx(ctx, q, so)
-		case *method == "irr":
-			if err := eng.OpenIRRIndex(*indexPath); err != nil {
-				log.Fatalf("kbtim-query: %v", err)
-			}
-			res, err = eng.QueryIRRStreamCtx(ctx, q, so)
+			break
 		}
+		// One Query call either way: over the engine, or over the per-shard
+		// engines assembled from the "<index>.s<i>" files kbtim-build -shards
+		// wrote, which return exactly what the unsharded index would.
+		st := kbtim.Strategy(*method)
+		rrPath, irrPath := *indexPath, ""
+		if st == kbtim.StrategyIRR {
+			rrPath, irrPath = "", *indexPath
+		}
+		query := eng.Query
+		switch {
+		case *shards > 1:
+			s, oerr := kbtim.OpenShardedIndexes(ds, opts, rrPath, irrPath, *shards, kbtim.ShardMode(*shardMode), 0)
+			if oerr != nil {
+				log.Fatalf("kbtim-query: %v", oerr)
+			}
+			defer s.Close()
+			query = s.Query
+		case st == kbtim.StrategyRR:
+			err = eng.OpenRRIndex(rrPath)
+		default:
+			err = eng.OpenIRRIndex(irrPath)
+		}
+		if err != nil {
+			log.Fatalf("kbtim-query: %v", err)
+		}
+		res, err = query(ctx, st, q, so)
 	default:
 		log.Fatalf("kbtim-query: unknown strategy %q", *method)
 	}

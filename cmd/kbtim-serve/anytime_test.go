@@ -162,9 +162,13 @@ func getStats(t *testing.T, ts *httptest.Server) *statsResponse {
 // handling without racing a real engine against a clock.
 type anytimeFake struct {
 	emitErr bool // return an error after emitting one seed
+	empty   bool // the deadline expired before the first certified seed
 }
 
 func (f *anytimeFake) query(so kbtim.StreamOptions) (*kbtim.Result, error) {
+	if f.empty {
+		return &kbtim.Result{Partial: true}, nil
+	}
 	seeds := []kbtim.Seed{7, 3}
 	marginals := []int{5, 2}
 	for i := range seeds {
@@ -184,11 +188,7 @@ func (f *anytimeFake) query(so kbtim.StreamOptions) (*kbtim.Result, error) {
 	}, nil
 }
 
-func (f *anytimeFake) QueryRRStreamCtx(_ context.Context, _ kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
-	return f.query(so)
-}
-
-func (f *anytimeFake) QueryIRRStreamCtx(_ context.Context, _ kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
+func (f *anytimeFake) Query(_ context.Context, _ kbtim.Strategy, _ kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
 	return f.query(so)
 }
 
@@ -227,6 +227,27 @@ func TestServerDeadlinePartialCounter(t *testing.T) {
 	}
 	if got := getStats(t, ts).DeadlinePartial; got != 2 {
 		t.Fatalf("deadline_partial = %d, want 2", got)
+	}
+
+	// A deadline that expires before the first certified seed still answers
+	// a certified prefix — the empty one, [] and never null — in the batch
+	// body and the NDJSON terminal record alike.
+	empty := httptest.NewServer(NewServer(&anytimeFake{empty: true}, 2).Handler())
+	defer empty.Close()
+	body, _ := json.Marshal(queryRequest{Topics: []int{0}, K: 2, DeadlineMS: 1})
+	for _, path := range []string{"/query", "/query?stream=1"} {
+		resp, err := http.Post(empty.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !bytes.Contains(raw, []byte(`"seeds":[]`)) || !bytes.Contains(raw, []byte(`"partial":true`)) {
+			t.Fatalf("%s: empty partial answered %s %s, want 200 with \"seeds\":[] and partial=true", path, resp.Status, raw)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"kbtim"
 	"kbtim/internal/diskio"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/irrindex"
 	"kbtim/internal/objcache"
 	"kbtim/internal/remote"
@@ -142,7 +143,6 @@ type fanout struct {
 type fanoutConfig struct {
 	mode         kbtim.ShardMode
 	decBudget    int64 // PER-GROUP decoded-cache byte budget (caller splits the global flag)
-	cacheShards  int
 	queryPar     int
 	proxyTimeout time.Duration
 	healthTTL    time.Duration // TTL of cached /healthz verdicts (0 = probe every time)
@@ -322,14 +322,14 @@ func (f *fanout) openGroup(si int, urls []string, cfg fanoutConfig) (*shardGroup
 	}
 	if g.rr != nil {
 		if cfg.decBudget > 0 {
-			g.rrDec = objcache.NewSharded(cfg.decBudget, cfg.cacheShards)
+			g.rrDec = objcache.NewSharded(cfg.decBudget, 0)
 			g.rr.SetDecodedCache(g.rrDec)
 		}
 		g.rr.SetQueryParallelism(cfg.queryPar)
 	}
 	if g.irr != nil {
 		if cfg.decBudget > 0 {
-			g.irrDec = objcache.NewSharded(cfg.decBudget, cfg.cacheShards)
+			g.irrDec = objcache.NewSharded(cfg.decBudget, 0)
 			g.irr.SetDecodedCache(g.irrDec)
 		}
 		g.irr.SetQueryParallelism(cfg.queryPar)
@@ -476,9 +476,9 @@ func (g *shardGroup) proxyOrder() []int {
 // failure re-issues the query to the next replica, rebuilding the request
 // body per attempt; a deterministic reply (4xx — bad query, unindexed
 // keyword) returns immediately, every replica would say the same.
-func (f *fanout) proxy(ctx context.Context, gi int, q kbtim.Query, strategy string, so kbtim.StreamOptions) (*kbtim.Result, error) {
+func (f *fanout) proxy(ctx context.Context, gi int, s kbtim.Strategy, q kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
 	g := f.groups[gi]
-	wireReq := queryRequest{Topics: q.Topics, K: q.K, Strategy: strategy}
+	wireReq := queryRequest{Topics: q.Topics, K: q.K, Strategy: string(s)}
 	if !so.Deadline.IsZero() {
 		// The anytime deadline crosses the wire as a relative budget: the
 		// owning node runs the SAME best-certified-prefix degradation a local
@@ -577,7 +577,12 @@ func (f *fanout) proxyOnce(ctx context.Context, n *fanoutNode, body []byte) (*kb
 			f.observeNode(n, nil)
 		}
 		if json.Unmarshal(msg, &fail) == nil && fail.Error != "" {
-			return nil, retryable, fmt.Errorf("backend %s: %s", n.url, fail.Error)
+			if !retryable {
+				// A deterministic rejection reads the same from every replica
+				// (and from a local engine), so which one relayed it is noise.
+				return nil, false, errors.New(fail.Error)
+			}
+			return nil, true, fmt.Errorf("backend %s: %s", n.url, fail.Error)
 		}
 		return nil, retryable, fmt.Errorf("backend %s: %s: %s", n.url, resp.Status, msg)
 	}
@@ -589,37 +594,20 @@ func (f *fanout) proxyOnce(ctx context.Context, n *fanoutNode, body []byte) (*kb
 		return nil, true, fmt.Errorf("backend %s: decoding reply: %w", n.url, err)
 	}
 	f.observeNode(n, nil)
-	return &kbtim.Result{
-		Seeds:            qr.Seeds,
-		Marginals:        qr.Marginals,
-		EstSpread:        qr.EstSpread,
-		NumRRSets:        qr.NumRRSets,
-		PartitionsLoaded: qr.PartitionsLoaded,
-		IO: kbtim.IOStats{
-			SequentialReads: qr.IO.SequentialReads,
-			RandomReads:     qr.IO.RandomReads,
-			BytesRead:       qr.IO.BytesRead,
-			CacheHits:       qr.IO.CacheHits,
-			CacheMisses:     qr.IO.CacheMisses,
-			DecodedHits:     qr.IO.DecodedHits,
-			DecodedMisses:   qr.IO.DecodedMisses,
-		},
-		Elapsed: time.Duration(qr.ElapsedMS * float64(time.Millisecond)),
-		Partial: qr.Partial,
-	}, false, nil
+	return qr.result(), false, nil
 }
 
-// QueryRRCtx implements backend: proxy when one group owns every topic,
-// local Algorithm 2 over remote-backed group indexes otherwise.
-func (f *fanout) QueryRRCtx(ctx context.Context, q kbtim.Query) (*kbtim.Result, error) {
-	return f.QueryRRStreamCtx(ctx, q, kbtim.StreamOptions{})
-}
-
-// QueryRRStreamCtx implements backend with incremental emission: scattered
-// queries certify and emit locally; proxied queries emit on reply arrival.
-func (f *fanout) QueryRRStreamCtx(ctx context.Context, q kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
-	if f.groups[0].rr == nil {
-		return nil, errors.New("router backends serve no RR index")
+// Query implements backend: a query whose topics one group owns is proxied
+// whole (emitting on reply arrival); a spanning query runs Algorithm 2/4
+// locally over the remote-backed group indexes, certifying and emitting seed
+// by seed. This is the router's one strategy switch and its one index-result
+// → Result conversion.
+func (f *fanout) Query(ctx context.Context, s kbtim.Strategy, q kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
+	if s != kbtim.StrategyRR && s != kbtim.StrategyIRR {
+		return nil, fmt.Errorf("unknown strategy %q (want rr or irr)", s)
+	}
+	if g := f.groups[0]; (s == kbtim.StrategyRR && g.rr == nil) || (s == kbtim.StrategyIRR && g.irr == nil) {
+		return nil, fmt.Errorf("router backends serve no %s index", strings.ToUpper(string(s)))
 	}
 	gids := f.involved(q.Topics)
 	if len(gids) == 0 {
@@ -627,81 +615,46 @@ func (f *fanout) QueryRRStreamCtx(ctx context.Context, q kbtim.Query, so kbtim.S
 	}
 	if len(gids) == 1 {
 		f.proxCnt.Add(1)
-		return f.proxy(ctx, gids[0], q, "rr", so)
+		return f.proxy(ctx, gids[0], s, q, so)
 	}
 	f.scatCnt.Add(1)
-	r, err := rrindex.QueryMultiStreamCtx(ctx, func(w int) *rrindex.Index {
-		if w < 0 || w >= f.sm.NumTopics() {
-			return nil
-		}
-		return f.groups[f.sm.Owner(w)].rr
-	}, topic.Query{Topics: q.Topics, K: q.K}, wris.StreamOptions{Emit: wris.EmitFunc(so.Emit), Deadline: so.Deadline})
+	// An out-of-space keyword has no owner; the shard map routes it to group
+	// 0 so the index reports "outside topic space", as a single engine would.
+	group := func(w int) *shardGroup { return f.groups[f.sm.Owner(w)] }
+	tq := topic.Query{Topics: q.Topics, K: q.K}
+	wso := wris.StreamOptions{Emit: wris.EmitFunc(so.Emit), Deadline: so.Deadline}
+	var (
+		r   *indexfile.Result
+		err error
+	)
+	if s == kbtim.StrategyRR {
+		r, err = rrindex.QueryMultiStreamCtx(ctx, func(w int) *rrindex.Index { return group(w).rr }, tq, wso)
+	} else {
+		r, err = irrindex.QueryMultiStreamCtx(ctx, func(w int) *irrindex.Index { return group(w).irr }, tq, wso)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &kbtim.Result{
-		Seeds:     r.Seeds,
-		Marginals: r.Marginals,
-		EstSpread: r.EstSpread,
-		NumRRSets: r.NumRRSets,
-		IO:        wireIOStats(r.IO, r.DecodedHits, r.DecodedMisses),
-		Elapsed:   r.Elapsed,
-		Partial:   r.Partial,
-	}, nil
-}
-
-// QueryIRRCtx implements backend; routing matches QueryRRCtx.
-func (f *fanout) QueryIRRCtx(ctx context.Context, q kbtim.Query) (*kbtim.Result, error) {
-	return f.QueryIRRStreamCtx(ctx, q, kbtim.StreamOptions{})
-}
-
-// QueryIRRStreamCtx implements backend; routing matches QueryRRStreamCtx.
-func (f *fanout) QueryIRRStreamCtx(ctx context.Context, q kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
-	if f.groups[0].irr == nil {
-		return nil, errors.New("router backends serve no IRR index")
-	}
-	gids := f.involved(q.Topics)
-	if len(gids) == 0 {
-		return nil, errors.New("query needs at least one keyword")
-	}
-	if len(gids) == 1 {
-		f.proxCnt.Add(1)
-		return f.proxy(ctx, gids[0], q, "irr", so)
-	}
-	f.scatCnt.Add(1)
-	r, err := irrindex.QueryMultiStreamCtx(ctx, func(w int) *irrindex.Index {
-		if w < 0 || w >= f.sm.NumTopics() {
-			return nil
-		}
-		return f.groups[f.sm.Owner(w)].irr
-	}, topic.Query{Topics: q.Topics, K: q.K}, wris.StreamOptions{Emit: wris.EmitFunc(so.Emit), Deadline: so.Deadline})
-	if err != nil {
-		return nil, err
-	}
+	// The scatter query's I/O scope recorded artifact transfers, so BytesRead
+	// are wire bytes here.
 	return &kbtim.Result{
 		Seeds:            r.Seeds,
 		Marginals:        r.Marginals,
 		EstSpread:        r.EstSpread,
 		NumRRSets:        r.NumRRSets,
-		IO:               wireIOStats(r.IO, r.DecodedHits, r.DecodedMisses),
 		PartitionsLoaded: r.PartitionsLoaded,
-		Elapsed:          r.Elapsed,
-		Partial:          r.Partial,
+		IO: kbtim.IOStats{
+			SequentialReads: r.IO.SequentialReads,
+			RandomReads:     r.IO.RandomReads,
+			BytesRead:       r.IO.BytesRead,
+			CacheHits:       r.IO.CacheHits,
+			CacheMisses:     r.IO.CacheMisses,
+			DecodedHits:     r.DecodedHits,
+			DecodedMisses:   r.DecodedMisses,
+		},
+		Elapsed: r.Elapsed,
+		Partial: r.Partial,
 	}, nil
-}
-
-// wireIOStats maps a scatter query's I/O scope (which recorded artifact
-// transfers) into the public stats shape — BytesRead are wire bytes here.
-func wireIOStats(s diskio.Stats, decHits, decMisses int64) kbtim.IOStats {
-	return kbtim.IOStats{
-		SequentialReads: s.SequentialReads,
-		RandomReads:     s.RandomReads,
-		BytesRead:       s.BytesRead,
-		CacheHits:       s.CacheHits,
-		CacheMisses:     s.CacheMisses,
-		DecodedHits:     decHits,
-		DecodedMisses:   decMisses,
-	}
 }
 
 // IndexedKeywords implements backend: the sorted union of every group's

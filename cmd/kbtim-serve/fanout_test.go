@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -190,6 +191,64 @@ func TestRouterThreeWayParity(t *testing.T) {
 	}
 	if stats.Router.UnitsPerRequest <= 1 {
 		t.Fatalf("units_per_request = %v, want > 1", stats.Router.UnitsPerRequest)
+	}
+}
+
+// TestRouterErrorParity is the error arm of the three-way matrix: a
+// deterministic rejection — k above the index cap, a keyword outside the
+// topic space — is a 422 with the SAME body from a single engine, an
+// in-process Sharded deployment and the router, whether the router proxied
+// the query (relaying the owning node's verdict) or scattered it.
+func TestRouterErrorParity(t *testing.T) {
+	c := startRouterCluster(t)
+	postErr := func(ts *httptest.Server, q queryRequest) (int, string) {
+		t.Helper()
+		body, err := json.Marshal(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var fail struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&fail); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, fail.Error
+	}
+	queries := []queryRequest{
+		{Topics: []int{0}, K: 30},       // k > K, co-located: proxied whole
+		{Topics: []int{0, 1}, K: 30},    // k > K, spanning
+		{Topics: []int{99}, K: 2},       // out of space, co-located
+		{Topics: []int{0, 1, 99}, K: 2}, // out of space, spanning
+	}
+	before := c.fo.proxCnt.Load() + c.fo.scatCnt.Load()
+	for _, strategy := range []string{"rr", "irr"} {
+		for _, q := range queries {
+			q.Strategy = strategy
+			status, want := postErr(c.single, q)
+			if status != http.StatusUnprocessableEntity || want == "" {
+				t.Fatalf("single %s %v k=%d: status %d, error %q", strategy, q.Topics, q.K, status, want)
+			}
+			for _, topo := range []struct {
+				name string
+				ts   *httptest.Server
+			}{{"sharded", c.sharded}, {"router", c.router}} {
+				if status, got := postErr(topo.ts, q); status != http.StatusUnprocessableEntity || got != want {
+					t.Fatalf("%s %s %v k=%d: %d %q, single engine says 422 %q",
+						topo.name, strategy, q.Topics, q.K, status, got, want)
+				}
+			}
+		}
+	}
+	if c.fo.proxCnt.Load() == 0 || c.fo.scatCnt.Load() == 0 ||
+		c.fo.proxCnt.Load()+c.fo.scatCnt.Load()-before != int64(2*len(queries)) {
+		t.Fatalf("error matrix did not cover both router paths: proxied=%d scattered=%d",
+			c.fo.proxCnt.Load(), c.fo.scatCnt.Load())
 	}
 }
 

@@ -101,7 +101,6 @@ func run(args []string) error {
 		shardMode   = fs.String("shard-mode", "hash", "keyword→shard assignment: hash | range | replicate")
 		cacheMB     = fs.Int("cache-mb", 32, "segment (byte) cache budget per index, MiB, split across shards (0 = no cache)")
 		decodedMB   = fs.Int("decoded-cache-mb", 64, "decoded-object cache budget per index, MiB, split across shards (0 = no cache)")
-		cacheShards = fs.Int("cache-shards", 0, "decoded-object cache shards per engine, rounded to a power of two (0 = near GOMAXPROCS)")
 		queryPar    = fs.Int("query-parallelism", 2, "per-query artifact-load parallelism (<=1 = sequential)")
 		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight queries")
 		routerMode  = fs.Bool("router", false, "run as a cross-node fan-out router over -backends (no local indexes)")
@@ -167,7 +166,6 @@ func run(args []string) error {
 		cfg := defaultFanoutConfig()
 		cfg.mode = kbtim.ShardMode(*shardMode)
 		cfg.decBudget = (int64(*decodedMB) << 20) / int64(max(len(groups), 1))
-		cfg.cacheShards = *cacheShards
 		cfg.queryPar = *queryPar
 		cfg.proxyTimeout = *proxyTO
 		cfg.healthTTL = *healthTTL
@@ -205,7 +203,6 @@ func run(args []string) error {
 			Seed:               *seed,
 			CacheBytes:         (int64(*cacheMB) << 20) / int64(*shards),
 			DecodedCacheBytes:  (int64(*decodedMB) << 20) / int64(*shards),
-			CacheShards:        *cacheShards,
 			QueryParallelism:   *queryPar,
 		}
 		perShard := pool / *shards

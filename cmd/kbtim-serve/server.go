@@ -19,12 +19,11 @@ import (
 // *kbtim.Engine, a *kbtim.Sharded multi-engine deployment, or a cross-node
 // fanout router — the handlers are identical either way. Queries carry the
 // request context, so a disconnected client cancels its in-flight query
-// instead of burning a worker slot to completion.
-// Both query methods take StreamOptions: batch responses are the zero-option
-// case of the same call, so the served pipeline is anytime end to end.
+// instead of burning a worker slot to completion. Query takes StreamOptions:
+// batch responses are the zero-option case of the same call, so the served
+// pipeline is anytime end to end.
 type backend interface {
-	QueryRRStreamCtx(context.Context, kbtim.Query, kbtim.StreamOptions) (*kbtim.Result, error)
-	QueryIRRStreamCtx(context.Context, kbtim.Query, kbtim.StreamOptions) (*kbtim.Result, error)
+	Query(context.Context, kbtim.Strategy, kbtim.Query, kbtim.StreamOptions) (*kbtim.Result, error)
 	IndexedKeywords() []int
 	CacheStats() (rr, irr diskio.CacheStats)
 	DecodedCacheStats() (rr, irr objcache.Stats)
@@ -129,7 +128,8 @@ type queryRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// ioJSON mirrors kbtim.IOStats for the wire.
+// ioJSON mirrors kbtim.IOStats for the wire (field for field, so the two
+// convert directly).
 type ioJSON struct {
 	SequentialReads int64 `json:"sequential_reads"`
 	RandomReads     int64 `json:"random_reads"`
@@ -156,6 +156,41 @@ type queryResponse struct {
 	// a certified prefix of the full greedy answer (every listed seed would
 	// appear, in this order, in the undeadlined run), not a guess.
 	Partial bool `json:"partial"`
+}
+
+// newQueryResponse is the one Result → wire conversion, shared by the handler
+// and (through result, its inverse) the router's proxied path.
+func newQueryResponse(strategy kbtim.Strategy, res *kbtim.Result) queryResponse {
+	seeds := res.Seeds
+	if seeds == nil {
+		// Seeds is a certified prefix; the empty prefix is [], not null.
+		seeds = []uint32{}
+	}
+	return queryResponse{
+		Strategy:         string(strategy),
+		Seeds:            seeds,
+		Marginals:        res.Marginals,
+		EstSpread:        res.EstSpread,
+		NumRRSets:        res.NumRRSets,
+		PartitionsLoaded: res.PartitionsLoaded,
+		IO:               ioJSON(res.IO),
+		ElapsedMS:        res.Elapsed.Seconds() * 1000,
+		Partial:          res.Partial,
+	}
+}
+
+// result maps a backend's reply back into the Result it was encoded from.
+func (qr *queryResponse) result() *kbtim.Result {
+	return &kbtim.Result{
+		Seeds:            qr.Seeds,
+		Marginals:        qr.Marginals,
+		EstSpread:        qr.EstSpread,
+		NumRRSets:        qr.NumRRSets,
+		PartitionsLoaded: qr.PartitionsLoaded,
+		IO:               kbtim.IOStats(qr.IO),
+		Elapsed:          time.Duration(qr.ElapsedMS * float64(time.Millisecond)),
+		Partial:          qr.Partial,
+	}
 }
 
 // streamSeedRecord is one NDJSON line of a /query?stream=1 reply: a seed the
@@ -336,14 +371,14 @@ func writeError(w http.ResponseWriter, status int, format string, args ...interf
 // engine: missing/duplicate topics, a non-positive k, and unknown
 // strategies are client errors (400), not query failures. Keyword range is
 // left to the engine, which knows the topic space. Returns the effective
-// strategy ("irr" when unset).
-func validateQueryRequest(req *queryRequest) (string, error) {
-	strategy := req.Strategy
+// strategy (IRR when unset).
+func validateQueryRequest(req *queryRequest) (kbtim.Strategy, error) {
+	strategy := kbtim.Strategy(req.Strategy)
 	if strategy == "" {
-		strategy = "irr"
+		strategy = kbtim.StrategyIRR
 	}
-	if strategy != "irr" && strategy != "rr" {
-		return "", fmt.Errorf("unknown strategy %q (want rr or irr)", strategy)
+	if strategy != kbtim.StrategyIRR && strategy != kbtim.StrategyRR {
+		return "", fmt.Errorf("unknown strategy %q (want rr or irr)", req.Strategy)
 	}
 	if req.K <= 0 {
 		return "", fmt.Errorf("k must be positive, got %d", req.K)
@@ -450,12 +485,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	var res *kbtim.Result
-	if strategy == "rr" {
-		res, err = s.eng.QueryRRStreamCtx(r.Context(), q, so)
-	} else {
-		res, err = s.eng.QueryIRRStreamCtx(r.Context(), q, so)
-	}
+	res, err := s.eng.Query(r.Context(), strategy, q, so)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The client vanished mid-query (the engine aborted on the
@@ -486,25 +516,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if res.Partial {
 		s.deadlinePartial.Add(1)
 	}
-	resp := queryResponse{
-		Strategy:         strategy,
-		Seeds:            res.Seeds,
-		Marginals:        res.Marginals,
-		EstSpread:        res.EstSpread,
-		NumRRSets:        res.NumRRSets,
-		PartitionsLoaded: res.PartitionsLoaded,
-		IO: ioJSON{
-			SequentialReads: res.IO.SequentialReads,
-			RandomReads:     res.IO.RandomReads,
-			BytesRead:       res.IO.BytesRead,
-			CacheHits:       res.IO.CacheHits,
-			CacheMisses:     res.IO.CacheMisses,
-			DecodedHits:     res.IO.DecodedHits,
-			DecodedMisses:   res.IO.DecodedMisses,
-		},
-		ElapsedMS: res.Elapsed.Seconds() * 1000,
-		Partial:   res.Partial,
-	}
+	resp := newQueryResponse(strategy, res)
 	if sw != nil {
 		sw.record(streamDoneRecord{queryResponse: resp, Done: true})
 		return

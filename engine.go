@@ -11,6 +11,7 @@ import (
 
 	"kbtim/internal/codec"
 	"kbtim/internal/diskio"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/irrindex"
 	"kbtim/internal/objcache"
 	"kbtim/internal/prop"
@@ -174,10 +175,9 @@ type Result struct {
 // Seeds/Marginals prefix exactly.
 type EmitFunc func(seed Seed, marginal int, spreadLB float64)
 
-// StreamOptions carries the anytime-query hooks of the streaming entry
-// points (QueryRRStreamCtx / QueryIRRStreamCtx, and their Sharded
-// counterparts). The zero value means "batch": no emission, no deadline —
-// QueryRRCtx is literally QueryRRStreamCtx with zero options.
+// StreamOptions carries the anytime-query hooks of Engine.Query and
+// Sharded.Query. The zero value means "batch": no emission, no deadline —
+// QueryRRCtx is literally Query(ctx, StrategyRR, q, StreamOptions{}).
 type StreamOptions struct {
 	// Emit, when non-nil, streams each seed as it is certified.
 	Emit EmitFunc
@@ -227,6 +227,15 @@ type indexHandle struct {
 	irr   *irrindex.Index
 }
 
+// substrate returns the strategy-independent part of whichever index the
+// handle holds: attachments, keyword directory, file size.
+func (h *indexHandle) substrate() *indexfile.File {
+	if h.rr != nil {
+		return h.rr.Substrate()
+	}
+	return h.irr.Substrate()
+}
+
 // release drops one reference; the last release closes the file and
 // returns its error (earlier releases return nil).
 func (h *indexHandle) release() error {
@@ -269,32 +278,35 @@ type Engine struct {
 	irrH   *indexHandle
 }
 
-// acquireRR pins the current RR handle for one query.
-func (e *Engine) acquireRR() (*indexHandle, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, fmt.Errorf("kbtim: engine is closed")
+// slot returns where the engine keeps strategy s's attached handle (nil for
+// an unknown strategy). Reads and writes through it need e.mu.
+func (e *Engine) slot(s Strategy) **indexHandle {
+	switch s {
+	case StrategyRR:
+		return &e.rrH
+	case StrategyIRR:
+		return &e.irrH
 	}
-	if e.rrH == nil {
-		return nil, fmt.Errorf("kbtim: no RR index opened (call OpenRRIndex)")
-	}
-	e.rrH.refs.Add(1)
-	return e.rrH, nil
+	return nil
 }
 
-// acquireIRR pins the current IRR handle for one query.
-func (e *Engine) acquireIRR() (*indexHandle, error) {
+// acquire pins the current handle of strategy s for one query.
+func (e *Engine) acquire(s Strategy) (*indexHandle, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return nil, fmt.Errorf("kbtim: engine is closed")
 	}
-	if e.irrH == nil {
-		return nil, fmt.Errorf("kbtim: no IRR index opened (call OpenIRRIndex)")
+	slot := e.slot(s)
+	if slot == nil {
+		return nil, fmt.Errorf("kbtim: unknown strategy %q (want rr or irr)", s)
 	}
-	e.irrH.refs.Add(1)
-	return e.irrH, nil
+	h := *slot
+	if h == nil {
+		return nil, fmt.Errorf("kbtim: no %s index opened (call Open%[1]sIndex)", s.upper())
+	}
+	h.refs.Add(1)
+	return h, nil
 }
 
 // NewEngine validates options and binds them to a dataset.
@@ -438,26 +450,6 @@ func (e *Engine) IndexableTopics() []int {
 	return topics
 }
 
-// openHandle opens path into a fresh handle (refs=1, the caller's
-// reference), wiring in the cache tiers Options ask for.
-func (e *Engine) openHandle(path string) (*indexHandle, diskio.Segmented, error) {
-	f, err := diskio.Open(path, diskio.NewCounter())
-	if err != nil {
-		return nil, nil, err
-	}
-	h := &indexHandle{file: f}
-	h.refs.Store(1)
-	var r diskio.Segmented = f
-	if e.opts.CacheBytes > 0 {
-		h.cache = diskio.NewCachedReader(f, e.opts.CacheBytes)
-		r = h.cache
-	}
-	if e.opts.DecodedCacheBytes > 0 {
-		h.dec = objcache.NewSharded(e.opts.DecodedCacheBytes, e.opts.CacheShards)
-	}
-	return h, r, nil
-}
-
 // attach swaps a fully constructed handle into *slot, returning the handle
 // it replaced (not yet released). Fails without attaching when the engine
 // is closed.
@@ -472,61 +464,56 @@ func (e *Engine) attach(slot **indexHandle, h *indexHandle) (*indexHandle, error
 	return old, nil
 }
 
-// OpenRRIndex attaches a previously built RR index for QueryRR, replacing
-// any index attached before. The swap is immediate — queries in flight on
-// the replaced index finish undisturbed on their pinned handle, and its
-// file closes when the last of them releases it. A close error is reported
-// when the replaced index was idle (the swap itself was its last user);
-// the new index stays attached either way.
-func (e *Engine) OpenRRIndex(path string) error {
-	h, r, err := e.openHandle(path)
-	if err != nil {
-		return err
-	}
-	h.rr, err = rrindex.Open(r)
-	if err != nil {
-		h.file.Close()
-		return err
-	}
-	if h.dec != nil {
-		h.rr.SetDecodedCache(h.dec)
-	}
-	h.rr.SetQueryParallelism(e.opts.QueryParallelism)
-	old, err := e.attach(&e.rrH, h)
-	if err != nil {
-		h.file.Close()
-		return err
-	}
-	if cerr := old.release(); cerr != nil {
-		return fmt.Errorf("kbtim: closing replaced RR index file: %w", cerr)
-	}
-	return nil
-}
+// OpenRRIndex attaches a previously built RR index for StrategyRR queries,
+// replacing any index attached before. The swap is immediate — queries in
+// flight on the replaced index finish undisturbed on their pinned handle, and
+// its file closes when the last of them releases it. A close error is
+// reported when the replaced index was idle (the swap itself was its last
+// user); the new index stays attached either way.
+func (e *Engine) OpenRRIndex(path string) error { return e.open(StrategyRR, path) }
 
-// OpenIRRIndex attaches a previously built IRR index for QueryIRR,
-// replacing any index attached before. Swap semantics are identical to
-// OpenRRIndex's.
-func (e *Engine) OpenIRRIndex(path string) error {
-	h, r, err := e.openHandle(path)
+// OpenIRRIndex attaches a previously built IRR index for StrategyIRR
+// queries, replacing any index attached before. Swap semantics are identical
+// to OpenRRIndex's.
+func (e *Engine) OpenIRRIndex(path string) error { return e.open(StrategyIRR, path) }
+
+// open opens path as strategy s's index — a fresh handle holding the
+// engine's reference, with the cache tiers Options ask for wired in — and
+// swaps it into s's slot.
+func (e *Engine) open(s Strategy, path string) error {
+	f, err := diskio.Open(path, diskio.NewCounter())
 	if err != nil {
 		return err
 	}
-	h.irr, err = irrindex.Open(r)
+	h := &indexHandle{file: f}
+	h.refs.Store(1)
+	var r diskio.Segmented = f
+	if e.opts.CacheBytes > 0 {
+		h.cache = diskio.NewCachedReader(f, e.opts.CacheBytes)
+		r = h.cache
+	}
+	if s == StrategyRR {
+		h.rr, err = rrindex.Open(r)
+	} else {
+		h.irr, err = irrindex.Open(r)
+	}
 	if err != nil {
-		h.file.Close()
+		f.Close()
 		return err
 	}
-	if h.dec != nil {
-		h.irr.SetDecodedCache(h.dec)
+	sub := h.substrate()
+	if e.opts.DecodedCacheBytes > 0 {
+		h.dec = objcache.NewSharded(e.opts.DecodedCacheBytes, e.opts.CacheShards)
+		sub.SetDecodedCache(h.dec)
 	}
-	h.irr.SetQueryParallelism(e.opts.QueryParallelism)
-	old, err := e.attach(&e.irrH, h)
+	sub.SetQueryParallelism(e.opts.QueryParallelism)
+	old, err := e.attach(e.slot(s), h)
 	if err != nil {
-		h.file.Close()
+		f.Close()
 		return err
 	}
 	if cerr := old.release(); cerr != nil {
-		return fmt.Errorf("kbtim: closing replaced IRR index file: %w", cerr)
+		return fmt.Errorf("kbtim: closing replaced %s index file: %w", s.upper(), cerr)
 	}
 	return nil
 }
@@ -569,15 +556,14 @@ func (e *Engine) IndexedKeywords() []int {
 	e.mu.Lock()
 	rrH, irrH := e.rrH, e.irrH
 	e.mu.Unlock()
-	var kws []int
-	switch {
-	case irrH != nil:
-		kws = irrH.irr.Keywords()
-	case rrH != nil:
-		kws = rrH.rr.Keywords()
-	default:
+	h := irrH
+	if h == nil {
+		h = rrH
+	}
+	if h == nil {
 		return nil
 	}
+	kws := h.substrate().Keywords()
 	sort.Ints(kws)
 	return kws
 }
@@ -626,73 +612,56 @@ func ioStats(s diskio.Stats, decHits, decMisses int64) IOStats {
 	}
 }
 
-// QueryRR answers q from the opened RR index (Algorithm 2). Safe for
-// concurrent use; the query pins the handle it starts on, so a concurrent
-// Open/Close can neither pull the index out from under it nor make it wait.
-func (e *Engine) QueryRR(q Query) (*Result, error) {
-	return e.QueryRRCtx(context.Background(), q)
-}
-
-// QueryRRCtx is QueryRR with cancellation: ctx is checked at every
-// keyword-load boundary, so a caller that goes away (a disconnected HTTP
-// client, a router-side timeout) stops paying for artifact fetches it no
-// longer wants. A canceled query returns ctx.Err().
-func (e *Engine) QueryRRCtx(ctx context.Context, q Query) (*Result, error) {
-	return e.QueryRRStreamCtx(ctx, q, StreamOptions{})
-}
-
-// QueryRRStreamCtx is QueryRRCtx with anytime hooks: so.Emit receives each
-// seed as greedy selection certifies it, and an expired so.Deadline returns
-// the best certified prefix with Partial=true instead of an error. Zero
-// options degrade to exactly the batch path.
-func (e *Engine) QueryRRStreamCtx(ctx context.Context, q Query, so StreamOptions) (*Result, error) {
-	h, err := e.acquireRR()
+// Query answers q from the index opened for strategy s: StrategyRR runs
+// Algorithm 2 over the RR index, StrategyIRR Algorithm 4 over the IRR index,
+// and Theorem 3 makes their seeds identical. This is the one entry point; the
+// QueryRR/QueryIRR(Ctx) methods are fixed-argument spellings of it.
+//
+// Safe for concurrent use; the query pins the handle it starts on, so a
+// concurrent Open/Close can neither pull the index out from under it nor make
+// it wait. ctx is checked at every keyword-load boundary (and, for IRR, every
+// NRA partition round), so a caller that goes away — a disconnected HTTP
+// client, a router-side timeout — stops paying for artifact fetches it no
+// longer wants; a canceled query returns ctx.Err(). so adds the anytime
+// hooks: so.Emit receives each seed the moment it is certified (for IRR
+// typically while partitions are still unloaded, the layout's defining win),
+// and an expired so.Deadline returns the best certified prefix with
+// Partial=true instead of an error. Zero options are the batch query.
+func (e *Engine) Query(ctx context.Context, s Strategy, q Query, so StreamOptions) (*Result, error) {
+	h, err := e.acquire(s)
 	if err != nil {
 		return nil, err
 	}
 	defer h.release()
-	r, err := h.rr.QueryStreamCtx(ctx, q.internal(), so.internal())
-	if err != nil {
-		return nil, err
+	return queryPinned(ctx, s, func(int) *indexHandle { return h }, q, so)
+}
+
+// queryPinned runs q over pinned index handles — owner(w) is the handle
+// holding keyword w, nil when no involved shard does — and is the one place
+// that turns a Strategy into an algorithm and an index result into a Result.
+// A single engine passes a constant owner, a sharded deployment its shard
+// map; indexfile.Resolve tells the two apart, so co-located queries take the
+// single-index path without anyone above deciding so.
+func queryPinned(ctx context.Context, s Strategy, owner func(w int) *indexHandle, q Query, so StreamOptions) (*Result, error) {
+	var (
+		r   *indexfile.Result
+		err error
+	)
+	if s == StrategyRR {
+		r, err = rrindex.QueryMultiStreamCtx(ctx, func(w int) *rrindex.Index {
+			if h := owner(w); h != nil {
+				return h.rr
+			}
+			return nil
+		}, q.internal(), so.internal())
+	} else {
+		r, err = irrindex.QueryMultiStreamCtx(ctx, func(w int) *irrindex.Index {
+			if h := owner(w); h != nil {
+				return h.irr
+			}
+			return nil
+		}, q.internal(), so.internal())
 	}
-	return &Result{
-		Seeds:     r.Seeds,
-		Marginals: r.Marginals,
-		EstSpread: r.EstSpread,
-		NumRRSets: r.NumRRSets,
-		IO:        ioStats(r.IO, r.DecodedHits, r.DecodedMisses),
-		Partial:   r.Partial,
-		Elapsed:   r.Elapsed,
-	}, nil
-}
-
-// QueryIRR answers q from the opened IRR index (Algorithm 4). Safe for
-// concurrent use; the query pins the handle it starts on, so a concurrent
-// Open/Close can neither pull the index out from under it nor make it wait.
-func (e *Engine) QueryIRR(q Query) (*Result, error) {
-	return e.QueryIRRCtx(context.Background(), q)
-}
-
-// QueryIRRCtx is QueryIRR with cancellation: ctx is checked at every
-// keyword-load and NRA partition-round boundary, so a canceled caller's
-// query stops within one partition round instead of running Algorithm 4 to
-// completion. A canceled query returns ctx.Err().
-func (e *Engine) QueryIRRCtx(ctx context.Context, q Query) (*Result, error) {
-	return e.QueryIRRStreamCtx(ctx, q, StreamOptions{})
-}
-
-// QueryIRRStreamCtx is QueryIRRCtx with anytime hooks: so.Emit receives each
-// seed the moment the NRA test certifies it — typically while partitions are
-// still unloaded, which is the IRR layout's defining win — and an expired
-// so.Deadline returns the certified prefix with Partial=true instead of an
-// error. Zero options degrade to exactly the batch path.
-func (e *Engine) QueryIRRStreamCtx(ctx context.Context, q Query, so StreamOptions) (*Result, error) {
-	h, err := e.acquireIRR()
-	if err != nil {
-		return nil, err
-	}
-	defer h.release()
-	r, err := h.irr.QueryStreamCtx(ctx, q.internal(), so.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -706,6 +675,26 @@ func (e *Engine) QueryIRRStreamCtx(ctx context.Context, q Query, so StreamOption
 		Partial:          r.Partial,
 		Elapsed:          r.Elapsed,
 	}, nil
+}
+
+// QueryRR is Query(context.Background(), StrategyRR, q, StreamOptions{}).
+func (e *Engine) QueryRR(q Query) (*Result, error) {
+	return e.QueryRRCtx(context.Background(), q)
+}
+
+// QueryRRCtx is Query(ctx, StrategyRR, q, StreamOptions{}).
+func (e *Engine) QueryRRCtx(ctx context.Context, q Query) (*Result, error) {
+	return e.Query(ctx, StrategyRR, q, StreamOptions{})
+}
+
+// QueryIRR is Query(context.Background(), StrategyIRR, q, StreamOptions{}).
+func (e *Engine) QueryIRR(q Query) (*Result, error) {
+	return e.QueryIRRCtx(context.Background(), q)
+}
+
+// QueryIRRCtx is Query(ctx, StrategyIRR, q, StreamOptions{}).
+func (e *Engine) QueryIRRCtx(ctx context.Context, q Query) (*Result, error) {
+	return e.Query(ctx, StrategyIRR, q, StreamOptions{})
 }
 
 // ArtifactBytes serves one raw index artifact — the serving side of the

@@ -240,7 +240,7 @@ func TestEngineQueriesProceedDuringSwap(t *testing.T) {
 	q := Query{Topics: []int{0, 1}, K: 2}
 
 	// An "in-flight query": acquire the current handle as QueryRR does.
-	old, err := eng.acquireRR()
+	old, err := eng.acquire(StrategyRR)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,9 @@
 // static-analysis framework plus the six repo-specific analyzers that
 // machine-check the invariants the runtime depends on:
 //
-//   - handlepin: every acquireRR/acquireIRR/acquire/pin result has its
-//     release (or returned cleanup func) called on all paths. A leaked
-//     refcount stalls Engine.Close forever.
+//   - handlepin: every acquire/pin result has its release (or returned
+//     cleanup func) called on all paths. A leaked refcount stalls
+//     Engine.Close forever.
 //   - poolpair: every internal/pool get (Bools, Ints, Int32s, Int64s,
 //     Uint32s, Int32Lists, SlicePool.Get) is paired with the matching
 //     Put on all paths, and tracked pooled slices never escape into

@@ -38,7 +38,7 @@ import (
 // its function.
 type tracked struct {
 	pos     token.Pos    // acquisition site, where diagnostics anchor
-	what    string       // diagnostic noun, e.g. "handle from acquireRR"
+	what    string       // diagnostic noun, e.g. "handle from acquire"
 	obj     types.Object // object of the tracked ident (nil when field-tracked)
 	baseObj types.Object // object of the base ident for field-tracked resources
 	exprStr string       // canonical text of the tracked expr ("h", "rel", "blk.arena")

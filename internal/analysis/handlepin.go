@@ -7,8 +7,8 @@ import (
 )
 
 // Handlepin checks that every refcounted index acquisition —
-// Engine.acquireRR/acquireIRR (returning a handle with a release
-// method), Sharded.acquire (returning a cleanup func), and Sharded.pin
+// Engine.acquire (returning a handle with a release method),
+// Sharded.acquire (returning a cleanup func), and Sharded.pin
 // (returning handles plus a cleanup func) — is settled on every path:
 // released, deferred, or ownership-transferred (returned or stored into
 // a container the caller owns). A leaked refcount keeps an index
@@ -16,19 +16,16 @@ import (
 // a CI gate and not a review note.
 var Handlepin = &Analyzer{
 	Name: "handlepin",
-	Doc:  "check that acquireRR/acquireIRR/acquire/pin results are released on all paths",
+	Doc:  "check that acquire/pin results are released on all paths",
 	Run:  runHandlepin,
 }
 
-// acquireNames are the acquisition entry points, matched by callee name
-// so the check covers both the concrete Engine/Sharded methods and
-// acquire-shaped function values passed as parameters (Sharded.pin
-// takes one).
+// acquireNames are the acquisition entry points, matched by callee
+// name; the result tuple tells the handle shape (Engine.acquire) from
+// the cleanup-func shape (Sharded.acquire, Sharded.pin).
 var acquireNames = map[string]bool{
-	"acquireRR":  true,
-	"acquireIRR": true,
-	"acquire":    true,
-	"pin":        true,
+	"acquire": true,
+	"pin":     true,
 }
 
 func runHandlepin(pass *Pass) error {
@@ -59,7 +56,7 @@ func runHandlepinScope(pass *Pass, scope funcScope) {
 
 		// Prefer the cleanup-func result when the tuple has one
 		// (acquire/pin shape); otherwise the first result is a handle
-		// with a release method (acquireRR/acquireIRR shape).
+		// with a release method (Engine.acquire shape).
 		trackIdx := -1
 		for i := 0; i < tuple.Len()-1; i++ {
 			if isCleanupFunc(tuple.At(i).Type()) {

@@ -32,7 +32,7 @@ func relTrue(h *handle) bool {
 
 // leakGoto jumps straight to the return with the handle still live.
 func leakGoto(e *engine, fail bool) error {
-	h, err := e.acquireRR() // want "handle from acquireRR is not released on every path"
+	h, err := e.acquire("rr") // want "handle from acquire is not released on every path"
 	if err != nil {
 		return err
 	}
@@ -46,7 +46,7 @@ out:
 
 // okGoto funnels every path through the cleanup label.
 func okGoto(e *engine, fail bool) error {
-	h, err := e.acquireRR()
+	h, err := e.acquire("rr")
 	if err != nil {
 		return err
 	}
@@ -64,7 +64,7 @@ func okLabeledBreak(e *engine, xs []int) {
 outer:
 	for range xs {
 		for _, x := range xs {
-			h, err := e.acquireRR()
+			h, err := e.acquire("rr")
 			if err != nil {
 				return
 			}
@@ -83,7 +83,7 @@ func leakLabeledContinue(e *engine, xs []int) {
 outer:
 	for range xs {
 		for _, x := range xs {
-			h, err := e.acquireRR() // want "handle from acquireRR is not released before the end of the loop iteration"
+			h, err := e.acquire("rr") // want "handle from acquire is not released before the end of the loop iteration"
 			if err != nil {
 				return
 			}
@@ -97,7 +97,7 @@ outer:
 
 // okSelectEarly releases on the early-return arm and after the select.
 func okSelectEarly(e *engine, done chan struct{}, work chan int) error {
-	h, err := e.acquireRR()
+	h, err := e.acquire("rr")
 	if err != nil {
 		return err
 	}
@@ -114,7 +114,7 @@ func okSelectEarly(e *engine, done chan struct{}, work chan int) error {
 
 // leakSelect drops the handle on the done arm's early return.
 func leakSelect(e *engine, done chan struct{}, work chan int) error {
-	h, err := e.acquireRR() // want "handle from acquireRR is not released on every path"
+	h, err := e.acquire("rr") // want "handle from acquire is not released on every path"
 	if err != nil {
 		return err
 	}
@@ -132,7 +132,7 @@ func leakSelect(e *engine, done chan struct{}, work chan int) error {
 // handle on the path that evaluates it while the fallthrough path
 // releases explicitly.
 func okShortCircuit(e *engine) error {
-	h, err := e.acquireRR()
+	h, err := e.acquire("rr")
 	if err != nil {
 		return err
 	}
@@ -146,7 +146,7 @@ func okShortCircuit(e *engine) error {
 // okHelperRelease settles through closeHandle; only the
 // interprocedural summary can prove this.
 func okHelperRelease(e *engine) error {
-	h, err := e.acquireRR()
+	h, err := e.acquire("rr")
 	if err != nil {
 		return err
 	}
@@ -157,7 +157,7 @@ func okHelperRelease(e *engine) error {
 
 // okDeferHelper defers the helper instead of the release method.
 func okDeferHelper(e *engine) error {
-	h, err := e.acquireRR()
+	h, err := e.acquire("rr")
 	if err != nil {
 		return err
 	}
@@ -168,7 +168,7 @@ func okDeferHelper(e *engine) error {
 // leakHelperConditional passes the handle to a helper that releases
 // only sometimes; the summary rejects it and the leak is real.
 func leakHelperConditional(e *engine, ok bool) error {
-	h, err := e.acquireRR() // want "handle from acquireRR is not released on every path"
+	h, err := e.acquire("rr") // want "handle from acquire is not released on every path"
 	if err != nil {
 		return err
 	}

@@ -1,5 +1,6 @@
 // Package handlepin is kbtim-lint golden testdata: acquire/release
-// shapes mirroring Engine.acquireRR/acquireIRR and Sharded.acquire/pin.
+// shapes mirroring Engine.acquire (a handle) and Sharded.acquire/pin
+// (cleanup funcs).
 // The // want comments are the expected findings; violations without a
 // want carry a //kbtim:allow suppression instead.
 package handlepin
@@ -12,11 +13,13 @@ func (h *handle) release() { h.refs-- }
 
 type engine struct{ h *handle }
 
-func (e *engine) acquireRR() (*handle, error)  { return e.h, nil }
-func (e *engine) acquireIRR() (*handle, error) { return e.h, nil }
-func (e *engine) acquire() (func(), error)     { return func() {}, nil }
-func (e *engine) pin() (map[int]*handle, func(), error) {
-	return map[int]*handle{0: e.h}, func() {}, nil
+func (e *engine) acquire(strategy string) (*handle, error) { return e.h, nil }
+
+type sharded struct{ engines []*engine }
+
+func (s *sharded) acquire() (func(), error) { return func() {}, nil }
+func (s *sharded) pin() ([]*handle, func(), error) {
+	return []*handle{s.engines[0].h}, func() {}, nil
 }
 
 var errBoom = errors.New("boom")
@@ -25,7 +28,7 @@ func use(h *handle) {}
 
 // leakOnError drops the handle on the early non-error return.
 func leakOnError(e *engine, fail bool) error {
-	h, err := e.acquireRR() // want "handle from acquireRR is not released on every path"
+	h, err := e.acquire("rr") // want "handle from acquire is not released on every path"
 	if err != nil {
 		return err
 	}
@@ -37,8 +40,8 @@ func leakOnError(e *engine, fail bool) error {
 }
 
 // leakCleanup drops the acquire cleanup on a branch.
-func leakCleanup(e *engine, fail bool) error {
-	done, err := e.acquire() // want "cleanup func from acquire is not released on every path"
+func leakCleanup(s *sharded, fail bool) error {
+	done, err := s.acquire() // want "cleanup func from acquire is not released on every path"
 	if err != nil {
 		return err
 	}
@@ -50,14 +53,14 @@ func leakCleanup(e *engine, fail bool) error {
 }
 
 // discardPin throws the pin cleanup away entirely.
-func discardPin(e *engine) error {
-	_, _, err := e.pin() // want "cleanup func from pin is discarded"
+func discardPin(s *sharded) error {
+	_, _, err := s.pin() // want "cleanup func from pin is discarded"
 	return err
 }
 
 // leakAtEnd falls off the function end with the handle live.
 func leakAtEnd(e *engine) {
-	h, err := e.acquireIRR() // want "handle from acquireIRR is not released before the function returns"
+	h, err := e.acquire("irr") // want "handle from acquire is not released before the function returns"
 	if err != nil {
 		return
 	}
@@ -66,7 +69,7 @@ func leakAtEnd(e *engine) {
 
 // okDefer is the canonical pattern: guard the error, defer the release.
 func okDefer(e *engine) error {
-	h, err := e.acquireRR()
+	h, err := e.acquire("rr")
 	if err != nil {
 		return err
 	}
@@ -78,8 +81,8 @@ func okDefer(e *engine) error {
 }
 
 // okBranches releases explicitly on every path.
-func okBranches(e *engine, fail bool) error {
-	done, err := e.acquire()
+func okBranches(s *sharded, fail bool) error {
+	done, err := s.acquire()
 	if err != nil {
 		return err
 	}
@@ -94,7 +97,7 @@ func okBranches(e *engine, fail bool) error {
 // okTransferReturn hands the handle (and the job of releasing it) to
 // the caller.
 func okTransferReturn(e *engine) (*handle, error) {
-	h, err := e.acquireRR()
+	h, err := e.acquire("rr")
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +107,7 @@ func okTransferReturn(e *engine) (*handle, error) {
 // okTransferStore parks the handle in a container the caller owns,
 // mirroring Sharded.pin collecting per-shard handles.
 func okTransferStore(e *engine, m map[int]*handle) error {
-	h, err := e.acquireRR()
+	h, err := e.acquire("rr")
 	if err != nil {
 		return err
 	}
@@ -113,8 +116,8 @@ func okTransferStore(e *engine, m map[int]*handle) error {
 }
 
 // okDeferredClosure releases inside a deferred closure.
-func okDeferredClosure(e *engine) error {
-	done, err := e.acquire()
+func okDeferredClosure(s *sharded) error {
+	done, err := s.acquire()
 	if err != nil {
 		return err
 	}
@@ -126,7 +129,7 @@ func okDeferredClosure(e *engine) error {
 // the one sanctioned exception.
 func pinForever(e *engine) error {
 	//kbtim:allow handlepin startup pin held for the process lifetime
-	h, err := e.acquireRR()
+	h, err := e.acquire("rr")
 	if err != nil {
 		return err
 	}

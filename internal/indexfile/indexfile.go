@@ -14,6 +14,7 @@
 //     allocate identically.
 //   - Resolve (query.go) maps a query's keywords onto the one index, or the
 //     several shard indexes, that own them.
+//   - Result (query.go) is what a query returns under either algorithm.
 //
 // rrindex and irrindex embed File in their Index types and keep their payload
 // formats, unit names, cache regions and algorithms.

@@ -8,7 +8,41 @@ import (
 	"kbtim/internal/artifact"
 	"kbtim/internal/diskio"
 	"kbtim/internal/topic"
+	"kbtim/internal/wris"
 )
+
+// Result is what an index query returns under either strategy: a wris.Result
+// plus the greedy trace and the access profile of the query. Theorem 3 makes
+// Seeds and Marginals identical between Algorithm 2 and Algorithm 4, so the
+// layers above convert ONE type.
+type Result struct {
+	wris.Result
+	// Marginals[i] is the number of newly covered RR sets when Seeds[i] was
+	// picked (the greedy trace Theorem 3 compares across strategies).
+	Marginals []int
+	// IO is the logical disk activity the query incurred (for IRR: IP reads
+	// plus partition fetches, speculative prefetches included).
+	IO diskio.Stats
+	// Loaded maps each query keyword to the number of RR sets fetched — the
+	// Figures 5–7 series (θ^Q_w for RR; IDs < θ^Q_w seen in fetched
+	// partitions for IRR).
+	Loaded map[int]int
+	// PartitionsLoaded counts partition blocks consumed by the NRA rounds
+	// (Table 6's I/O driver; zero for RR). Speculative prefetches the query
+	// never consumed are not counted here (they appear in IO only).
+	PartitionsLoaded int
+	// DecodedHits / DecodedMisses count decoded-cache lookups by this query
+	// (zero when no decoded cache is attached). A hit means the artifact was
+	// consumed without any read OR decode.
+	DecodedHits   int64
+	DecodedMisses int64
+	// Partial is true when a streaming deadline stopped the query before the
+	// full answer: Seeds is the certified prefix selected so far (possibly
+	// empty — RR certifies nothing until every artifact is merged; every IRR
+	// entry was decided by the usual COMPLETE ∧ ub ≥ Σkb test, never a
+	// guess) and EstSpread its spread, a lower bound on the full answer's.
+	Partial bool
+}
 
 // Handle is an index package's open-index type: a pointer to a struct that
 // embeds File.

@@ -127,33 +127,8 @@ func (idx *Index) Header() Header { return idx.hdr }
 // Dir exposes one keyword's directory entry (nil if not indexed).
 func (idx *Index) Dir(topicID int) *KeywordDir { return idx.dirs[topicID] }
 
-// QueryResult is a wris.Result plus IRR-specific access metrics.
-type QueryResult struct {
-	wris.Result
-	// Marginals[i] is the number of newly covered RR sets when Seeds[i]
-	// was selected; Theorem 3 says these match Algorithm 2's exactly.
-	Marginals []int
-	// IO is the logical disk activity (IP reads + partition fetches,
-	// including speculative prefetches when query parallelism is on).
-	IO diskio.Stats
-	// Loaded maps keywords to the number of RR sets (IDs < θ^Q_w) seen in
-	// fetched partitions — the Figures 5–7 series for IRR.
-	Loaded map[int]int
-	// PartitionsLoaded counts partition blocks consumed by the NRA rounds
-	// (Table 6's I/O driver). Speculative prefetches the query never
-	// consumed are not counted here (they appear in IO only).
-	PartitionsLoaded int
-	// DecodedHits / DecodedMisses count decoded-cache lookups by this
-	// query (zero when no decoded cache is attached). A hit means the
-	// artifact was consumed without any read OR decode.
-	DecodedHits   int64
-	DecodedMisses int64
-	// Partial is true when a streaming deadline stopped the NRA loop before
-	// k seeds: Seeds is the certified prefix (every entry was decided by the
-	// usual COMPLETE ∧ ub ≥ Σkb test — never a guess), and EstSpread is the
-	// spread of that prefix, a lower bound on the full answer's.
-	Partial bool
-}
+// QueryResult is the strategy-independent index result.
+type QueryResult = indexfile.Result
 
 // partFuture is one in-flight speculative partition fetch. The producing
 // goroutine owns blk/err/dec until it closes done; the query consumes them

@@ -116,28 +116,9 @@ func (idx *Index) Header() Header { return idx.hdr }
 // Dir exposes one keyword's directory entry (nil if not indexed).
 func (idx *Index) Dir(topicID int) *KeywordDir { return idx.dirs[topicID] }
 
-// QueryResult is a wris.Result plus the disk-access profile of the query.
-type QueryResult struct {
-	wris.Result
-	// Marginals[i] is the number of newly covered RR sets when Seeds[i]
-	// was picked (the greedy trace; Theorem 3 compares these against the
-	// IRR index's).
-	Marginals []int
-	// IO is the logical disk activity the query incurred.
-	IO diskio.Stats
-	// Loaded maps each query keyword to the number of RR sets fetched
-	// (θ^Q_w, the Figure 5–7 "number of RR sets loaded" series).
-	Loaded map[int]int
-	// DecodedHits / DecodedMisses count decoded-cache lookups by this
-	// query (zero when no decoded cache is attached). A hit means the
-	// artifact was consumed without any read OR decode.
-	DecodedHits   int64
-	DecodedMisses int64
-	// Partial is true when a streaming deadline stopped the query before
-	// the full answer: Seeds is the certified prefix selected so far
-	// (possibly empty if the deadline expired during artifact loading).
-	Partial bool
-}
+// QueryResult is the strategy-independent index result; RR leaves
+// PartitionsLoaded zero.
+type QueryResult = indexfile.Result
 
 // setsView maps one keyword's RR-set batch into the query's global set-ID
 // space: set (start+i) is batch.Set(i).

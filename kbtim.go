@@ -25,6 +25,11 @@
 //     best (Algorithms 3–4; returns the same coverage scores as RR,
 //     Theorem 3).
 //
+// The two disk-index strategies share one entry point, on an Engine and on a
+// Sharded deployment alike: Query(ctx, strategy, q, opts), where opts adds
+// streaming emission and an anytime deadline. QueryRR and QueryIRR are its
+// ctx-less, option-less shorthands.
+//
 // # Quickstart
 //
 //	ds, _ := kbtim.GenerateDataset(kbtim.DatasetSpec{
@@ -55,6 +60,7 @@ package kbtim
 
 import (
 	"fmt"
+	"strings"
 
 	"kbtim/internal/graph"
 	"kbtim/internal/prop"
@@ -71,6 +77,26 @@ type Query struct {
 }
 
 func (q Query) internal() topic.Query { return topic.Query{Topics: q.Topics, K: q.K} }
+
+// Strategy selects which disk index answers a query. The two are
+// interchangeable by Theorem 3 — same seeds, same marginals, same spread —
+// and differ only in access pattern, so the strategy is an argument of the
+// one Query entry point rather than a method name.
+type Strategy string
+
+// The disk-index strategies. The string values are the ones the /query wire
+// field, the cross-node fetch protocol and BuildShardIndexes use.
+const (
+	// StrategyRR is Algorithm 2: load every query keyword's RR-set prefix and
+	// inverted file, then run greedy maximum coverage.
+	StrategyRR Strategy = "rr"
+	// StrategyIRR is Algorithm 4: NRA top-k aggregation over the partitioned
+	// inverted lists, stopping as soon as the next seed is provably best.
+	StrategyIRR Strategy = "irr"
+)
+
+// upper spells the strategy the way identifiers and messages do ("RR").
+func (s Strategy) upper() string { return strings.ToUpper(string(s)) }
 
 // Model selects the influence-propagation model.
 type Model string

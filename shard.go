@@ -8,9 +8,7 @@ import (
 	"sync/atomic"
 
 	"kbtim/internal/diskio"
-	"kbtim/internal/irrindex"
 	"kbtim/internal/objcache"
-	"kbtim/internal/rrindex"
 	"kbtim/internal/shardmap"
 )
 
@@ -55,9 +53,9 @@ type ShardStat struct {
 
 // Sharded serves one logical keyword universe from N engine shards on one
 // box. In hash/range mode each shard's indexes cover a disjoint keyword
-// subset: a query whose topics co-locate on one shard takes the fast path
-// (that engine answers it exactly as a single-engine deployment would), and
-// a query spanning shards is answered by the exact cross-index merge
+// subset: a query whose topics co-locate on one shard is answered from that
+// shard's index exactly as a single-engine deployment would, and a query
+// spanning shards by the exact cross-index merge
 // (rrindex/irrindex QueryMultiStreamCtx), which returns bit-identical seeds,
 // marginals, and spreads to a single full index — per-keyword build
 // determinism makes shard payloads equal to the full index's, and the merge
@@ -214,14 +212,15 @@ func addCacheStats(a, b diskio.CacheStats) diskio.CacheStats {
 	return a
 }
 
-// involved returns the shards a query must touch, ascending. Replicate mode
-// rotates across replicas; hash/range modes return the distinct owners of
-// the query's topics.
-func (s *Sharded) involved(topics []int) []int {
+// route returns the shards a query must touch, ascending, and the shard each
+// keyword is read from. Hash/range modes follow the shard map; replicate mode
+// rotates across replicas, and every keyword is read from the pick.
+func (s *Sharded) route(topics []int) ([]int, func(topic int) int) {
 	if s.sm.Mode() == shardmap.Replicate {
-		return []int{int(s.next.Add(1)-1) % len(s.engines)}
+		pick := int(s.next.Add(1)-1) % len(s.engines)
+		return []int{pick}, func(int) int { return pick }
 	}
-	return s.sm.Shards(topics)
+	return s.sm.Shards(topics), s.sm.Owner
 }
 
 // acquire takes one worker slot on every involved shard, in ascending shard
@@ -255,131 +254,64 @@ func (s *Sharded) acquire(ctx context.Context, shards []int) (func(), error) {
 	}, nil
 }
 
-// QueryRR answers q from the shards' RR indexes — fast path when one shard
-// owns every topic, exact scatter-gather merge otherwise. Results are
-// identical to a single-engine deployment over the full index.
+// Query answers q with strategy s from the shards' indexes, with Engine.Query's
+// contract: results are identical to a single-engine deployment over the full
+// index, emissions included. The query occupies a worker slot on, and pins the
+// index handle of, every shard owning one of its keywords — so each shard
+// engine may be hot-swapped or closed concurrently, exactly as with
+// single-engine queries — and then runs the same body a single engine runs.
+// When one shard owns every keyword that is the single-index path; a spanning
+// query is the exact cross-index merge. ctx is additionally honored while
+// waiting for the per-shard worker slots.
+func (s *Sharded) Query(ctx context.Context, st Strategy, q Query, so StreamOptions) (*Result, error) {
+	shards, ownerOf := s.route(q.Topics)
+	if len(shards) == 0 {
+		return nil, fmt.Errorf("kbtim: query needs at least one keyword")
+	}
+	release, err := s.acquire(ctx, shards)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	handles, done, err := s.pin(shards, st)
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	return queryPinned(ctx, st, func(w int) *indexHandle { return handles[ownerOf(w)] }, q, so)
+}
+
+// QueryRR is Query(context.Background(), StrategyRR, q, StreamOptions{}).
 func (s *Sharded) QueryRR(q Query) (*Result, error) {
 	return s.QueryRRCtx(context.Background(), q)
 }
 
-// QueryRRCtx is QueryRR with cancellation, honored both while waiting for
-// per-shard worker slots and at every keyword-load boundary of the query
-// itself.
+// QueryRRCtx is Query(ctx, StrategyRR, q, StreamOptions{}).
 func (s *Sharded) QueryRRCtx(ctx context.Context, q Query) (*Result, error) {
-	return s.QueryRRStreamCtx(ctx, q, StreamOptions{})
+	return s.Query(ctx, StrategyRR, q, StreamOptions{})
 }
 
-// QueryRRStreamCtx is QueryRRCtx with anytime hooks — the fast path streams
-// from the owning engine, a spanning query streams from the exact
-// cross-index merge, with identical emissions either way.
-func (s *Sharded) QueryRRStreamCtx(ctx context.Context, q Query, so StreamOptions) (*Result, error) {
-	tq := q.internal()
-	shards := s.involved(tq.Topics)
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("kbtim: query needs at least one keyword")
-	}
-	release, err := s.acquire(ctx, shards)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if len(shards) == 1 {
-		return s.engines[shards[0]].QueryRRStreamCtx(ctx, q, so)
-	}
-	handles, done, err := s.pin(shards, (*Engine).acquireRR)
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	r, err := rrindex.QueryMultiStreamCtx(ctx, func(w int) *rrindex.Index {
-		if h := handles[s.sm.Owner(w)]; h != nil {
-			return h.rr
-		}
-		return nil
-	}, tq, so.internal())
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Seeds:     r.Seeds,
-		Marginals: r.Marginals,
-		EstSpread: r.EstSpread,
-		NumRRSets: r.NumRRSets,
-		IO:        ioStats(r.IO, r.DecodedHits, r.DecodedMisses),
-		Partial:   r.Partial,
-		Elapsed:   r.Elapsed,
-	}, nil
-}
-
-// QueryIRR answers q from the shards' IRR indexes; routing and parity
-// semantics match QueryRR's.
+// QueryIRR is Query(context.Background(), StrategyIRR, q, StreamOptions{}).
 func (s *Sharded) QueryIRR(q Query) (*Result, error) {
 	return s.QueryIRRCtx(context.Background(), q)
 }
 
-// QueryIRRCtx is QueryIRR with cancellation, honored both while waiting for
-// per-shard worker slots and at every keyword-load and NRA partition-round
-// boundary of the query itself.
+// QueryIRRCtx is Query(ctx, StrategyIRR, q, StreamOptions{}).
 func (s *Sharded) QueryIRRCtx(ctx context.Context, q Query) (*Result, error) {
-	return s.QueryIRRStreamCtx(ctx, q, StreamOptions{})
+	return s.Query(ctx, StrategyIRR, q, StreamOptions{})
 }
 
-// QueryIRRStreamCtx is QueryIRRCtx with anytime hooks; routing matches
-// QueryRRStreamCtx's, and the NRA merge certifies (and so emits) seeds
-// before every shard's partitions are loaded, exactly as on one engine.
-func (s *Sharded) QueryIRRStreamCtx(ctx context.Context, q Query, so StreamOptions) (*Result, error) {
-	tq := q.internal()
-	shards := s.involved(tq.Topics)
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("kbtim: query needs at least one keyword")
-	}
-	release, err := s.acquire(ctx, shards)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if len(shards) == 1 {
-		return s.engines[shards[0]].QueryIRRStreamCtx(ctx, q, so)
-	}
-	handles, done, err := s.pin(shards, (*Engine).acquireIRR)
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	r, err := irrindex.QueryMultiStreamCtx(ctx, func(w int) *irrindex.Index {
-		if h := handles[s.sm.Owner(w)]; h != nil {
-			return h.irr
-		}
-		return nil
-	}, tq, so.internal())
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Seeds:            r.Seeds,
-		Marginals:        r.Marginals,
-		EstSpread:        r.EstSpread,
-		NumRRSets:        r.NumRRSets,
-		IO:               ioStats(r.IO, r.DecodedHits, r.DecodedMisses),
-		PartitionsLoaded: r.PartitionsLoaded,
-		Partial:          r.Partial,
-		Elapsed:          r.Elapsed,
-	}, nil
-}
-
-// pin acquires the relevant index handle of every involved shard so a
-// scatter query keeps all its indexes alive for its whole duration — each
-// shard engine may be hot-swapped or closed concurrently, exactly as with
-// single-engine queries. On error every handle already pinned is released.
-func (s *Sharded) pin(shards []int, acquire func(*Engine) (*indexHandle, error)) (map[int]*indexHandle, func(), error) {
-	handles := make(map[int]*indexHandle, len(shards))
+// pin acquires strategy st's index handle on every involved shard, indexed by
+// shard (nil elsewhere). On error every handle already pinned is released.
+func (s *Sharded) pin(shards []int, st Strategy) ([]*indexHandle, func(), error) {
+	handles := make([]*indexHandle, len(s.engines))
 	release := func() {
-		for _, h := range handles {
-			h.release()
+		for _, sh := range shards {
+			handles[sh].release()
 		}
 	}
 	for _, sh := range shards {
-		h, err := acquire(s.engines[sh])
+		h, err := s.engines[sh].acquire(st)
 		if err != nil {
 			release()
 			return nil, nil, err
