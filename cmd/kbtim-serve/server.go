@@ -233,7 +233,12 @@ func toCacheJSON(s diskio.CacheStats) cacheJSON {
 	}
 }
 
-// decodedCacheJSON mirrors objcache.Stats for the wire.
+// decodedCacheJSON mirrors objcache.Stats for the wire. hits+misses+shared is
+// the lookup count: an IRR query makes one lookup per IP table and per
+// partition it consumes, an RR query ONE per keyword — its θ^Q_w sets prefix,
+// the only RR artifact there is to cache (the per-vertex lists are derived
+// from it, not looked up). The same holds for a reply's io.decoded_hits and
+// io.decoded_misses.
 type decodedCacheJSON struct {
 	Hits        int64   `json:"hits"`
 	Misses      int64   `json:"misses"`

@@ -19,6 +19,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // ErrCorrupt reports an undecodable or internally inconsistent stream.
@@ -44,40 +46,92 @@ func AppendUint32List(dst []byte, list []uint32) []byte {
 	return dst
 }
 
+// elem is what the decode kernels write: uint32 for RR-set members and set
+// IDs, int32 for the per-user ID lists the IRR query tables hold (same 32
+// bits, the caller's signedness).
+type elem interface{ uint32 | int32 }
+
+// listHeader reads a list's count prefix and sizes out for it: the count is
+// checked against the bytes left (perElem is the least an element can take)
+// BEFORE out grows, so a hostile count costs an error, never an allocation.
+// It returns out extended by count elements, the old length, and the bytes
+// the prefix took.
+func listHeader[T elem](out []T, buf []byte, perElem int) (_ []T, base, pos int, err error) {
+	var count uint64
+	if len(buf) > 0 && buf[0] < 0x80 {
+		count, pos = uint64(buf[0]), 1
+	} else if count, pos = binary.Uvarint(buf); pos <= 0 {
+		return out, 0, 0, fmt.Errorf("%w: bad count", ErrCorrupt)
+	}
+	if count > uint64((len(buf)-pos)/perElem) {
+		return out, 0, 0, fmt.Errorf("%w: count %d exceeds buffer", ErrCorrupt, count)
+	}
+	base = len(out)
+	return slices.Grow(out, int(count))[:base+int(count)], base, pos, nil
+}
+
+// decodeDelta is the delta-varint kernel: one growth of out, then a tight
+// loop whose one- and two-byte varints (every gap below 16 384, i.e. nearly
+// all of them) never leave it; binary.Uvarint handles the long tail. The
+// first element is the gap from zero and the only one allowed to be zero.
+// On error out comes back at its original length.
+func decodeDelta[T elem](out []T, buf []byte) ([]T, int, error) {
+	out, base, pos, err := listHeader(out, buf, 1)
+	if err != nil {
+		return out, 0, err
+	}
+	dst := out[base:]
+	prev := uint32(0)
+	for i := range dst {
+		if pos >= len(buf) {
+			return out[:base], 0, fmt.Errorf("%w: truncated at element %d", ErrCorrupt, i)
+		}
+		gap := uint32(buf[pos])
+		switch {
+		case gap < 0x80:
+			pos++
+		case pos+1 < len(buf) && buf[pos+1] < 0x80:
+			gap = gap&0x7f | uint32(buf[pos+1])<<7
+			pos += 2
+		default:
+			g, n := binary.Uvarint(buf[pos:])
+			if n <= 0 {
+				return out[:base], 0, fmt.Errorf("%w: truncated at element %d", ErrCorrupt, i)
+			}
+			if g > math.MaxUint32 {
+				return out[:base], 0, fmt.Errorf("%w: element %d out of range", ErrCorrupt, i)
+			}
+			gap = uint32(g)
+			pos += n
+		}
+		next := prev + gap
+		if i > 0 && next <= prev { // zero gap, or the sum wrapped past 2³²−1
+			return out[:base], 0, fmt.Errorf("%w: invalid gap %d at element %d", ErrCorrupt, gap, i)
+		}
+		prev = next
+		dst[i] = T(next)
+	}
+	return out, pos, nil
+}
+
+// decodeRaw is the fixed-width kernel.
+func decodeRaw[T elem](out []T, buf []byte) ([]T, int, error) {
+	out, base, pos, err := listHeader(out, buf, 4)
+	if err != nil {
+		return out, 0, err
+	}
+	dst := out[base:]
+	for i := range dst {
+		dst[i] = T(binary.LittleEndian.Uint32(buf[pos:]))
+		pos += 4
+	}
+	return out, pos, nil
+}
+
 // DecodeUint32List decodes one list from buf, appending members to out.
 // It returns the extended slice and the number of bytes consumed.
 func DecodeUint32List(out []uint32, buf []byte) ([]uint32, int, error) {
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return out, 0, fmt.Errorf("%w: bad count", ErrCorrupt)
-	}
-	if count > uint64(len(buf)) { // each element needs ≥1 byte
-		return out, 0, fmt.Errorf("%w: count %d exceeds buffer", ErrCorrupt, count)
-	}
-	pos := n
-	if count == 0 {
-		return out, pos, nil
-	}
-	first, n := binary.Uvarint(buf[pos:])
-	if n <= 0 || first > 1<<32-1 {
-		return out, 0, fmt.Errorf("%w: bad first element", ErrCorrupt)
-	}
-	pos += n
-	out = append(out, uint32(first))
-	prev := uint32(first)
-	for i := uint64(1); i < count; i++ {
-		gap, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return out, 0, fmt.Errorf("%w: truncated at element %d", ErrCorrupt, i)
-		}
-		if gap == 0 || uint64(prev)+gap > 1<<32-1 {
-			return out, 0, fmt.Errorf("%w: invalid gap %d", ErrCorrupt, gap)
-		}
-		pos += n
-		prev += uint32(gap)
-		out = append(out, prev)
-	}
-	return out, pos, nil
+	return decodeDelta(out, buf)
 }
 
 // AppendRawUint32List encodes the list without compression (count +
@@ -93,23 +147,7 @@ func AppendRawUint32List(dst []byte, list []uint32) []byte {
 
 // DecodeRawUint32List decodes one raw list from buf.
 func DecodeRawUint32List(out []uint32, buf []byte) ([]uint32, int, error) {
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return out, 0, fmt.Errorf("%w: bad count", ErrCorrupt)
-	}
-	if count > uint64(len(buf))/4 { // also guards the count*4 overflow below
-		return out, 0, fmt.Errorf("%w: count %d exceeds buffer", ErrCorrupt, count)
-	}
-	pos := n
-	need := count * 4
-	if uint64(len(buf)-pos) < need {
-		return out, 0, fmt.Errorf("%w: raw list truncated", ErrCorrupt)
-	}
-	for i := uint64(0); i < count; i++ {
-		out = append(out, binary.LittleEndian.Uint32(buf[pos:]))
-		pos += 4
-	}
-	return out, pos, nil
+	return decodeRaw(out, buf)
 }
 
 // Compression selects the list encoding used by an index file.
@@ -148,7 +186,16 @@ func (c Compression) AppendList(dst []byte, list []uint32) []byte {
 // DecodeList dispatches on c.
 func (c Compression) DecodeList(out []uint32, buf []byte) ([]uint32, int, error) {
 	if c == Delta {
-		return DecodeUint32List(out, buf)
+		return decodeDelta(out, buf)
 	}
-	return DecodeRawUint32List(out, buf)
+	return decodeRaw(out, buf)
+}
+
+// DecodeInt32List is DecodeList into a signed destination (the same kernels;
+// an element above 2³¹−1 lands negative, so range checks compare unsigned).
+func (c Compression) DecodeInt32List(out []int32, buf []byte) ([]int32, int, error) {
+	if c == Delta {
+		return decodeDelta(out, buf)
+	}
+	return decodeRaw(out, buf)
 }

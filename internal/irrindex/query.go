@@ -1017,8 +1017,7 @@ func (idx *Index) decodePartition(ctx context.Context, r diskio.Segmented, d *Ke
 		blk.lists = make([][]int32, 0, p.NumUsers)
 		blk.setIDs = make([]uint32, 0, p.NumSets)
 	}
-	scratch := pool.Uint32s(64)[:0]
-	defer func() { pool.PutUint32s(scratch) }()
+	comp := idx.hdr.Compression
 	for i := 0; i < p.NumUsers; i++ {
 		v := br.Uvarint()
 		if br.Err() != nil {
@@ -1027,51 +1026,46 @@ func (idx *Index) decodePartition(ctx context.Context, r diskio.Segmented, d *Ke
 		if v >= uint64(idx.hdr.NumVertices) {
 			return nil, fmt.Errorf("%w: partition user %d out of range", ErrBadFormat, v)
 		}
-		scratch = scratch[:0]
+		// The list decodes straight into its destination: the pooled arena
+		// (never moves — the decoder admits no more elements than bytes, so
+		// trimmed tails included it stays within capacity) or, for the shared
+		// cached block, an exactly-sized allocation.
+		var list []int32
 		var n int
-		scratch, n, err = idx.hdr.Compression.DecodeList(scratch, buf[br.Pos():])
+		if pooled {
+			start := len(blk.arena)
+			blk.arena, n, err = comp.DecodeInt32List(blk.arena, buf[br.Pos():])
+			list = blk.arena[start:]
+		} else {
+			list, n, err = comp.DecodeInt32List(nil, buf[br.Pos():])
+		}
 		if err != nil {
 			return nil, err
 		}
 		br.Bytes(n)
-		cut := len(scratch)
-		for cut > 0 && scratch[cut-1] >= uint32(limit) {
+		cut := len(list)
+		for cut > 0 && uint32(list[cut-1]) >= uint32(limit) {
 			cut--
 		}
-		var list []int32
-		if pooled {
-			start := len(blk.arena)
-			for _, id := range scratch[:cut] {
-				blk.arena = append(blk.arena, int32(id))
-			}
-			list = blk.arena[start:len(blk.arena):len(blk.arena)]
-		} else {
-			list = make([]int32, cut)
-			for j, id := range scratch[:cut] {
-				list[j] = int32(id)
-			}
-		}
 		blk.users = append(blk.users, uint32(v))
-		blk.lists = append(blk.lists, list)
+		blk.lists = append(blk.lists, list[:cut:cut])
 	}
 	// IR part v2: one compressed list of claimed set IDs, then the member
 	// lists behind a byte-length prefix. Queries only need the IDs, so
 	// decode stops after the length check — no scan over member bytes.
-	scratch = scratch[:0]
 	var n int
-	scratch, n, err = idx.hdr.Compression.DecodeList(scratch, buf[br.Pos():])
+	blk.setIDs, n, err = comp.DecodeList(blk.setIDs, buf[br.Pos():])
 	if err != nil {
 		return nil, err
 	}
 	br.Bytes(n)
-	if len(scratch) != p.NumSets {
-		return nil, fmt.Errorf("%w: partition claims %d sets, directory says %d", ErrBadFormat, len(scratch), p.NumSets)
+	if len(blk.setIDs) != p.NumSets {
+		return nil, fmt.Errorf("%w: partition claims %d sets, directory says %d", ErrBadFormat, len(blk.setIDs), p.NumSets)
 	}
-	for _, id := range scratch {
+	for _, id := range blk.setIDs {
 		if uint64(id) >= uint64(d.ThetaW) {
 			return nil, fmt.Errorf("%w: partition set ID %d out of range", ErrBadFormat, id)
 		}
-		blk.setIDs = append(blk.setIDs, id)
 	}
 	memberBytes := br.Uvarint()
 	if br.Err() != nil {

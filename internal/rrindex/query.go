@@ -2,14 +2,13 @@ package rrindex
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"kbtim/internal/artifact"
+	"kbtim/internal/codec"
 	"kbtim/internal/coverage"
 	"kbtim/internal/diskio"
 	"kbtim/internal/indexfile"
@@ -20,11 +19,9 @@ import (
 	"kbtim/internal/wris"
 )
 
-// Decoded-cache regions of this index (see objcache.Key).
-const (
-	regionSets objcache.Region = iota // Aux = θ-prefix length → *rrset.Batch
-	regionInv                         // Aux = 0 → *invTable
-)
+// regionSets is this index's one decoded-cache region (see objcache.Key):
+// Aux = θ-prefix length → *rrset.Batch.
+const regionSets objcache.Region = 0
 
 // Index is an opened RR index ready for query processing. After Open the
 // header and directory are immutable and every query works on its own
@@ -51,7 +48,9 @@ const (
 	// length t (the payload is the checkpoint-aligned first prefixBytes(t)
 	// bytes of the sets region).
 	UnitSets = "sets"
-	// UnitInv is one keyword's whole inverted region; aux is 0.
+	// UnitInv is one keyword's whole inverted region (Algorithm 1's L_w);
+	// aux is 0. Served by name, read by no query: a query derives L_w|θ^Q_w
+	// from the sets prefix it already holds.
 	UnitInv = "inv"
 )
 
@@ -130,18 +129,13 @@ type setsView struct {
 // kwArtifacts is one keyword's fetched-and-decoded state from the parallel
 // load phase, merged sequentially afterwards.
 type kwArtifacts struct {
-	batch *rrset.Batch
-	inv   *invTable // cache-shared table (decoded-cache path), nil otherwise
-	// pverts/pids are the private pre-trimmed (vertex, RR-ID) pairs of the
-	// cache-free path, pool-backed.
-	pverts []uint32
-	pids   []int32
-	dec    indexfile.DecCounters
-	err    error
+	batch *rrset.Batch // exactly θ^Q_w sets; cache-shared or pool-backed
+	dec   indexfile.DecCounters
+	err   error
 }
 
-// QueryCtx answers a KB-TIM query with Algorithm 2: load θ^Q_w RR sets and
-// the inverted file of every query keyword, then run greedy maximum coverage.
+// QueryCtx answers a KB-TIM query with Algorithm 2: load θ^Q_w RR sets of
+// every query keyword, invert them, then run greedy maximum coverage.
 // With SetQueryParallelism > 1 the per-keyword fetch+decode runs concurrently
 // (bounded), and the merge into query state stays sequential in keyword
 // order, so results are identical to the sequential path. ctx is checked at
@@ -196,19 +190,15 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	}
 	base, alloc := rq.Base, rq.Alloc
 
-	// Batch round: Algorithm 2 reads exactly two artifacts per keyword — the
-	// θ^Q_w sets prefix and the inverted region — and the allocation fixes
-	// both before any fetch starts, so a remote index gets all its units
-	// (minus decoded-cache residents) in ONE round trip per owning backend.
-	// The unchanged fetch path then consumes them from the stash unit by unit.
+	// Batch round: the query reads exactly one artifact per keyword — the
+	// θ^Q_w sets prefix — and the allocation fixes it before any fetch
+	// starts, so a remote index gets all its units (minus decoded-cache
+	// residents) in ONE round trip per owning backend. The unchanged fetch
+	// path then consumes them from the stash unit by unit.
 	if rq.Remote() && !so.Expired() {
 		for i, w := range q.Topics {
-			ix, t := rq.Index(i), int64(alloc[w])
-			if !ix.Resident(objcache.Key{Region: regionSets, Topic: int32(w), Aux: t}) {
+			if t := int64(alloc[w]); !rq.Index(i).Resident(objcache.Key{Region: regionSets, Topic: int32(w), Aux: t}) {
 				rq.Want(i, artifact.Request{Unit: UnitSets, Topic: w, Aux: t})
-			}
-			if !ix.Resident(objcache.Key{Region: regionInv, Topic: int32(w)}) {
-				rq.Want(i, artifact.Request{Unit: UnitInv, Topic: w})
 			}
 		}
 		rq.Fetch(ctx)
@@ -222,14 +212,13 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	loaded := make(map[int]int, len(alloc))
 	phiQ := rq.PhiQ
 
-	// Fetch phase: every keyword's set prefix and inverted artifact is
-	// fetched and decoded into private (or cache-shared) state — nothing
-	// query-global is touched until the merge. With parallelism > 1 the
-	// keywords load concurrently (bounded); the merge below is sequential in
-	// keyword order either way, so results are identical.
+	// Fetch phase: every keyword's set prefix is fetched and decoded into
+	// private (or cache-shared) state — nothing query-global is touched
+	// until the merge. With parallelism > 1 the keywords load concurrently
+	// (bounded); the merge below is sequential in keyword order either way,
+	// so results are identical.
 	arts := make([]kwArtifacts, len(q.Topics))
 	fetchOne := func(a *kwArtifacts, ix *Index, r diskio.Segmented, w, t int) {
-		d := ix.dirs[w]
 		// The keyword-load boundary is the cancellation unit: a canceled
 		// query abandons every keyword it has not started yet. The anytime
 		// deadline shares the boundary, but resolves to a Partial result
@@ -241,15 +230,7 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 			a.err = errDeadline
 			return
 		}
-		a.batch, a.err = ix.setsPrefix(ctx, r, d, t, &a.dec)
-		if a.err != nil {
-			return
-		}
-		if ix.DecodedCache() == nil {
-			a.pverts, a.pids, a.err = ix.decodeInvPairs(ctx, r, d, t)
-		} else {
-			a.inv, a.err = ix.invTable(ctx, r, d, &a.dec)
-		}
+		a.batch, a.err = ix.setsPrefix(ctx, r, ix.dirs[w], t, &a.dec)
 	}
 	par := rq.Par
 	if par > len(q.Topics) {
@@ -278,10 +259,6 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	}
 	defer func() {
 		for i := range arts {
-			if arts[i].pverts != nil {
-				pool.PutUint32s(arts[i].pverts)
-				pool.PutInt32s(arts[i].pids)
-			}
 			if rq.Index(i).DecodedCache() == nil && arts[i].batch != nil {
 				// Query-private pool-backed batches (never cache-shared).
 				pool.PutUint32s(arts[i].batch.Flat)
@@ -315,59 +292,15 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		}, nil
 	}
 
-	// Merge pass 1: per-vertex pair counts, so the query lists can live in
-	// ONE pooled arena instead of thousands of per-vertex appends.
-	counts := pool.Ints(base.hdr.NumVertices)
-	defer pool.PutInts(counts)
-	totalPairs := 0
-	for i := range arts {
-		a := &arts[i]
-		t := alloc[q.Topics[i]]
-		if a.inv != nil {
-			for j, v := range a.inv.verts {
-				cut := trimLen(a.inv.lists[j], t)
-				counts[v] += cut
-				totalPairs += cut
-			}
-		} else {
-			for _, v := range a.pverts {
-				counts[v]++
-			}
-			totalPairs += len(a.pverts)
-		}
-	}
-	arena := pool.Int32s(totalPairs)
-	defer pool.PutInt32s(arena)
-	pos := 0
-	for v, n := range counts {
-		if n > 0 {
-			lists[v] = arena[pos : pos : pos+n]
-			pos += n
-		}
-	}
-	// Merge pass 2: fill in keyword order — per-vertex IDs ascend within a
-	// keyword and offsets grow across keywords, exactly the order the
-	// one-pass merge produced.
+	// Merge: keyword i's set j becomes global set offset_i + j, keywords in
+	// query order; the inverted lists are derived from those views.
 	for i, w := range q.Topics {
-		a := &arts[i]
-		t := alloc[w]
-		if a.inv != nil {
-			for j, v := range a.inv.verts {
-				list, dst := a.inv.lists[j], lists[v]
-				for _, id := range list[:trimLen(list, t)] {
-					dst = append(dst, id+offset)
-				}
-				lists[v] = dst
-			}
-		} else {
-			for j, v := range a.pverts {
-				lists[v] = append(lists[v], a.pids[j]+offset)
-			}
-		}
-		views = append(views, setsView{start: offset, batch: a.batch})
-		offset += int32(t)
-		loaded[w] = t
+		views = append(views, setsView{start: offset, batch: arts[i].batch})
+		offset += int32(alloc[w])
+		loaded[w] = alloc[w]
 	}
+	arena := transpose(lists, views)
+	defer pool.PutInt32s(arena)
 
 	// The solve is pure CPU on fully merged state, so this is the last
 	// moment a canceled query can stop early.
@@ -422,10 +355,48 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	}, nil
 }
 
-// trimLen returns how many leading IDs of the ascending list are below the
-// θ^Q_w horizon t (the per-query trim of a shared, untrimmed cached list).
-func trimLen(list []int32, t int) int {
-	return sort.Search(len(list), func(j int) bool { return list[j] >= int32(t) })
+// transpose fills lists[v] with the ascending global IDs of the loaded sets
+// that contain v — the inverted lists L_w|θ^Q_w greedy selection walks. They
+// are exactly "which of the sets this query holds contain v", so they are
+// derived from the set prefixes instead of read from the file's θ_w-wide
+// inverted region, most of which a query would decode and drop; and a list
+// can no longer disagree with the members it indexes. Two passes, CSR style:
+// count pairs per vertex (members were range-checked at decode) so every list
+// is a window of ONE pooled arena, then fill view by view, set by set — IDs
+// ascend within a keyword and offsets grow across keywords, byte for byte the
+// lists the file's L_w trimmed to IDs < θ^Q_w would give. The caller returns
+// the arena to the pool once the lists are dead.
+func transpose(lists [][]int32, views []setsView) []int32 {
+	cursor := pool.Ints(len(lists))
+	defer pool.PutInts(cursor)
+	pairs := 0
+	for _, vw := range views {
+		for _, v := range vw.batch.Flat {
+			cursor[v]++
+		}
+		pairs += len(vw.batch.Flat)
+	}
+	arena := pool.Int32s(pairs)
+	pos := 0
+	for v, n := range cursor {
+		if n > 0 {
+			lists[v] = arena[pos : pos+n : pos+n]
+		}
+		cursor[v] = pos // v's count becomes its write position
+		pos += n
+	}
+	for _, vw := range views {
+		flat, lo := vw.batch.Flat, int64(0)
+		for j, hi := range vw.batch.Off[1:] {
+			id := vw.start + int32(j)
+			for _, v := range flat[lo:hi] {
+				arena[cursor[v]] = id
+				cursor[v]++
+			}
+			lo = hi
+		}
+	}
+	return arena
 }
 
 // setsPrefix returns keyword d's first t RR sets as a batch, served from the
@@ -450,7 +421,9 @@ func (idx *Index) setsPrefix(ctx context.Context, r diskio.Segmented, d *Keyword
 			if err != nil {
 				return nil, 0, err
 			}
-			return b, int64(len(b.Flat))*4 + int64(len(b.Off))*8, nil
+			// Charge what the heap holds: Flat is grown by the decoder, so
+			// its capacity, not its length, is what the budget pays for.
+			return b, int64(cap(b.Flat))*4 + int64(cap(b.Off))*8, nil
 		})
 	if err != nil {
 		return nil, err
@@ -485,139 +458,28 @@ func (idx *Index) decodeSets(ctx context.Context, r diskio.Segmented, d *Keyword
 			}
 		}()
 	}
-	pos := 0
-	scratch := pool.Uint32s(64)[:0]
-	defer func() { pool.PutUint32s(scratch) }()
+	batch.Off = append(batch.Off, 0)
+	comp, pos := idx.hdr.Compression, 0
 	for i := 0; i < t; i++ {
-		scratch = scratch[:0]
+		start := len(batch.Flat)
 		var n int
-		scratch, n, err = idx.hdr.Compression.DecodeList(scratch, buf[pos:])
+		batch.Flat, n, err = comp.DecodeList(batch.Flat, buf[pos:])
 		if err != nil {
 			return nil, err
 		}
 		pos += n
-		for _, v := range scratch {
+		// Delta lists ascend strictly (the decoder enforces it), so the last
+		// member bounds the set; Raw members are checked one by one.
+		set := batch.Flat[start:]
+		if comp == codec.Delta && len(set) > 1 {
+			set = set[len(set)-1:]
+		}
+		for _, v := range set {
 			if int(v) >= idx.hdr.NumVertices {
 				return nil, fmt.Errorf("%w: member %d out of range", ErrBadFormat, v)
 			}
 		}
-		batch.Append(scratch)
+		batch.Off = append(batch.Off, int64(len(batch.Flat)))
 	}
 	return batch, nil
-}
-
-// invTable is one keyword's fully decoded inverted region: verts[i]'s
-// ascending, UNtrimmed RR-ID lists are lists[i]. Shared read-only through the
-// decoded cache; queries trim by slicing. Post-construction writes outside
-// the constructing function are checked by kbtim-lint's cacheimmutable.
-//
-//kbtim:cached
-type invTable struct {
-	verts []uint32
-	lists [][]int32
-}
-
-// decodeInvPairs is the cache-free path's inverted-region decode: keyword
-// d's inverted region becomes private pool-backed (vertex, RR-ID) pairs
-// trimmed to IDs < t, which the merge phase folds into the query lists. The
-// caller returns both slices to the pools.
-func (idx *Index) decodeInvPairs(ctx context.Context, r diskio.Segmented, d *KeywordDir, t int) ([]uint32, []int32, error) {
-	// Pair count is bounded by the region's entry count; half the compressed
-	// byte length is a workable capacity hint (IDs are ~2 varint bytes) and
-	// the pool's class fall-through absorbs the rest.
-	hint := int(d.InvLen / 2)
-	verts := pool.Uint32s(hint)[:0]
-	ids := pool.Int32s(hint)[:0]
-	err := idx.walkInv(ctx, r, d, func(v uint32, list []uint32) {
-		for _, id := range list {
-			if id >= uint32(t) {
-				break
-			}
-			verts = append(verts, v)
-			ids = append(ids, int32(id))
-		}
-	})
-	if err != nil {
-		pool.PutUint32s(verts)
-		pool.PutInt32s(ids)
-		return nil, nil, err
-	}
-	return verts, ids, nil
-}
-
-// walkInv fetches keyword d's whole inverted region (one sequential read)
-// and streams each (vertex, ascending RR-ID list) pair through fn; the list
-// aliases decode scratch and must not be retained.
-func (idx *Index) walkInv(ctx context.Context, r diskio.Segmented, d *KeywordDir, fn func(v uint32, ids []uint32)) error {
-	buf, err := idx.Artifact(ctx, r, artifact.Request{Unit: UnitInv, Topic: d.TopicID}, d.InvOff, d.InvLen)
-	if err != nil {
-		return err
-	}
-	pos := 0
-	scratch := pool.Uint32s(64)[:0]
-	defer func() { pool.PutUint32s(scratch) }()
-	for i := 0; i < d.NumInvLists; i++ {
-		v, n := binary.Uvarint(buf[pos:])
-		if n <= 0 || v >= uint64(idx.hdr.NumVertices) {
-			return fmt.Errorf("%w: bad inverted-list vertex", ErrBadFormat)
-		}
-		pos += n
-		scratch = scratch[:0]
-		scratch, n, err = idx.hdr.Compression.DecodeList(scratch, buf[pos:])
-		if err != nil {
-			return err
-		}
-		pos += n
-		fn(uint32(v), scratch)
-	}
-	if pos != len(buf) {
-		return fmt.Errorf("%w: inverted region has %d trailing bytes", ErrBadFormat, len(buf)-pos)
-	}
-	return nil
-}
-
-// invTable returns keyword d's decoded inverted table from the decoded
-// cache. The artifact is decoded in full (untrimmed) because it is shared
-// by queries with different allocations.
-func (idx *Index) invTable(ctx context.Context, r diskio.Segmented, d *KeywordDir, dec *indexfile.DecCounters) (*invTable, error) {
-	// Detached ctx for the same singleflight-sharing reason as setsPrefix.
-	lctx := context.WithoutCancel(ctx)
-	v, err := idx.Cached(objcache.Key{Region: regionInv, Topic: int32(d.TopicID)}, dec,
-		func() (any, int64, error) {
-			tbl, err := idx.decodeInv(lctx, r, d)
-			if err != nil {
-				return nil, 0, err
-			}
-			size := int64(len(tbl.verts)) * 28 // vert + slice header per list
-			for _, l := range tbl.lists {
-				size += int64(len(l)) * 4
-			}
-			return tbl, size, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*invTable), nil
-}
-
-// decodeInv fetches the whole inverted region of keyword d (one sequential
-// read) and decodes every list in full, for the shared cached artifact
-// (never pool-backed: cached values outlive the query).
-func (idx *Index) decodeInv(ctx context.Context, r diskio.Segmented, d *KeywordDir) (*invTable, error) {
-	tbl := &invTable{
-		verts: make([]uint32, 0, d.NumInvLists),
-		lists: make([][]int32, 0, d.NumInvLists),
-	}
-	err := idx.walkInv(ctx, r, d, func(v uint32, ids []uint32) {
-		list := make([]int32, len(ids))
-		for j, id := range ids {
-			list[j] = int32(id)
-		}
-		tbl.verts = append(tbl.verts, v)
-		tbl.lists = append(tbl.lists, list)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tbl, nil
 }

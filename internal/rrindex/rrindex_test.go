@@ -14,6 +14,7 @@ import (
 	"kbtim/internal/diskio"
 	"kbtim/internal/gen"
 	"kbtim/internal/graph"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/objcache"
 	"kbtim/internal/prop"
 	"kbtim/internal/topic"
@@ -286,10 +287,10 @@ func TestFileRoundTrip(t *testing.T) {
 	if len(res.Seeds) != 2 {
 		t.Fatalf("seeds %v", res.Seeds)
 	}
-	// Algorithm 2 reads two segments per keyword (sets prefix + inverted
-	// file): 4 logical I/Os for a 2-keyword query.
-	if res.IO.Total() != 4 {
-		t.Fatalf("I/O ops = %d (%+v), want 4", res.IO.Total(), res.IO)
+	// One prefix read per keyword — the inverted lists are derived from the
+	// sets, not read: 2 logical I/Os for a 2-keyword query.
+	if res.IO.Total() != 2 {
+		t.Fatalf("I/O ops = %d (%+v), want 2", res.IO.Total(), res.IO)
 	}
 }
 
@@ -458,6 +459,38 @@ func TestDecodedCacheCorrectness(t *testing.T) {
 	if warm.IO.Total() != 0 || warm.DecodedMisses != 0 || warm.DecodedHits == 0 {
 		t.Fatalf("warm query still paid: io=%+v hits=%d misses=%d",
 			warm.IO, warm.DecodedHits, warm.DecodedMisses)
+	}
+}
+
+// TestDecodedCacheChargesHeldBytes: the budget must be told what the heap
+// holds. A batch's arrays are grown by the decoder, so their capacity — not
+// their length — is what a cached entry pins; after one cold query per
+// keyword the cache's byte count must equal the capacity bytes of exactly the
+// batches published (and nothing else: sets are the only RR artifact cached).
+func TestDecodedCacheChargesHeldBytes(t *testing.T) {
+	idx, _ := buildFigure1(t, codec.Delta, wris.SizeTheta)
+	cache := objcache.New(4 << 20)
+	idx.SetDecodedCache(cache)
+	ctx := context.Background()
+	kws := idx.Keywords()
+	for _, w := range kws {
+		if _, err := idx.QueryCtx(ctx, topic.Query{Topics: []int{w}, K: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var held, used int64
+	for _, w := range kws {
+		d := idx.Dir(w)
+		var dec indexfile.DecCounters
+		b, err := idx.setsPrefix(ctx, nil, d, int(d.ThetaW), &dec) // a hit: the loader (and its reader) never runs
+		if err != nil || dec.Hits != 1 {
+			t.Fatalf("topic %d: prefix not served from the cache (hits %d, err %v)", w, dec.Hits, err)
+		}
+		held += int64(cap(b.Flat))*4 + int64(cap(b.Off))*8
+		used += int64(len(b.Flat))*4 + int64(len(b.Off))*8
+	}
+	if got := cache.Stats().BytesCached; got != held {
+		t.Fatalf("cache charged %d bytes; the published batches hold %d (their lengths sum to %d)", got, held, used)
 	}
 }
 
