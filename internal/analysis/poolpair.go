@@ -276,6 +276,9 @@ func checkEscapes(pass *Pass, scope funcScope, tr *tracked) {
 				continue
 			}
 			lhs := as.Lhs[i]
+			if types.ExprString(lhs) == tr.exprStr {
+				continue // re-slicing in place (b.arena = b.arena[:n]) moves nothing
+			}
 			root := rootExpr(lhs)
 			if root != lhs {
 				if name := markedTypeName(pass, root); name != "" {

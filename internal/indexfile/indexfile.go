@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"kbtim/internal/artifact"
 	"kbtim/internal/binfmt"
@@ -107,7 +108,8 @@ func Open(r diskio.Segmented, name, magic string, version uint32) (File, *binfmt
 		return File{}, nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, m)
 	}
 	if v := br.U32(); v != version {
-		return File{}, nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
+		return File{}, nil, fmt.Errorf("%w: file is %s format version %d, this build reads only version %d — rebuild it (kbtim-build -type %s)",
+			ErrBadFormat, magic, v, version, strings.TrimSuffix(name, "index"))
 	}
 	preludeLen := int64(br.U64())
 	if preludeLen < frameLen || preludeLen > r.Size() {

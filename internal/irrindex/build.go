@@ -74,7 +74,7 @@ func (s *BuildStats) MeanRRSize() float64 {
 type kwPayload struct {
 	dir KeywordDir
 	ip  []byte
-	// parts[i] is the serialized i-th partition block (IL then IR).
+	// parts[i] is the serialized i-th partition block (IL, then claimed IDs).
 	parts [][]byte
 }
 
@@ -300,20 +300,14 @@ func buildKeyword(g *graph.Graph, model prop.Model, prof *topic.Profiles, t int,
 			}
 			block = opts.Compression.AppendList(block, tmp)
 		}
-		// IR part v2: claimed set IDs up front as ONE compressed list
-		// (setsByPart appends in ascending s order), then the member lists
-		// length-prefixed — queries read the IDs and stop.
+		// IR part: the claimed set IDs as ONE compressed list (setsByPart
+		// appends in ascending s order) and nothing else — Algorithm 4 here
+		// never reads the member lists, so the file does not carry them.
 		tmp = tmp[:0]
 		for _, s := range setsByPart[p] {
 			tmp = append(tmp, uint32(s))
 		}
 		block = opts.Compression.AppendList(block, tmp)
-		var members []byte
-		for _, s := range setsByPart[p] {
-			members = opts.Compression.AppendList(members, batch.Set(int(s)))
-		}
-		block = binary.AppendUvarint(block, uint64(len(members)))
-		block = append(block, members...)
 		payload.dir.Partitions = append(payload.dir.Partitions, Partition{
 			Len:         int64(len(block)),
 			NumUsers:    hi - lo,

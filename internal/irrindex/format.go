@@ -1,7 +1,7 @@
 // Package irrindex implements the Incremental RR index of §5: per keyword,
 // the inverted lists are sorted by length (most-covered users first) and cut
-// into fixed-size partitions; each partition block also carries the RR sets
-// first "claimed" by that partition (IR), and a first-occurrence table (IP)
+// into fixed-size partitions; each partition block also names the RR sets
+// first "claimed" by that partition, and a first-occurrence table (IP)
 // resolves whether an unseen user can still contribute (Algorithm 3). Query
 // processing is an NRA-style top-k aggregation with lazy upper-bound
 // refinement (Algorithm 4), loading partitions only until the next seed is
@@ -22,18 +22,27 @@
 //	                 lastListLen u32
 //	payload:
 //	  per keyword: IP region (numIPEntries × [vertex uvarint, firstOcc
-//	  uvarint]), then partition blocks. A partition block is
+//	  uvarint], vertices strictly ascending), then partition blocks. A
+//	  partition block is
 //	  IL part: numUsers × [vertex uvarint, encoded RR-ID list] followed by
-//	  IR part: encoded list of the numSets claimed rrIDs (ascending),
-//	  then memberBytes uvarint and numSets encoded member lists (in
-//	  claimed-ID order).
+//	  the encoded list of the numSets claimed rrIDs (ascending) — and
+//	  nothing else; a byte behind that list is ErrBadFormat.
+//
+// Departure from Algorithm 3: the paper's IR part also stores each claimed
+// set's MEMBERS. Algorithm 4 as implemented here never reads them — scores
+// are refreshed lazily from the covered[] marks and the IL lists — so it
+// needs only the claimed IDs (they keep Loaded/NumRRSets exact: a keyword's
+// partitions claim every ID in [0, θ_w) exactly once), and the file does not
+// carry the member lists.
 //
 // Version history: v1 interleaved the IR part as numSets × [rrID uvarint,
-// encoded member list], which forced queries — that only ever need the
-// claimed IDs — to varint-scan every member list just to step over it;
-// profile-wise that scan dominated partition decode. v2 fronts the claimed
-// IDs and length-prefixes the member-list bytes, so query decode stops
-// cold after one list.
+// encoded member list], which forced queries to varint-scan every member
+// list just to step over it. v2 fronted the claimed IDs and put the member
+// lists behind a byte-length prefix, so decode stopped cold after one list —
+// but every cold query still read, byte-cached and (behind a router) shipped
+// the member bytes, 43 % of the file and 83 % of a keyword's first
+// partition. v3 drops them. There is one read path: Open rejects any other
+// version and names the rebuild command.
 //
 // lastListLen is the length of the partition's shortest (last) inverted
 // list: after loading partition p the NRA bound kb[w] for unseen users is
@@ -53,7 +62,7 @@ import (
 
 const (
 	indexMagic   = "KBII"
-	indexVersion = 2
+	indexVersion = 3
 )
 
 // ErrBadFormat reports a malformed or corrupt index file.

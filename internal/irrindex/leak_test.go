@@ -54,7 +54,7 @@ func TestDecodePartitionErrorReturnsPooledArrays(t *testing.T) {
 	d = idx.dirs[topicMusic]
 
 	g0, p0 := pool.Counts()
-	if _, err := idx.decodePartition(context.Background(), mem, d, 0, int(d.ThetaW), true); err == nil {
+	if _, err := idx.decodePartition(context.Background(), mem, d, 0, int(d.ThetaW)); err == nil {
 		t.Fatal("decodePartition succeeded on a 0xFF-filled partition; corruption setup is broken")
 	}
 	g1, p1 := pool.Counts()

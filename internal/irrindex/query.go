@@ -10,6 +10,7 @@ import (
 
 	"kbtim/internal/artifact"
 	"kbtim/internal/binfmt"
+	"kbtim/internal/codec"
 	"kbtim/internal/diskio"
 	"kbtim/internal/indexfile"
 	"kbtim/internal/objcache"
@@ -20,7 +21,7 @@ import (
 
 // Decoded-cache regions of this index (see objcache.Key).
 const (
-	regionIP   objcache.Region = iota // Aux = 0 → map[uint32]int32
+	regionIP   objcache.Region = iota // Aux = 0 → ipTable
 	regionPart                        // Aux = partition index → *partBlock
 )
 
@@ -154,17 +155,17 @@ type kwState struct {
 	r       diskio.Segmented
 	dir     *KeywordDir
 	thetaQw int
-	ip      map[uint32]int32 // first occurrence per listed user (shared, read-only)
 	// ipHot[u] is the precomputed "IP_w[u] < θ^Q_w" predicate (pooled): the
 	// NRA upper-bound refresh asks it for every candidate every round, and a
-	// bitmap probe there beats a map lookup by ~an order of magnitude.
+	// bitmap probe there beats searching the IP table by ~an order of
+	// magnitude.
 	//
 	// ipHot and lists are DENSE per-vertex tables, trading O(NumVertices)
 	// pooled bytes (and a memclr) per keyword per query for O(1) branchless
 	// probes on the hottest loop. At this repo's 1:1000 dataset scale that
 	// is ~100s of KB per query; a paper-scale 41M-vertex graph would want
-	// the sparse (map) representation back behind a size cutoff — see the
-	// ROADMAP item.
+	// a sparse representation (a search of the sorted IP columns) behind a
+	// size cutoff — see the ROADMAP item.
 	ipHot    []bool
 	next     int       // next partition to fetch
 	kb       int       // upper bound for users not yet seen in IL_w
@@ -768,7 +769,7 @@ func (wp wirePlanner) planRound(ctx context.Context, states []*kwState) {
 	wp.rq.Fetch(ctx)
 }
 
-// loadIP attaches a keyword's first-occurrence table to st, through the
+// loadIP folds a keyword's first-occurrence table into st.ipHot, through the
 // decoded cache when one is attached. The table is shared read-only between
 // queries.
 func (idx *Index) loadIP(ctx context.Context, r diskio.Segmented, st *kwState, dec *indexfile.DecCounters) error {
@@ -777,8 +778,7 @@ func (idx *Index) loadIP(ctx context.Context, r diskio.Segmented, st *kwState, d
 		if err != nil {
 			return err
 		}
-		st.ip = ip
-		st.fillIPHot()
+		st.fillIPHot(ip)
 		return nil
 	}
 	// The loader runs under singleflight: concurrent queries share one
@@ -793,80 +793,115 @@ func (idx *Index) loadIP(ctx context.Context, r diskio.Segmented, st *kwState, d
 			if err != nil {
 				return nil, 0, err
 			}
-			// Rough map footprint: key + value + bucket overhead.
-			return ip, int64(len(ip)) * 16, nil
+			return ip, int64(cap(ip.users)+cap(ip.first)) * 4, nil
 		})
 	if err != nil {
 		return err
 	}
-	st.ip = v.(map[uint32]int32)
-	st.fillIPHot()
+	st.fillIPHot(v.(ipTable))
 	return nil
+}
+
+// ipTable is a keyword's decoded first-occurrence table IP_w as two parallel,
+// exactly-sized columns in file order (ascending vertex): users[i] first
+// occurs in RR set first[i]. Its only reader is fillIPHot's linear pass.
+//
+//kbtim:cached
+type ipTable struct {
+	users []uint32
+	first []int32
 }
 
 // fillIPHot precomputes the "listed below the θ^Q_w horizon" predicate the
 // NRA upper-bound refresh probes for every candidate every round.
-func (st *kwState) fillIPHot() {
-	for u, fo := range st.ip {
+func (st *kwState) fillIPHot(ip ipTable) {
+	for i, fo := range ip.first {
 		if int(fo) < st.thetaQw {
-			st.ipHot[u] = true
+			st.ipHot[ip.users[i]] = true
 		}
 	}
 }
 
 // decodeIP reads and parses a keyword's first-occurrence table through the
-// query's scope.
-func (idx *Index) decodeIP(ctx context.Context, r diskio.Segmented, d *KeywordDir) (map[uint32]int32, error) {
+// query's scope. An entry is at least two bytes, so the region's length
+// bounds the directory's count before the columns are sized by it.
+func (idx *Index) decodeIP(ctx context.Context, r diskio.Segmented, d *KeywordDir) (ipTable, error) {
 	buf, err := idx.Artifact(ctx, r, artifact.Request{Unit: UnitIP, Topic: d.TopicID}, d.IPOff, d.IPLen)
 	if err != nil {
-		return nil, err
+		return ipTable{}, err
+	}
+	if d.NumIPEntries > len(buf)/2 {
+		return ipTable{}, fmt.Errorf("%w: %d IP entries in %d bytes", ErrBadFormat, d.NumIPEntries, len(buf))
 	}
 	br := binfmt.NewReader(buf)
-	ip := make(map[uint32]int32, d.NumIPEntries)
-	for i := 0; i < d.NumIPEntries; i++ {
+	ip := ipTable{users: make([]uint32, d.NumIPEntries), first: make([]int32, d.NumIPEntries)}
+	for i := range ip.users {
 		v := br.Uvarint()
 		fo := br.Uvarint()
 		if br.Err() != nil {
-			return nil, br.Err()
+			return ipTable{}, br.Err()
 		}
 		if v >= uint64(idx.hdr.NumVertices) || fo >= uint64(d.ThetaW) {
-			return nil, fmt.Errorf("%w: bad IP entry (%d→%d)", ErrBadFormat, v, fo)
+			return ipTable{}, fmt.Errorf("%w: bad IP entry (%d→%d)", ErrBadFormat, v, fo)
 		}
-		ip[uint32(v)] = int32(fo)
+		if i > 0 && uint32(v) <= ip.users[i-1] {
+			return ipTable{}, fmt.Errorf("%w: IP vertex %d not ascending", ErrBadFormat, v)
+		}
+		ip.users[i], ip.first[i] = uint32(v), int32(fo)
 	}
 	if br.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: IP region has trailing bytes", ErrBadFormat)
+		return ipTable{}, fmt.Errorf("%w: IP region has trailing bytes", ErrBadFormat)
 	}
 	return ip, nil
 }
 
-// partBlock is one fully decoded partition: users[i]'s ascending, UNtrimmed
-// inverted list is lists[i]; setIDs are the RR sets first claimed by this
-// block (the IR part — member lists are skipped, queries never need them).
-// Cache-shared blocks are read-only and never pooled; query-private blocks
-// (no decoded cache) borrow their backing arrays from the scratch pools
-// (arena backs every lists[i]) and are released at query end. Cached blocks
-// are shared read-only; post-construction writes outside the constructing
-// function are checked by kbtim-lint's cacheimmutable.
+// partBlock is one fully decoded partition: users[i]'s ascending inverted
+// list is lists[i], a subslice of arena (the lists back to back, in order);
+// setIDs are the RR sets first claimed by this block. Every block is decoded
+// into arrays borrowed from the scratch pools. A query-private block (no
+// decoded cache) keeps them and is released at query end; the decoded cache
+// instead publishes an exactly-sized heap copy (share), read-only from then
+// on — post-construction writes outside the constructing function are checked
+// by kbtim-lint's cacheimmutable.
 //
 //kbtim:cached
 type partBlock struct {
 	users  []uint32
 	lists  [][]int32
 	setIDs []uint32
-	arena  []int32 // backing of lists when pool-backed, nil otherwise
+	arena  []int32
+	pooled bool
 }
 
 // release returns a pool-backed block's arrays; a no-op for shared blocks.
 func (b *partBlock) release() {
-	if b.arena == nil {
+	if !b.pooled {
 		return
 	}
 	pool.PutUint32s(b.users)
 	pool.PutUint32s(b.setIDs)
 	pool.PutInt32Lists(b.lists)
 	pool.PutInt32s(b.arena)
-	b.arena = nil
+	b.pooled = false
+}
+
+// share releases pool-backed b and returns the copy of it the decoded cache
+// holds, and what that copy pins: every array is made at its final length, so
+// len == cap and the charge is the heap's, not an estimate.
+func (b *partBlock) share() (*partBlock, int64) {
+	s := &partBlock{
+		users:  append(make([]uint32, 0, len(b.users)), b.users...),
+		lists:  make([][]int32, len(b.lists)),
+		setIDs: append(make([]uint32, 0, len(b.setIDs)), b.setIDs...),
+		arena:  append(make([]int32, 0, len(b.arena)), b.arena...),
+	}
+	off := 0
+	for i, l := range b.lists {
+		s.lists[i] = s.arena[off : off+len(l) : off+len(l)]
+		off += len(l)
+	}
+	b.release()
+	return s, int64(cap(s.users)+cap(s.setIDs)+cap(s.arena))*4 + int64(cap(s.lists))*24
 }
 
 // prefetchPartition starts fetching st's next partition in the background
@@ -911,7 +946,7 @@ func (idx *Index) loadNextPartition(ctx context.Context, r diskio.Segmented, st 
 	if err != nil {
 		return pending, err
 	}
-	if blk.arena != nil {
+	if blk.pooled {
 		*blocks = append(*blocks, blk)
 	}
 	st.next++
@@ -958,25 +993,22 @@ func (idx *Index) loadNextPartition(ctx context.Context, r diskio.Segmented, st 
 // partition returns one decoded partition block, through the decoded cache
 // when attached. Without a cache the block is query-private and pool-backed,
 // so its lists are trimmed to IDs < thetaQw during decode; the cached
-// artifact is decoded in full (and never pooled) because it is shared by
-// queries with different θ^Q_w.
+// artifact is decoded in full (and published as a heap copy) because it is
+// shared by queries with different θ^Q_w.
 func (idx *Index) partition(ctx context.Context, r diskio.Segmented, d *KeywordDir, pi, thetaQw int, dec *indexfile.DecCounters) (*partBlock, error) {
 	if idx.DecodedCache() == nil {
-		return idx.decodePartition(ctx, r, d, pi, thetaQw, true)
+		return idx.decodePartition(ctx, r, d, pi, thetaQw)
 	}
 	// Detached ctx for the same singleflight-sharing reason as loadIP.
 	lctx := context.WithoutCancel(ctx)
 	v, err := idx.Cached(objcache.Key{Region: regionPart, Topic: int32(d.TopicID), Aux: int64(pi)}, dec,
 		func() (any, int64, error) {
-			blk, err := idx.decodePartition(lctx, r, d, pi, int(d.ThetaW), false)
+			blk, err := idx.decodePartition(lctx, r, d, pi, int(d.ThetaW))
 			if err != nil {
 				return nil, 0, err
 			}
-			size := int64(len(blk.users))*28 + int64(len(blk.setIDs))*4
-			for _, l := range blk.lists {
-				size += int64(len(l)) * 4
-			}
-			return blk, size, nil
+			shared, size := blk.share()
+			return shared, size, nil
 		})
 	if err != nil {
 		return nil, err
@@ -984,39 +1016,38 @@ func (idx *Index) partition(ctx context.Context, r diskio.Segmented, d *KeywordD
 	return v.(*partBlock), nil
 }
 
-// decodePartition reads and decodes partition pi of keyword d: the IL
-// part's user lists trimmed to RR-set IDs < limit (IDs ascend, so the kept
-// part is a prefix), and the IR part's claimed-ID list only — the v2 layout
-// fronts those IDs and length-prefixes the member lists, so nothing steps
-// over member bytes at all. A pooled block borrows its backing arrays from the scratch
-// pools; its arena is pre-sized to the partition's byte length (a safe upper
-// bound on decoded entries — every entry costs at least one byte), so the
+// decodePartition reads and decodes partition pi of keyword d into a
+// pool-backed block: the IL part's user lists trimmed to RR-set IDs < limit
+// (IDs ascend, so the kept part is a prefix), then the claimed-ID list, which
+// must end the block — format v3 stores nothing behind it. A user costs at
+// least two bytes and a claimed ID one, so the block's length bounds both
+// directory counts before anything is sized by them; the arena is sized to
+// that length too (every decoded entry costs at least one byte), so the
 // per-user subslices never move.
-func (idx *Index) decodePartition(ctx context.Context, r diskio.Segmented, d *KeywordDir, pi, limit int, pooled bool) (_ *partBlock, err error) {
+func (idx *Index) decodePartition(ctx context.Context, r diskio.Segmented, d *KeywordDir, pi, limit int) (_ *partBlock, err error) {
 	p := d.Partitions[pi]
 	buf, err := idx.Artifact(ctx, r, artifact.Request{Unit: UnitPart, Topic: d.TopicID, Aux: int64(pi)}, p.Off, p.Len)
 	if err != nil {
 		return nil, err
 	}
-	br := binfmt.NewReader(buf)
-	blk := &partBlock{}
-	if pooled {
-		blk.users = pool.Uint32s(p.NumUsers)[:0]
-		blk.lists = pool.Int32Lists(p.NumUsers)[:0]
-		blk.setIDs = pool.Uint32s(p.NumSets)[:0]
-		blk.arena = pool.Int32s(int(p.Len))[:0]
-		// A decode error below abandons blk before the caller ever sees
-		// it; return the borrowed arrays instead of leaking them.
-		defer func() {
-			if err != nil {
-				blk.release()
-			}
-		}()
-	} else {
-		blk.users = make([]uint32, 0, p.NumUsers)
-		blk.lists = make([][]int32, 0, p.NumUsers)
-		blk.setIDs = make([]uint32, 0, p.NumSets)
+	if p.NumUsers > len(buf)/2 || p.NumSets > len(buf) {
+		return nil, fmt.Errorf("%w: partition of %d users and %d sets in %d bytes", ErrBadFormat, p.NumUsers, p.NumSets, len(buf))
 	}
+	br := binfmt.NewReader(buf)
+	blk := &partBlock{
+		users:  pool.Uint32s(p.NumUsers)[:0],
+		lists:  pool.Int32Lists(p.NumUsers)[:0],
+		setIDs: pool.Uint32s(p.NumSets)[:0],
+		arena:  pool.Int32s(len(buf))[:0],
+		pooled: true,
+	}
+	// A decode error below abandons blk before the caller ever sees it;
+	// return the borrowed arrays instead of leaking them.
+	defer func() {
+		if err != nil {
+			blk.release()
+		}
+	}()
 	comp := idx.hdr.Compression
 	for i := 0; i < p.NumUsers; i++ {
 		v := br.Uvarint()
@@ -1026,39 +1057,40 @@ func (idx *Index) decodePartition(ctx context.Context, r diskio.Segmented, d *Ke
 		if v >= uint64(idx.hdr.NumVertices) {
 			return nil, fmt.Errorf("%w: partition user %d out of range", ErrBadFormat, v)
 		}
-		// The list decodes straight into its destination: the pooled arena
-		// (never moves — the decoder admits no more elements than bytes, so
-		// trimmed tails included it stays within capacity) or, for the shared
-		// cached block, an exactly-sized allocation.
-		var list []int32
+		// The list decodes straight into the arena (the decoder admits no
+		// more elements than bytes, so it stays within capacity); dropping
+		// the trimmed tail keeps the kept lists back to back.
+		start := len(blk.arena)
 		var n int
-		if pooled {
-			start := len(blk.arena)
-			blk.arena, n, err = comp.DecodeInt32List(blk.arena, buf[br.Pos():])
-			list = blk.arena[start:]
-		} else {
-			list, n, err = comp.DecodeInt32List(nil, buf[br.Pos():])
-		}
+		blk.arena, n, err = comp.DecodeInt32List(blk.arena, buf[br.Pos():])
 		if err != nil {
 			return nil, err
 		}
 		br.Bytes(n)
-		cut := len(list)
-		for cut > 0 && uint32(list[cut-1]) >= uint32(limit) {
+		cut := len(blk.arena)
+		// The delta decoder enforces strict ascent; raw lists are checked
+		// here, because trimming the tail (and the query's binary search) is
+		// only a range check on a list that ascends.
+		for j := start + 1; comp == codec.Raw && j < cut; j++ {
+			if uint32(blk.arena[j]) <= uint32(blk.arena[j-1]) {
+				return nil, fmt.Errorf("%w: partition list of user %d does not ascend", ErrBadFormat, v)
+			}
+		}
+		for cut > start && uint32(blk.arena[cut-1]) >= uint32(limit) {
 			cut--
 		}
+		blk.arena = blk.arena[:cut]
 		blk.users = append(blk.users, uint32(v))
-		blk.lists = append(blk.lists, list[:cut:cut])
+		blk.lists = append(blk.lists, blk.arena[start:cut:cut])
 	}
-	// IR part v2: one compressed list of claimed set IDs, then the member
-	// lists behind a byte-length prefix. Queries only need the IDs, so
-	// decode stops after the length check — no scan over member bytes.
 	var n int
 	blk.setIDs, n, err = comp.DecodeList(blk.setIDs, buf[br.Pos():])
 	if err != nil {
 		return nil, err
 	}
-	br.Bytes(n)
+	if br.Bytes(n); br.Remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the partition's claimed-ID list", ErrBadFormat, br.Remaining())
+	}
 	if len(blk.setIDs) != p.NumSets {
 		return nil, fmt.Errorf("%w: partition claims %d sets, directory says %d", ErrBadFormat, len(blk.setIDs), p.NumSets)
 	}
@@ -1066,13 +1098,6 @@ func (idx *Index) decodePartition(ctx context.Context, r diskio.Segmented, d *Ke
 		if uint64(id) >= uint64(d.ThetaW) {
 			return nil, fmt.Errorf("%w: partition set ID %d out of range", ErrBadFormat, id)
 		}
-	}
-	memberBytes := br.Uvarint()
-	if br.Err() != nil {
-		return nil, br.Err()
-	}
-	if uint64(br.Remaining()) != memberBytes {
-		return nil, fmt.Errorf("%w: partition member region is %d bytes, prefix says %d", ErrBadFormat, br.Remaining(), memberBytes)
 	}
 	return blk, nil
 }

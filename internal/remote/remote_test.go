@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
@@ -12,6 +13,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -52,7 +54,41 @@ type cluster struct {
 	rrLocal   *rrindex.Index
 	irrLocal  *irrindex.Index
 	clients   []*remote.Client
-	urls      []string // backend base URLs, parallel to clients
+	urls      []string   // backend base URLs, parallel to clients
+	served    []*unitLog // what each backend served, parallel to clients
+}
+
+// unitLog is a backend's Source that also records every artifact it served,
+// by name.
+type unitLog struct {
+	remote.Source
+	mu    sync.Mutex
+	units []servedUnit
+}
+
+type servedUnit struct {
+	kind, unit string
+	topic      int
+	aux        int64
+}
+
+func (l *unitLog) ArtifactBytes(kind, unit string, topic int, aux int64) ([]byte, int64, error) {
+	b, size, err := l.Source.ArtifactBytes(kind, unit, topic, aux)
+	if err == nil {
+		l.mu.Lock()
+		l.units = append(l.units, servedUnit{kind, unit, topic, aux})
+		l.mu.Unlock()
+	}
+	return b, size, err
+}
+
+// take returns and clears the log.
+func (l *unitLog) take() []servedUnit {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	units := l.units
+	l.units = nil
+	return units
 }
 
 func (c *cluster) rrOwner(w int) *rrindex.Index {
@@ -135,11 +171,13 @@ func newCluster(t *testing.T, cacheBytes int64) *cluster {
 			t.Fatal(err)
 		}
 		mux := http.NewServeMux()
-		mux.Handle(remote.BatchPath, remote.NewBatchHandler(eng))
+		log := &unitLog{Source: eng}
+		mux.Handle(remote.BatchPath, remote.NewBatchHandler(log))
 		srv := httptest.NewServer(mux)
 		t.Cleanup(srv.Close)
 		client := remote.NewClient(srv.URL, srv.Client())
 		c.clients = append(c.clients, client)
+		c.served = append(c.served, log)
 		c.urls = append(c.urls, srv.URL)
 		g := remote.NewGroup([]*remote.Client{client}, nil)
 		rr, err := g.OpenRR(ctx)
@@ -390,5 +428,86 @@ func TestRemoteWireBytesAccounted(t *testing.T) {
 	}
 	if res.IO.BytesRead != after-before {
 		t.Fatalf("query reports %d bytes read, clients moved %d", res.IO.BytesRead, after-before)
+	}
+}
+
+// TestRemoteIRRWireIsDirectoryBytes: what a cache-less spanning IRR query
+// moves is exactly the directory extents of the units it fetched — each
+// keyword's IP region and the head-only partition blocks NRA consumed — so
+// nothing rides along that the query does not decode (format v3 dropped the
+// member lists that used to), and with no speculation configured nothing is
+// fetched that is not consumed.
+func TestRemoteIRRWireIsDirectoryBytes(t *testing.T) {
+	c := newCluster(t, 0)
+	ctx := context.Background()
+	wireBytes := func() (n int64) {
+		for _, cl := range c.clients {
+			n += cl.Stats().Bytes
+		}
+		return n
+	}
+	for _, l := range c.served {
+		l.take() // the opens' dir fetches
+	}
+	before := wireBytes()
+	q := topic.Query{Topics: []int{0, 1, 2, 3, 4, 5, 6, 7}, K: 5}
+	res, err := irrindex.QueryMultiStreamCtx(ctx, c.irrOwner, q, wris.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	ips, parts := 0, 0
+	for i, l := range c.served {
+		for _, u := range l.take() {
+			d := c.irrRemote[i].Dir(u.topic)
+			switch {
+			case u.kind == remote.KindIRR && u.unit == irrindex.UnitIP:
+				want += d.IPLen
+				ips++
+			case u.kind == remote.KindIRR && u.unit == irrindex.UnitPart:
+				want += d.Partitions[u.aux].Len
+				parts++
+			default:
+				t.Fatalf("backend %d served %+v to an IRR query", i, u)
+			}
+		}
+	}
+	if ips != len(q.Topics) || parts != res.PartitionsLoaded {
+		t.Fatalf("fetched %d IP tables and %d partitions; the query has %d keywords and consumed %d partitions", ips, parts, len(q.Topics), res.PartitionsLoaded)
+	}
+	if moved := wireBytes() - before; moved != want || res.IO.BytesRead != want {
+		t.Fatalf("clients moved %d bytes, query reports %d read; the fetched units' directory extents sum to %d", moved, res.IO.BytesRead, want)
+	}
+}
+
+// dirOnly is a backend that serves one fixed prelude as its IRR index's dir
+// unit and nothing else.
+type dirOnly []byte
+
+func (p dirOnly) ArtifactBytes(kind, unit string, topic int, aux int64) ([]byte, int64, error) {
+	if kind == remote.KindIRR && unit == irrindex.UnitDir {
+		return p, int64(len(p)), nil
+	}
+	return nil, 0, fmt.Errorf("%w: %s/%s", remote.ErrNoArtifact, kind, unit)
+}
+
+// TestOpenIRRRejectsOldFormatBackend: a router on format v3 in front of a
+// backend still serving a v2 file must fail when it opens the shard — with
+// the rebuild instruction — never at the first query that decodes a block.
+func TestOpenIRRRejectsOldFormatBackend(t *testing.T) {
+	prelude := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32([]byte("KBII"), 2), 16)
+	mux := http.NewServeMux()
+	mux.Handle(remote.BatchPath, remote.NewBatchHandler(dirOnly(prelude)))
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	g := remote.NewGroup([]*remote.Client{remote.NewClient(srv.URL, srv.Client())}, nil)
+	idx, err := g.OpenIRR(context.Background())
+	if err == nil || idx != nil || !errors.Is(err, irrindex.ErrBadFormat) {
+		t.Fatalf("OpenIRR on a v2 backend: index %v, error %v", idx, err)
+	}
+	for _, want := range []string{"version 2", "version 3", "kbtim-build -type irr"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }
