@@ -74,7 +74,7 @@ type Options struct {
 	CacheShards int
 	// QueryParallelism bounds how many artifacts ONE query fetches and
 	// decodes concurrently (0 or 1 = fully sequential). For QueryRR it
-	// parallelizes the per-keyword set-prefix and inverted-table loads; for
+	// parallelizes the per-keyword set-prefix loads and their inversion; for
 	// QueryIRR it parallelizes IP-table loading and speculatively prefetches
 	// each keyword's next partition while the current NRA round runs. Seeds
 	// and spreads are identical either way; only latency and the I/O shape

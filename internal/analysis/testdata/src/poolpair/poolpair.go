@@ -115,7 +115,7 @@ func okFieldsDeferredRelease(n int) (*batch, error) {
 }
 
 // okTransfer hands the pooled slice (and the Put obligation) to the
-// caller, the rrindex.transpose contract.
+// caller, the coverage.NewPart contract.
 func okTransfer(n int) []uint32 {
 	s := pool.Uint32s(n)
 	return s

@@ -4,15 +4,16 @@
 // sets. Greedy gives the (1−1/e) factor that, combined with the sampling
 // bound, yields the overall (1−1/e−ε) guarantee (proof sketch S3–S4).
 //
-// Two implementations are provided: Solve, the textbook scan-and-update
-// greedy the paper uses for the RR index; and SolveLazy, a CELF-style lazily
-// re-evaluated greedy (ablation — see DESIGN.md). Both use identical
-// deterministic tie-breaking (larger count first, then smaller vertex ID),
-// so they return identical seed sequences.
+// SolveParts runs the paper's scan-and-update greedy over Parts, each built
+// by NewPart where its sets were decoded; Solve runs the same loop over an
+// Instance, and SolveLazy, a CELF-style lazy greedy, is the ablation (see
+// DESIGN.md). All break ties alike (larger count first, then smaller vertex
+// ID), so they return identical seed sequences.
 package coverage
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"kbtim/internal/pool"
@@ -36,8 +37,8 @@ type Result struct {
 	Partial  bool     // true when a deadline stopped the run before k picks
 }
 
-// SolveOptions carries the anytime-query hooks shared by Solve and
-// SolveLazy. The zero value means "batch": no emission, no deadline, and
+// SolveOptions carries the anytime-query hooks shared by SolveParts, Solve
+// and SolveLazy. The zero value means "batch": no emission, no deadline, and
 // SolveOpts(in, k, members, SolveOptions{}) is byte-identical to
 // Solve(in, k, members).
 type SolveOptions struct {
@@ -58,8 +59,8 @@ func (so *SolveOptions) expired() bool {
 	return !so.Deadline.IsZero() && time.Now().After(so.Deadline)
 }
 
-// emit appends a pick to res and forwards it to the sink, if any. Both
-// solvers funnel every selection — including zero-marginal padding done by
+// emit appends a pick to res and forwards it to the sink, if any. Every
+// solver funnels every selection — including zero-marginal padding done by
 // callers via the same contract — through this one ordering.
 func (so *SolveOptions) emit(res *Result, seed uint32, marginal int) {
 	res.Seeds = append(res.Seeds, seed)
@@ -91,60 +92,163 @@ func (in *Instance) Validate() error {
 	return nil
 }
 
-// Solve runs the plain greedy: k iterations, each scanning for the vertex
-// with the largest number of uncovered sets, then marking that vertex's sets
-// covered and decrementing the counts of co-members. members(setID) must
-// yield the vertices of a set; the disk indexes supply it from R, the
-// in-memory path from the batch.
+// Part is one block of a maximum-coverage instance in CSR form: the inverse
+// of a run of consecutive RR sets, in local set IDs. A part borrows the sets
+// it was built from (they may be cache-shared: it never writes them, and
+// they must outlive it) and owns one pooled column, which Release returns.
+type Part struct {
+	off    []int32  // vertex v's window of ids is ids[off[v]:off[v+1]]; len NumVertices+1
+	ids    []int32  // ascending local set IDs, vertex by vertex; the column's tail after off
+	setOff []int64  // borrowed: set j is flat[setOff[j]:setOff[j+1]]
+	flat   []uint32 // borrowed
+}
+
+// NewPart inverts the sets flat[off[j]:off[j+1]] over vertices
+// [0, numVertices) into one pooled column, offsets then IDs, in two passes
+// with the offsets as the only cursor: count each vertex's sets over the
+// members flat, rejecting one ≥ numVertices, and prefix-sum the counts into
+// window ends; then walk the sets from last to first, rejecting a set that
+// does not strictly ascend and moving each member's window end down one
+// slot, so every window ascends. A Part holds what Instance.Validate checks.
+func NewPart(numVertices int, off []int64, flat []uint32) (Part, error) {
+	last := len(off) - 1
+	if numVertices < 0 || last < 0 || off[0] < 0 || off[last] > int64(len(flat)) || !slices.IsSorted(off) {
+		return Part{}, fmt.Errorf("coverage: no part of %d offsets into %d members over %d vertices", len(off), len(flat), numVertices)
+	}
+	col := pool.Int32s(numVertices + 1 + int(off[last]-off[0]))
+	counts := col[:numVertices]
+	for _, v := range flat[off[0]:off[last]] {
+		if int(v) >= len(counts) {
+			pool.PutInt32s(col)
+			return Part{}, fmt.Errorf("coverage: a member is outside [0,%d)", numVertices)
+		}
+		counts[v]++
+	}
+	for v := range numVertices {
+		col[v+1] += col[v] // col[v] becomes the end of v's window, col[numVertices] the total
+	}
+	ids := col[numVertices+1:]
+	for j := last - 1; j >= 0; j-- {
+		set := flat[off[j]:off[j+1]]
+		for i, v := range set {
+			if i > 0 && v <= set[i-1] {
+				pool.PutInt32s(col)
+				return Part{}, fmt.Errorf("coverage: set %d does not strictly ascend", j)
+			}
+			col[v]--
+			ids[col[v]] = int32(j)
+		}
+	}
+	return Part{off: col[:numVertices+1], ids: ids, setOff: off, flat: flat}, nil
+}
+
+// Len returns the number of sets in the part.
+func (p *Part) Len() int { return len(p.setOff) - 1 }
+
+// List returns the ascending local IDs of the part's sets that contain v.
+func (p *Part) List(v int) []int32 { return p.ids[p.off[v]:p.off[v+1]] }
+
+// Release returns the pooled column (off spans it to its capacity) and
+// empties the part; releasing an empty Part does nothing.
+func (p *Part) Release() {
+	if p.off != nil {
+		pool.PutInt32s(p.off)
+	}
+	*p = Part{}
+}
+
+// SolveParts is SolveOpts over the instance whose sets are the parts' sets
+// concatenated in order: same seeds, marginals, Covered, emissions and
+// deadline prefix, from the same selection loop, with no concatenated table.
+func SolveParts(numVertices int, parts []Part, k int, so SolveOptions) (Result, error) {
+	counts := pool.Ints(numVertices)
+	defer pool.PutInts(counts)
+	numSets := 0
+	for i := range parts {
+		off := parts[i].off
+		if len(off) != numVertices+1 {
+			return Result{}, fmt.Errorf("coverage: part %d is not over %d vertices", i, numVertices)
+		}
+		for v := range counts {
+			counts[v] += int(off[v+1] - off[v])
+		}
+		numSets += parts[i].Len()
+	}
+	return greedy(counts, numSets, k, &so, func(best int, covered []bool) {
+		for i := range parts {
+			p := &parts[i]
+			for _, id := range p.List(best) {
+				if !covered[id] {
+					covered[id] = true
+					for _, u := range p.flat[p.setOff[id]:p.setOff[id+1]] {
+						counts[u]--
+					}
+				}
+			}
+			covered = covered[p.Len():] // the next part's sets come next
+		}
+	})
+}
+
+// Solve is SolveOpts without anytime hooks.
 func Solve(in *Instance, k int, members func(setID int32) []uint32) (Result, error) {
 	return SolveOpts(in, k, members, SolveOptions{})
 }
 
-// SolveOpts is Solve with anytime hooks: each pick is forwarded to so.Emit
-// as it is certified, and an expired so.Deadline ends the run early with the
-// prefix selected so far (Partial=true).
+// SolveOpts runs greedy over an Instance (members(setID) yields a set's
+// vertices) with anytime hooks: each pick goes to so.Emit as it is
+// certified, and an expired so.Deadline ends the run with the prefix so far
+// (Partial=true).
 func SolveOpts(in *Instance, k int, members func(setID int32) []uint32, so SolveOptions) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, err
-	}
-	if k <= 0 {
-		return Result{}, fmt.Errorf("coverage: k must be positive, got %d", k)
 	}
 	counts := pool.Ints(in.NumVertices)
 	defer pool.PutInts(counts)
 	for v, list := range in.Lists {
 		counts[v] = len(list)
 	}
-	covered := pool.Bools(in.NumSets)
+	return greedy(counts, in.NumSets, k, &so, func(best int, covered []bool) {
+		for _, setID := range in.Lists[best] {
+			if !covered[setID] {
+				covered[setID] = true
+				for _, u := range members(setID) {
+					counts[u]--
+				}
+			}
+		}
+	})
+}
+
+// greedy is the one plain-greedy selection loop (lines 6–14 of Algorithm 2):
+// up to k scans for the unpicked vertex with the most uncovered sets (ties to
+// the smaller ID, zero counts included), each pick emitted, then handed to
+// take, which covers its sets and decrements their members' counts. A pick's
+// count is then 0 for good, so parking it at −1 marks it picked.
+func greedy(counts []int, numSets, k int, so *SolveOptions, take func(v int, covered []bool)) (Result, error) {
+	if k <= 0 {
+		return Result{}, fmt.Errorf("coverage: k must be positive, got %d", k)
+	}
+	covered := pool.Bools(numSets)
 	defer pool.PutBools(covered)
-	picked := pool.Bools(in.NumVertices)
-	defer pool.PutBools(picked)
 	var res Result
-	for iter := 0; iter < k && iter < in.NumVertices; iter++ {
+	for iter := 0; iter < k && iter < len(counts); iter++ {
 		if so.expired() {
 			res.Partial = true
 			break
 		}
 		best, bestCount := -1, -1
-		for v := 0; v < in.NumVertices; v++ {
-			if !picked[v] && counts[v] > bestCount {
-				best, bestCount = v, counts[v]
+		for v, c := range counts {
+			if c > bestCount {
+				best, bestCount = v, c
 			}
 		}
 		if best < 0 {
 			break
 		}
-		picked[best] = true
 		so.emit(&res, uint32(best), bestCount)
-		for _, setID := range in.Lists[best] {
-			if covered[setID] {
-				continue
-			}
-			covered[setID] = true
-			for _, u := range members(setID) {
-				counts[u]--
-			}
-		}
+		take(best, covered)
+		counts[best] = -1
 	}
 	return res, nil
 }

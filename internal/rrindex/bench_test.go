@@ -48,8 +48,9 @@ func benchIndex(b *testing.B) *Index {
 // BenchmarkQueryAllocs is the allocs/query regression gate for the RR read
 // path (CI runs it with -benchmem): one warm multi-keyword query against an
 // in-memory index with the decoded cache attached, the hot serving shape.
-// Recorded: 30 allocs/op (33 before the query stopped looking up an inverted
-// table per keyword); it must not rise.
+// Recorded: 29 allocs/op (30 while the query inverted all keywords into one
+// table after the load, 33 before it stopped looking up an inverted table per
+// keyword); it must not rise.
 func BenchmarkQueryAllocs(b *testing.B) {
 	idx := benchIndex(b)
 	idx.SetDecodedCache(objcache.NewSharded(32<<20, 0))
@@ -68,8 +69,8 @@ func BenchmarkQueryAllocs(b *testing.B) {
 
 // BenchmarkQueryAllocsUncached is the same query with no decoded cache:
 // every iteration pays read + decode, exercising the pooled scratch path.
-// Recorded: 41 allocs/op (82 with the inverted region's read, pair buffers
-// and decode scratch); it must not rise.
+// Recorded: 39 allocs/op (41 with one query-wide inverted table, 82 with the
+// inverted region's read, pair buffers and decode scratch); it must not rise.
 func BenchmarkQueryAllocsUncached(b *testing.B) {
 	idx := benchIndex(b)
 	q := topic.Query{Topics: []int{0, 2, 4}, K: 10}

@@ -119,25 +119,19 @@ func (idx *Index) Dir(topicID int) *KeywordDir { return idx.dirs[topicID] }
 // PartitionsLoaded zero.
 type QueryResult = indexfile.Result
 
-// setsView maps one keyword's RR-set batch into the query's global set-ID
-// space: set (start+i) is batch.Set(i).
-type setsView struct {
-	start int32
-	batch *rrset.Batch
-}
-
-// kwArtifacts is one keyword's fetched-and-decoded state from the parallel
-// load phase, merged sequentially afterwards.
+// kwArtifacts is one keyword's fetched, decoded and inverted state from the
+// parallel load phase, collected in keyword order afterwards.
 type kwArtifacts struct {
-	batch *rrset.Batch // exactly θ^Q_w sets; cache-shared or pool-backed
+	batch *rrset.Batch  // exactly θ^Q_w sets; cache-shared or pool-backed
+	part  coverage.Part // L_w|θ^Q_w: batch inverted, borrowing its sets
 	dec   indexfile.DecCounters
 	err   error
 }
 
 // QueryCtx answers a KB-TIM query with Algorithm 2: load θ^Q_w RR sets of
 // every query keyword, invert them, then run greedy maximum coverage.
-// With SetQueryParallelism > 1 the per-keyword fetch+decode runs concurrently
-// (bounded), and the merge into query state stays sequential in keyword
+// With SetQueryParallelism > 1 the per-keyword fetch+decode+invert runs
+// concurrently (bounded), and greedy takes the keywords' parts in keyword
 // order, so results are identical to the sequential path. ctx is checked at
 // every keyword-load boundary (and passed to the remote fetcher, when one is
 // attached), so a canceled caller stops paying for fetches it no longer wants.
@@ -162,18 +156,18 @@ var errDeadline = errors.New("rrindex: query deadline expired")
 // keyword w (nil = not indexed anywhere). Per-keyword artifacts are
 // bit-identical however the keyword universe is partitioned (each keyword's
 // sampling is seeded by the topic ID alone), the allocation plan depends
-// only on the query keywords' own directory entries, and the merge runs in
-// query-keyword order — so a query spanning N shard indexes returns exactly
-// the seeds, marginals, and spread a single full index would. Each involved
-// index reads through its own per-query I/O scope; the reported IO is their
-// sum.
+// only on the query keywords' own directory entries, and greedy numbers the
+// sets in query-keyword order — so a query spanning N shard indexes returns
+// exactly the seeds, marginals, and spread a single full index would. Each
+// involved index reads through its own per-query I/O scope; the reported IO
+// is their sum.
 //
 // Batch and streaming are this one body (zero options = batch), so parity
 // holds by construction. so.Emit receives each seed synchronously as greedy
 // selection certifies it, with the running spread lower bound of the emitted
 // prefix. ctx is checked before every keyword's artifact load (the unit of
 // work between checks, so cancellation latency is bounded by one
-// fetch+decode) and once more before the coverage solve. A non-zero
+// fetch+decode+invert) and once more before the coverage solve. A non-zero
 // so.Deadline turns timeout into degradation: it is checked at every
 // keyword-load boundary and before every greedy pick, and once expired the
 // query returns whatever prefix is certified so far with Partial=true (RR
@@ -205,18 +199,15 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	}
 
 	var dec indexfile.DecCounters
-	views := make([]setsView, 0, len(q.Topics))
-	lists := pool.Int32Lists(base.hdr.NumVertices)
-	defer pool.PutInt32Lists(lists)
-	offset := int32(0)
+	nv := base.hdr.NumVertices
 	loaded := make(map[int]int, len(alloc))
 	phiQ := rq.PhiQ
 
-	// Fetch phase: every keyword's set prefix is fetched and decoded into
-	// private (or cache-shared) state — nothing query-global is touched
-	// until the merge. With parallelism > 1 the keywords load concurrently
-	// (bounded); the merge below is sequential in keyword order either way,
-	// so results are identical.
+	// Load phase: each keyword's set prefix is fetched, decoded and inverted
+	// into its own part by one goroutine, while the sets are in its cache;
+	// nothing query-global is touched until greedy. With parallelism > 1 the
+	// keywords load concurrently (bounded); greedy takes the parts in keyword
+	// order either way, so results are identical.
 	arts := make([]kwArtifacts, len(q.Topics))
 	fetchOne := func(a *kwArtifacts, ix *Index, r diskio.Segmented, w, t int) {
 		// The keyword-load boundary is the cancellation unit: a canceled
@@ -230,7 +221,9 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 			a.err = errDeadline
 			return
 		}
-		a.batch, a.err = ix.setsPrefix(ctx, r, ix.dirs[w], t, &a.dec)
+		if a.batch, a.err = ix.setsPrefix(ctx, r, ix.dirs[w], t, &a.dec); a.err == nil {
+			a.part, a.err = coverage.NewPart(nv, a.batch.Off, a.batch.Flat)
+		}
 	}
 	par := rq.Par
 	if par > len(q.Topics) {
@@ -259,6 +252,7 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	}
 	defer func() {
 		for i := range arts {
+			arts[i].part.Release()
 			if rq.Index(i).DecodedCache() == nil && arts[i].batch != nil {
 				// Query-private pool-backed batches (never cache-shared).
 				pool.PutUint32s(arts[i].batch.Flat)
@@ -292,36 +286,20 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		}, nil
 	}
 
-	// Merge: keyword i's set j becomes global set offset_i + j, keywords in
-	// query order; the inverted lists are derived from those views.
+	// Merge: collect the parts in query order — greedy numbers keyword i's
+	// set j after every set of keywords 0..i−1.
+	parts := make([]coverage.Part, 0, len(q.Topics))
+	total := 0
 	for i, w := range q.Topics {
-		views = append(views, setsView{start: offset, batch: arts[i].batch})
-		offset += int32(alloc[w])
+		parts = append(parts, arts[i].part)
+		total += alloc[w]
 		loaded[w] = alloc[w]
 	}
-	arena := transpose(lists, views)
-	defer pool.PutInt32s(arena)
 
-	// The solve is pure CPU on fully merged state, so this is the last
+	// The solve is pure CPU on fully loaded state, so this is the last
 	// moment a canceled query can stop early.
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	total := int(offset)
-	inst := &coverage.Instance{
-		NumVertices: base.hdr.NumVertices,
-		NumSets:     total,
-		Lists:       lists,
-	}
-	// Queries carry a handful of keywords, so a reverse linear scan finds
-	// the owning batch faster than anything fancier.
-	members := func(id int32) []uint32 {
-		for i := len(views) - 1; i >= 0; i-- {
-			if id >= views[i].start {
-				return views[i].batch.Set(int(id - views[i].start))
-			}
-		}
-		return nil
 	}
 	// total and phiQ are both known before selection starts (the plan fixed
 	// them), so the running spread lower bound of an emitted prefix uses the
@@ -334,7 +312,7 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 			so.Emit(seed, marginal, float64(running)/float64(total)*phiQ)
 		}
 	}
-	res, err := coverage.SolveOpts(inst, q.K, members, sopts)
+	res, err := coverage.SolveParts(nv, parts, q.K, sopts)
 	if err != nil {
 		return nil, err
 	}
@@ -353,50 +331,6 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		DecodedMisses: dec.Misses,
 		Partial:       res.Partial,
 	}, nil
-}
-
-// transpose fills lists[v] with the ascending global IDs of the loaded sets
-// that contain v — the inverted lists L_w|θ^Q_w greedy selection walks. They
-// are exactly "which of the sets this query holds contain v", so they are
-// derived from the set prefixes instead of read from the file's θ_w-wide
-// inverted region, most of which a query would decode and drop; and a list
-// can no longer disagree with the members it indexes. Two passes, CSR style:
-// count pairs per vertex (members were range-checked at decode) so every list
-// is a window of ONE pooled arena, then fill view by view, set by set — IDs
-// ascend within a keyword and offsets grow across keywords, byte for byte the
-// lists the file's L_w trimmed to IDs < θ^Q_w would give. The caller returns
-// the arena to the pool once the lists are dead.
-func transpose(lists [][]int32, views []setsView) []int32 {
-	cursor := pool.Ints(len(lists))
-	defer pool.PutInts(cursor)
-	pairs := 0
-	for _, vw := range views {
-		for _, v := range vw.batch.Flat {
-			cursor[v]++
-		}
-		pairs += len(vw.batch.Flat)
-	}
-	arena := pool.Int32s(pairs)
-	pos := 0
-	for v, n := range cursor {
-		if n > 0 {
-			lists[v] = arena[pos : pos+n : pos+n]
-		}
-		cursor[v] = pos // v's count becomes its write position
-		pos += n
-	}
-	for _, vw := range views {
-		flat, lo := vw.batch.Flat, int64(0)
-		for j, hi := range vw.batch.Off[1:] {
-			id := vw.start + int32(j)
-			for _, v := range flat[lo:hi] {
-				arena[cursor[v]] = id
-				cursor[v]++
-			}
-			lo = hi
-		}
-	}
-	return arena
 }
 
 // setsPrefix returns keyword d's first t RR sets as a batch, served from the
@@ -469,14 +403,18 @@ func (idx *Index) decodeSets(ctx context.Context, r diskio.Segmented, d *Keyword
 		}
 		pos += n
 		// Delta lists ascend strictly (the decoder enforces it), so the last
-		// member bounds the set; Raw members are checked one by one.
+		// member bounds the set; Raw members are checked one by one, for
+		// range and for strict ascent, as irrindex checks its raw lists.
 		set := batch.Flat[start:]
 		if comp == codec.Delta && len(set) > 1 {
 			set = set[len(set)-1:]
 		}
-		for _, v := range set {
+		for j, v := range set {
 			if int(v) >= idx.hdr.NumVertices {
 				return nil, fmt.Errorf("%w: member %d out of range", ErrBadFormat, v)
+			}
+			if j > 0 && v <= set[j-1] {
+				return nil, fmt.Errorf("%w: set %d does not ascend", ErrBadFormat, i)
 			}
 		}
 		batch.Off = append(batch.Off, int64(len(batch.Flat)))

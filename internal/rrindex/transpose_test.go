@@ -16,6 +16,7 @@ import (
 	"kbtim/internal/objcache"
 	"kbtim/internal/pool"
 	"kbtim/internal/prop"
+	"kbtim/internal/rrset"
 	"kbtim/internal/topic"
 	"kbtim/internal/wris"
 )
@@ -83,11 +84,12 @@ func sameLists(a, b [][]int32) bool {
 }
 
 // TestTransposeMatchesInvertedRegion pins the claim the query path rests on:
-// the per-vertex lists derived from a keyword's first t sets ARE the file's
-// L_w trimmed to IDs < t — for every keyword, at prefix lengths on both sides
-// of a checkpoint, on both compressions, through the pooled cache-free decode
-// and the shared decoded-cache one; and a query spanning two shard files
-// answers exactly what greedy over the trimmed on-disk regions answers.
+// the coverage part NewPart inverts from a keyword's first t sets lists, per
+// vertex, exactly the file's L_w trimmed to IDs < t (local IDs) — for every
+// keyword, at prefix lengths on both sides of a checkpoint, on both
+// compressions, through the pooled cache-free decode and the shared
+// decoded-cache one; and a query spanning two shard files answers exactly
+// what greedy over the trimmed on-disk regions answers.
 func TestTransposeMatchesInvertedRegion(t *testing.T) {
 	const topics = 6
 	g, err := gen.NewsLike(gen.NewsLikeConfig{N: 300, AvgDegree: 3, Seed: 21})
@@ -143,12 +145,18 @@ func TestTransposeMatchesInvertedRegion(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := make([][]int32, plain.hdr.NumVertices)
-					arena := transpose(got, []setsView{{batch: b}})
-					if b.Len() != tt || !sameLists(got, want) {
-						t.Errorf("%s %s topic %d t=%d: transposed prefix (%d sets) differs from the inverted region trimmed to t", comp, arm.name, w, tt, b.Len())
+					part, err := coverage.NewPart(plain.hdr.NumVertices, b.Off, b.Flat)
+					if err != nil {
+						t.Fatal(err)
 					}
-					pool.PutInt32s(arena)
+					got := make([][]int32, plain.hdr.NumVertices)
+					for v := range got {
+						got[v] = part.List(v)
+					}
+					if b.Len() != tt || part.Len() != tt || !sameLists(got, want) {
+						t.Errorf("%s %s topic %d t=%d: part of the prefix (%d sets) differs from the inverted region trimmed to t", comp, arm.name, w, tt, b.Len())
+					}
+					part.Release()
 					if arm.idx.DecodedCache() == nil {
 						pool.PutUint32s(b.Flat)
 						pool.PutInt64s(b.Off)
@@ -176,7 +184,8 @@ func TestTransposeMatchesInvertedRegion(t *testing.T) {
 				t.Fatal(err)
 			}
 			inst := &coverage.Instance{NumVertices: plain.hdr.NumVertices, Lists: make([][]int32, plain.hdr.NumVertices)}
-			var views []setsView
+			var batches []*rrset.Batch
+			var starts []int32
 			for _, w := range q.Topics {
 				if !sameLists(invRegion(t, owner(w), owner(w).Dir(w)), regions[w]) {
 					t.Fatalf("%s topic %d: shard file's inverted region differs from the full file's", comp, w)
@@ -188,15 +197,15 @@ func TestTransposeMatchesInvertedRegion(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				views = append(views, setsView{start: int32(inst.NumSets), batch: b})
+				batches, starts = append(batches, b), append(starts, int32(inst.NumSets))
 				inst.NumSets += alloc[w]
 			}
 			want, err := coverage.Solve(inst, q.K, func(id int32) []uint32 {
-				for i := len(views) - 1; ; i-- {
-					if id >= views[i].start {
-						return views[i].batch.Set(int(id - views[i].start))
-					}
+				i := len(starts) - 1
+				for id < starts[i] {
+					i--
 				}
+				return batches[i].Set(int(id - starts[i]))
 			})
 			if err != nil {
 				t.Fatal(err)

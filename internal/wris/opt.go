@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"kbtim/internal/coverage"
 	"kbtim/internal/graph"
 	"kbtim/internal/prop"
 	"kbtim/internal/rrset"
@@ -72,12 +71,7 @@ func estimateOPT(g *graph.Graph, model prop.Model, picker rrset.RootPicker, k, p
 		Seed:    seed,
 		Workers: workers,
 	})
-	inst := &coverage.Instance{
-		NumVertices: g.NumVertices(),
-		NumSets:     batch.Len(),
-		Lists:       batch.InvertedLists(g.NumVertices()),
-	}
-	res, err := coverage.Solve(inst, k, func(id int32) []uint32 { return batch.Set(int(id)) })
+	res, err := solveBatch(g.NumVertices(), batch, k)
 	if err != nil {
 		return 0, err
 	}

@@ -128,11 +128,12 @@ func QueryRIS(g *graph.Graph, model prop.Model, k int, cfg Config) (Result, erro
 	}, nil
 }
 
+// solveBatch is greedy over batch as one coverage part.
 func solveBatch(numVertices int, batch *rrset.Batch, k int) (coverage.Result, error) {
-	inst := &coverage.Instance{
-		NumVertices: numVertices,
-		NumSets:     batch.Len(),
-		Lists:       batch.InvertedLists(numVertices),
+	part, err := coverage.NewPart(numVertices, batch.Off, batch.Flat)
+	if err != nil {
+		return coverage.Result{}, err
 	}
-	return coverage.Solve(inst, k, func(id int32) []uint32 { return batch.Set(int(id)) })
+	defer part.Release()
+	return coverage.SolveParts(numVertices, []coverage.Part{part}, k, coverage.SolveOptions{})
 }

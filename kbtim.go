@@ -87,8 +87,8 @@ type Strategy string
 // The disk-index strategies. The string values are the ones the /query wire
 // field, the cross-node fetch protocol and BuildShardIndexes use.
 const (
-	// StrategyRR is Algorithm 2: load every query keyword's RR-set prefix and
-	// inverted file, then run greedy maximum coverage.
+	// StrategyRR is Algorithm 2: load every query keyword's RR-set prefix,
+	// invert it, then run greedy maximum coverage.
 	StrategyRR Strategy = "rr"
 	// StrategyIRR is Algorithm 4: NRA top-k aggregation over the partitioned
 	// inverted lists, stopping as soon as the next seed is provably best.
