@@ -81,16 +81,6 @@ func BenchmarkAblationCompression(b *testing.B) {
 func BenchmarkAblationGreedy(b *testing.B) {
 	runExperiment(b, "ablation-greedy", bench.AblationGreedy)
 }
-func BenchmarkThroughput(b *testing.B) {
-	runExperiment(b, "throughput", bench.Throughput)
-}
-func BenchmarkShardedThroughput(b *testing.B) {
-	runExperiment(b, "sharded", bench.ShardedThroughput)
-}
-
-func BenchmarkRouterThroughput(b *testing.B) {
-	runExperiment(b, "router", bench.RouterThroughput)
-}
 
 // TestMain tears down the shared benchmark environment (cached index files
 // in the OS temp dir) after all benchmarks have run.

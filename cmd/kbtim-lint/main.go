@@ -1,7 +1,7 @@
 // Command kbtim-lint runs the kbtim analyzer suite (handlepin,
-// poolpair, ctxflow, cacheimmutable, lockorder, atomicfield — see
-// internal/analysis) over the module and exits non-zero when any
-// unsuppressed finding remains. CI runs `go run ./cmd/kbtim-lint ./...`
+// poolpair, ctxflow, cacheimmutable, lockorder — see internal/analysis)
+// over the module and exits non-zero when any unsuppressed finding
+// remains. CI runs `go run ./cmd/kbtim-lint ./...`
 // on every change, so the invariants the analyzers encode are gates,
 // not conventions.
 //

@@ -300,38 +300,3 @@ func TestServerStreamMidstreamError(t *testing.T) {
 		t.Fatalf("failed=%d served=%d, want 1/0", st.Failed, st.Served)
 	}
 }
-
-// TestDriveStream: the load driver's streaming mode completes queries,
-// records time-to-first-seed, and sees zero deadline-cut replies when no
-// deadline is set.
-func TestDriveStream(t *testing.T) {
-	srv := NewServer(testEngine(t), 4)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	rep, err := drive(driveConfig{
-		Target:   ts.URL,
-		Clients:  4,
-		Duration: 300 * time.Millisecond,
-		K:        2,
-		MaxLen:   2,
-		Strategy: "irr",
-		Seed:     3,
-		Stream:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Queries == 0 {
-		t.Fatal("driver completed no queries")
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("driver saw %d errors", rep.Errors)
-	}
-	if !rep.Streamed || rep.FirstSeedP50MS <= 0 || rep.FirstSeedP99MS < rep.FirstSeedP50MS {
-		t.Fatalf("implausible first-seed stats: %+v", rep)
-	}
-	if rep.Partials != 0 {
-		t.Fatalf("%d deadline-cut replies without a deadline", rep.Partials)
-	}
-}

@@ -1,5 +1,4 @@
-// Command kbtim-serve runs a KB-TIM query server over HTTP/JSON, or drives
-// one with closed-loop load.
+// Command kbtim-serve runs a KB-TIM query server over HTTP/JSON.
 //
 // Serve mode binds one or more Engines (with their cache tiers) to an
 // address and answers concurrent queries through a bounded worker pool:
@@ -54,12 +53,6 @@
 //
 // The server shuts down gracefully: SIGINT/SIGTERM stops accepting new
 // connections and drains in-flight queries (up to -drain), then exits 0.
-//
-// Drive mode is a closed-loop load generator against a running server
-// (each client keeps exactly one query outstanding):
-//
-//	kbtim-serve -drive -target http://localhost:8080 \
-//	            -clients 16 -duration 30s -k 10
 package main
 
 import (
@@ -90,7 +83,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("kbtim-serve", flag.ContinueOnError)
 	var (
-		// Serve mode.
 		addr        = fs.String("addr", ":8080", "listen address (serve mode)")
 		graphPath   = fs.String("graph", "graph.bin", "input graph path")
 		profilePath = fs.String("profiles", "profiles.bin", "input profiles path")
@@ -114,46 +106,12 @@ func run(args []string) error {
 		bigK        = fs.Int("K", 100, "system cap on Q.k")
 		maxTheta    = fs.Int("max-theta", 0, "per-keyword sampling cap (0 = none)")
 		seed        = fs.Uint64("seed", 1, "RNG seed")
-
-		// Drive mode.
-		driveMode = fs.Bool("drive", false, "run the closed-loop load driver instead of serving")
-		target    = fs.String("target", "http://localhost:8080", "server base URL (drive mode)")
-		clients   = fs.Int("clients", 8, "closed-loop client count (drive mode)")
-		duration  = fs.Duration("duration", 10*time.Second, "load duration (drive mode)")
-		k         = fs.Int("k", 10, "seed budget Q.k per generated query (drive mode)")
-		maxLen    = fs.Int("max-keywords", 3, "max keywords per generated query (drive mode)")
-		strategy  = fs.String("strategy", "irr", "strategy for generated queries: rr | irr (drive mode)")
-		zipf      = fs.Float64("zipf", 0, "keyword popularity skew exponent, 0 = uniform (drive mode)")
-		churn     = fs.Duration("churn", 0, "rotate the active keyword window this often, 0 = whole universe (drive mode)")
-		stream    = fs.Bool("stream", false, "drive /query?stream=1 and report time-to-first-seed (drive mode)")
-		dlMS      = fs.Int64("deadline-ms", 0, "anytime deadline_ms attached to every generated query, 0 = none (drive mode)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil // -h printed usage; that is a clean exit, not a failure
 		}
 		return err
-	}
-
-	if *driveMode {
-		rep, err := drive(driveConfig{
-			Target:     *target,
-			Clients:    *clients,
-			Duration:   *duration,
-			K:          *k,
-			MaxLen:     *maxLen,
-			Strategy:   *strategy,
-			Seed:       *seed,
-			Zipf:       *zipf,
-			Churn:      *churn,
-			Stream:     *stream,
-			DeadlineMS: *dlMS,
-		})
-		if err != nil {
-			return err
-		}
-		rep.print()
-		return nil
 	}
 
 	pool := *workers
@@ -184,7 +142,7 @@ func run(args []string) error {
 			*addr, len(groups), nreps, *shardMode, pool, *decodedMB)
 	} else {
 		if *rrPath == "" && *irrPath == "" {
-			return errors.New("serve mode needs -rr and/or -irr (or use -drive / -router)")
+			return errors.New("serve mode needs -rr and/or -irr (or use -router)")
 		}
 		if *shards < 1 {
 			return fmt.Errorf("-shards must be >= 1, got %d", *shards)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -373,10 +374,10 @@ func writeError(w http.ResponseWriter, status int, format string, args ...interf
 }
 
 // validateQueryRequest rejects malformed client input before it reaches an
-// engine: missing/duplicate topics, a non-positive k, and unknown
-// strategies are client errors (400), not query failures. Keyword range is
-// left to the engine, which knows the topic space. Returns the effective
-// strategy (IRR when unset).
+// engine: missing/duplicate topics, a non-positive k, unknown strategies and
+// an out-of-range deadline_ms are client errors (400), not query failures.
+// Keyword range is left to the engine, which knows the topic space. Returns
+// the effective strategy (IRR when unset).
 func validateQueryRequest(req *queryRequest) (kbtim.Strategy, error) {
 	strategy := kbtim.Strategy(req.Strategy)
 	if strategy == "" {
@@ -400,6 +401,11 @@ func validateQueryRequest(req *queryRequest) (kbtim.Strategy, error) {
 	}
 	if req.DeadlineMS < 0 {
 		return "", fmt.Errorf("deadline_ms must be non-negative, got %d", req.DeadlineMS)
+	}
+	// Past this the conversion to a time.Duration overflows int64 and the
+	// deadline lands in the past.
+	if req.DeadlineMS > math.MaxInt64/int64(time.Millisecond) {
+		return "", fmt.Errorf("deadline_ms too large, got %d", req.DeadlineMS)
 	}
 	return strategy, nil
 }

@@ -154,6 +154,10 @@ func TestServerRejectsInvalidInput(t *testing.T) {
 		{"no topics", queryRequest{K: 2}},
 		{"duplicate topics", queryRequest{Topics: []int{1, 1}, K: 2}},
 		{"bad strategy", queryRequest{Topics: []int{0}, K: 2, Strategy: "wris"}},
+		{"negative deadline", queryRequest{Topics: []int{0}, K: 2, DeadlineMS: -1}},
+		// 1e13 ms overflows a time.Duration; it must not turn into a
+		// deadline in the past and an empty partial answer.
+		{"overflowing deadline", queryRequest{Topics: []int{0}, K: 2, DeadlineMS: 1e13}},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(mustJSON(t, tc.req)))
@@ -203,22 +207,6 @@ func TestServerRejectsInvalidInput(t *testing.T) {
 	}
 }
 
-// TestDriveValidatesConfig: drive mode refuses to start the load loop on a
-// bad strategy or client count.
-func TestDriveValidatesConfig(t *testing.T) {
-	bad := []driveConfig{
-		{Target: "http://127.0.0.1:1", Clients: 4, Duration: time.Second, K: 1, Strategy: "wris"},
-		{Target: "http://127.0.0.1:1", Clients: 0, Duration: time.Second, K: 1, Strategy: "irr"},
-		{Target: "http://127.0.0.1:1", Clients: 4, Duration: time.Second, K: 0, Strategy: "rr"},
-		{Target: "http://127.0.0.1:1", Clients: 4, Duration: 0, K: 1, Strategy: "irr"},
-	}
-	for i, cfg := range bad {
-		if _, err := drive(cfg); err == nil {
-			t.Fatalf("config %d accepted: %+v", i, cfg)
-		}
-	}
-}
-
 func mustJSON(t *testing.T, v interface{}) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -229,96 +217,88 @@ func mustJSON(t *testing.T, v interface{}) []byte {
 }
 
 // TestServerConcurrentLoad hammers the bounded pool from more goroutines
-// than workers; every request must come back correct (run under -race this
-// also guards the Engine's concurrency story end to end).
+// than workers; every request must come back correct and none may fail (run
+// under -race this also guards the Engine's concurrency story end to end).
+// The sharded backend answers a query spanning both shards.
 func TestServerConcurrentLoad(t *testing.T) {
-	srv := NewServer(testEngine(t), 2) // pool smaller than client count
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	want, resp := postQuery(t, ts, queryRequest{Topics: []int{0, 1}, K: 2})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("baseline: %s", resp.Status)
+	cases := []struct {
+		name string
+		open func(t *testing.T) (backend, []int)
+	}{
+		{"one engine", func(t *testing.T) (backend, []int) {
+			return testEngine(t), []int{0, 1}
+		}},
+		{"2-shard hash", func(t *testing.T) (backend, []int) {
+			ds, opts, rrPath, irrPath := shardedFixture(t, 2)
+			be, closeBackend, err := openBackend(ds, opts, rrPath, irrPath, 2, kbtim.ShardHash, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { closeBackend() })
+			return be, be.IndexedKeywords()
+		}},
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				qr, resp := postQuery(t, ts, queryRequest{Topics: []int{0, 1}, K: 2})
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("status %s", resp.Status)
-					return
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			be, topics := tc.open(t)
+			srv := NewServer(be, 2) // pool smaller than client count
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+
+			req := queryRequest{Topics: topics, K: 2}
+			want, resp := postQuery(t, ts, req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("baseline: %s", resp.Status)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 5; i++ {
+						qr, resp := postQuery(t, ts, req)
+						if resp.StatusCode != http.StatusOK {
+							t.Errorf("status %s", resp.Status)
+							return
+						}
+						if len(qr.Seeds) != len(want.Seeds) || qr.EstSpread != want.EstSpread {
+							t.Errorf("result diverged under load: %+v vs %+v", qr, want)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+
+			// Stats must reflect the traffic and a warm cache. A handler
+			// releases its pool slot only after its reply is on the wire, so
+			// the last client can be back here a moment before in_flight
+			// drops: wait for that.
+			var stats statsResponse
+			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+				sresp, err := http.Get(ts.URL + "/stats")
+				if err != nil {
+					t.Fatal(err)
 				}
-				if len(qr.Seeds) != len(want.Seeds) || qr.EstSpread != want.EstSpread {
-					t.Errorf("result diverged under load: %+v vs %+v", qr, want)
-					return
+				err = json.NewDecoder(sresp.Body).Decode(&stats)
+				sresp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.InFlight == 0 || time.Now().After(deadline) {
+					break
 				}
 			}
-		}()
-	}
-	wg.Wait()
-
-	// Stats must reflect the traffic and a warm cache. A handler releases
-	// its pool slot only after its reply is on the wire, so the last client
-	// can be back here a moment before in_flight drops: wait for that.
-	var stats statsResponse
-	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		sresp, err := http.Get(ts.URL + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(sresp.Body).Decode(&stats)
-		sresp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.InFlight == 0 || time.Now().After(deadline) {
-			break
-		}
-	}
-	if stats.Served < 41 { // 1 baseline + 40 load
-		t.Fatalf("served = %d, want >= 41", stats.Served)
-	}
-	if stats.Workers != 2 || stats.InFlight != 0 {
-		t.Fatalf("pool state = %+v", stats)
-	}
-	if stats.IRRCache.Hits == 0 {
-		t.Fatalf("repeated workload produced no IRR cache hits: %+v", stats.IRRCache)
-	}
-}
-
-// TestDriveClosedLoop exercises the load driver against an in-process
-// server.
-func TestDriveClosedLoop(t *testing.T) {
-	srv := NewServer(testEngine(t), 4)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	rep, err := drive(driveConfig{
-		Target:   ts.URL,
-		Clients:  4,
-		Duration: 300 * time.Millisecond,
-		K:        2,
-		MaxLen:   2,
-		Strategy: "irr",
-		Seed:     3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Queries == 0 {
-		t.Fatal("driver completed no queries")
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("driver saw %d errors", rep.Errors)
-	}
-	if rep.QPS <= 0 || rep.P95MS < rep.P50MS {
-		t.Fatalf("implausible report: %+v", rep)
-	}
-	if rep.CacheHits == 0 {
-		t.Fatal("repeated random workload over 6 topics should hit the cache")
+			if stats.Served < 41 || stats.Failed != 0 { // 1 baseline + 40 load
+				t.Fatalf("served/failed = %d/%d, want >= 41/0", stats.Served, stats.Failed)
+			}
+			if stats.Workers != 2 || stats.InFlight != 0 {
+				t.Fatalf("pool state = %+v", stats)
+			}
+			if stats.IRRCache.Hits+stats.IRRDecoded.Hits == 0 {
+				t.Fatalf("repeated workload produced no IRR cache hits: %+v / %+v", stats.IRRCache, stats.IRRDecoded)
+			}
+		})
 	}
 }
 

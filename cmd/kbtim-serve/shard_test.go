@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"kbtim"
 )
@@ -171,36 +170,6 @@ func TestShardedServerParity(t *testing.T) {
 	}
 	if statsOne.NumShards != 1 || len(statsOne.Shards) != 0 {
 		t.Fatalf("single-engine shard section: %d/%d", statsOne.NumShards, len(statsOne.Shards))
-	}
-}
-
-// TestShardedDriveClosedLoop drives the sharded server with the closed-loop
-// generator: zero errors, nonzero throughput — the in-process version of
-// the CI smoke gate.
-func TestShardedDriveClosedLoop(t *testing.T) {
-	ds, opts, rrPath, irrPath := shardedFixture(t, 2)
-	be, closeBackend, err := openBackend(ds, opts, rrPath, irrPath, 2, kbtim.ShardHash, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeBackend()
-	ts := httptest.NewServer(NewServer(be, 4).Handler())
-	defer ts.Close()
-
-	rep, err := drive(driveConfig{
-		Target:   ts.URL,
-		Clients:  4,
-		Duration: 300 * time.Millisecond,
-		K:        2,
-		MaxLen:   3,
-		Strategy: "irr",
-		Seed:     3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Queries == 0 || rep.Errors != 0 {
-		t.Fatalf("sharded drive: %d queries, %d errors", rep.Queries, rep.Errors)
 	}
 }
 

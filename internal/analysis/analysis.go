@@ -1,5 +1,5 @@
 // Package analysis implements kbtim-lint: a small, self-contained
-// static-analysis framework plus the six repo-specific analyzers that
+// static-analysis framework plus the five repo-specific analyzers that
 // machine-check the invariants the runtime depends on:
 //
 //   - handlepin: every acquire/pin result has its release (or returned
@@ -19,9 +19,6 @@
 //   - lockorder: Lock/Unlock pairing on all paths, ascending
 //     //kbtim:lockrank order for annotated mutex fields, and ascending
 //     shard order for indexed per-shard resources.
-//   - atomicfield: a field accessed via sync/atomic anywhere in a
-//     package is accessed atomically everywhere in it, and typed
-//     atomics are never copied as values.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) so the analyzers can be ported to the real
@@ -143,5 +140,5 @@ func Active(diags []Diagnostic) []Diagnostic {
 
 // All returns the full kbtim analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Handlepin, Poolpair, Ctxflow, Cacheimmutable, Lockorder, Atomicfield}
+	return []*Analyzer{Handlepin, Poolpair, Ctxflow, Cacheimmutable, Lockorder}
 }

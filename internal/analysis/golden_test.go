@@ -41,10 +41,6 @@ func TestLockorderGolden(t *testing.T) {
 	analysistest.Run(t, "../..", "testdata/src/lockorder", analysis.Lockorder)
 }
 
-func TestAtomicfieldGolden(t *testing.T) {
-	analysistest.Run(t, "../..", "testdata/src/atomicfield", analysis.Atomicfield)
-}
-
 // TestTreeIsClean runs the full suite over the whole module, the same
 // gate CI applies with cmd/kbtim-lint: the tree must lint clean.
 func TestTreeIsClean(t *testing.T) {

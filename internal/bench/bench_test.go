@@ -163,52 +163,3 @@ func TestTableRenderer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// BenchmarkThroughputSmoke runs the throughput experiment end to end at toy
-// scale. CI's bench-smoke step (`go test -bench . -benchtime 1x
-// ./internal/bench`) executes this, so the experiment harness — dataset
-// generation, index builds, the cache-tier sweep — cannot silently rot.
-func BenchmarkThroughputSmoke(b *testing.B) {
-	env, err := NewEnv(tinyConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer env.Close()
-	for i := 0; i < b.N; i++ {
-		if err := Throughput(b.Context(), io.Discard, env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestThroughputCacheTiers asserts the cache axis is present and sane: the
-// sweep must produce an "off", a "byte", and an "object" row per family,
-// and the cached rows must record hits on the repeated workload.
-func TestThroughputCacheTiers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput sweep skipped in -short mode")
-	}
-	env := tinyEnv(t)
-	points, err := RunThroughput(t.Context(), env, News)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := map[string]bool{}
-	for _, p := range points {
-		kinds[p.CacheKind] = true
-		if p.QPS <= 0 || p.Queries <= 0 {
-			t.Fatalf("implausible point %+v", p)
-		}
-		if p.CacheKind != "off" && p.HitRate == 0 {
-			t.Fatalf("%s cache never hit on a cycled workload: %+v", p.CacheKind, p)
-		}
-		if p.CacheKind == "off" && p.HitRate != 0 {
-			t.Fatalf("uncached row reports a hit rate: %+v", p)
-		}
-	}
-	for _, want := range []string{"off", "byte", "object"} {
-		if !kinds[want] {
-			t.Fatalf("cache axis missing %q: %v", want, kinds)
-		}
-	}
-}

@@ -137,7 +137,6 @@ type indexKey struct {
 
 // indexEntry is a cached, opened index.
 type indexEntry struct {
-	path     string
 	bytes    int64
 	sumTheta int64
 	meanRR   float64
@@ -333,7 +332,7 @@ func (e *Env) index(key indexKey) (*indexEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	ent := &indexEntry{path: path}
+	ent := &indexEntry{}
 	switch key.kind {
 	case "rr":
 		stats, berr := rrindex.Build(fo, g, prop.IC{}, prof, cfg, rrindex.BuildOptions{

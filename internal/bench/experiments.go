@@ -39,9 +39,6 @@ var Experiments = []struct {
 	{"ablation-delta", "Ablation: IRR partition size δ", AblationPartitionSize},
 	{"ablation-compress", "Ablation: compression on/off query impact", AblationCompression},
 	{"ablation-greedy", "Ablation: plain vs CELF-lazy greedy", AblationGreedy},
-	{"throughput", "Throughput: q/s vs workers vs segment cache (multi-client)", Throughput},
-	{"sharded", "Sharded serving: q/s vs engine shards (1/2/4) vs workers", ShardedThroughput},
-	{"router", "Router serving: 1 engine vs 2-shard box vs 2-node HTTP router", RouterThroughput},
 }
 
 // Lookup finds an experiment by ID.

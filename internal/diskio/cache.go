@@ -184,15 +184,6 @@ func (c *CachedReader) Stats() CacheStats {
 	return s
 }
 
-// Purge drops every cached segment (counters are kept).
-func (c *CachedReader) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.entries = make(map[int64]*list.Element)
-	c.used = 0
-}
-
 // Scope wraps a Segmented with a private Counter so one query's I/O can be
 // measured exactly even while other queries share the same reader. Reads
 // pass straight through to the shared reader (and its shared counter); the

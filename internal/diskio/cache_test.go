@@ -178,19 +178,6 @@ func TestCachedReaderErrorNotCached(t *testing.T) {
 	}
 }
 
-func TestCachedReaderPurge(t *testing.T) {
-	c := NewCachedReader(NewMem(testPayload(256), nil), 1024)
-	c.ReadSegment(0, 64)
-	c.Purge()
-	if s := c.Stats(); s.Entries != 0 || s.BytesCached != 0 {
-		t.Fatalf("purge left entries: %+v", s)
-	}
-	c.ReadSegment(0, 64)
-	if s := c.Stats(); s.Misses != 2 {
-		t.Fatalf("read after purge should miss: %+v", s)
-	}
-}
-
 func TestCachedReaderConcurrent(t *testing.T) {
 	payload := testPayload(4096)
 	c := NewCachedReader(NewMem(payload, nil), 512)

@@ -457,16 +457,3 @@ func (c *Cache) Stats() Stats {
 	out.BudgetBytes = c.budget
 	return out
 }
-
-// Purge drops every cached artifact (counters are kept, in-flight loads are
-// unaffected — they will reinsert on completion).
-func (c *Cache) Purge() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		s.ll.Init()
-		s.entries = make(map[Key]*list.Element)
-		s.used = 0
-		s.regionUsed = [maxRegions]int64{}
-		s.mu.Unlock()
-	}
-}

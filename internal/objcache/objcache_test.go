@@ -185,21 +185,6 @@ func TestConcurrentMixedKeys(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New(1 << 10)
-	if _, _, err := c.GetOrLoad(Key{Topic: 1}, func() (any, int64, error) { return 1, 8, nil }); err != nil {
-		t.Fatal(err)
-	}
-	c.Purge()
-	if s := c.Stats(); s.Entries != 0 || s.BytesCached != 0 || s.Misses != 1 {
-		t.Fatalf("post-purge stats %+v", s)
-	}
-	_, hit, _ := c.GetOrLoad(Key{Topic: 1}, func() (any, int64, error) { return 1, 8, nil })
-	if hit {
-		t.Fatal("purged entry still hit")
-	}
-}
-
 // TestLoaderPanicDoesNotWedgeKey: a panicking loader must retire its flight
 // (waiters unblock with an error, the panic propagates to the loader's
 // caller) and leave the key loadable afterwards.
