@@ -47,7 +47,7 @@ type fanoutNode struct {
 	// balancers poll the router's /healthz every few seconds, often from
 	// several instances, and without the cache every poll would fan out a
 	// fresh probe to every backend.
-	healthMu  sync.Mutex //kbtim:lockrank 50
+	healthMu  sync.Mutex
 	healthAt  time.Time
 	healthErr error
 }

@@ -272,7 +272,7 @@ type Engine struct {
 	// pointer swaps and acquisitions — it is never held across a query or
 	// any I/O, so it cannot be the writer-starvation lock the previous
 	// whole-query RWMutex was.
-	mu     sync.Mutex //kbtim:lockrank 30
+	mu     sync.Mutex
 	closed bool
 	rrH    *indexHandle
 	irrH   *indexHandle

@@ -151,7 +151,7 @@ type indexEntry struct {
 type Env struct {
 	Cfg Config
 
-	mu       sync.Mutex //kbtim:lockrank 60
+	mu       sync.Mutex
 	dir      string
 	datasets map[string]*dataset
 	indexes  map[indexKey]*indexEntry

@@ -53,7 +53,7 @@ type CachedReader struct {
 	inner  Segmented
 	budget int64
 
-	mu      sync.Mutex //kbtim:lockrank 41
+	mu      sync.Mutex
 	ll      *list.List // front = most recently used
 	entries map[int64]*list.Element
 	used    int64

@@ -46,7 +46,7 @@ func (s Stats) Add(o Stats) Stats {
 
 // Counter accumulates I/O statistics. Safe for concurrent use.
 type Counter struct {
-	mu    sync.Mutex //kbtim:lockrank 40
+	mu    sync.Mutex
 	stats Stats
 	last  int64 // end offset of the previous read, -1 initially
 }

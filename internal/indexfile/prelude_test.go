@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"kbtim"
@@ -14,37 +15,81 @@ import (
 	"kbtim/internal/rrindex"
 )
 
-// TestHostilePreludes runs one set of corrupted preludes against a real RR
-// file and a real IRR file: every one must be refused at open with
-// ErrBadFormat, whichever format's parser sits behind the shared frame.
-func TestHostilePreludes(t *testing.T) {
+// extent is one payload byte range a directory names.
+type extent struct{ off, length int64 }
+
+// formats opens a file as each index format and lists every extent the
+// parsed directory names.
+var formats = []struct {
+	name string
+	open func(diskio.Segmented) (*indexfile.File, []extent, error)
+}{
+	{"rr", func(r diskio.Segmented) (*indexfile.File, []extent, error) {
+		idx, err := rrindex.Open(r)
+		if err != nil {
+			return nil, nil, err
+		}
+		var ext []extent
+		for _, w := range idx.Keywords() {
+			d := idx.Dir(w)
+			ext = append(ext, extent{d.SetsOff, d.SetsLen}, extent{d.InvOff, d.InvLen})
+		}
+		return idx.Substrate(), ext, nil
+	}},
+	{"irr", func(r diskio.Segmented) (*indexfile.File, []extent, error) {
+		idx, err := irrindex.Open(r)
+		if err != nil {
+			return nil, nil, err
+		}
+		var ext []extent
+		for _, w := range idx.Keywords() {
+			d := idx.Dir(w)
+			ext = append(ext, extent{d.IPOff, d.IPLen})
+			for _, p := range d.Partitions {
+				ext = append(ext, extent{p.Off, p.Len})
+			}
+		}
+		return idx.Substrate(), ext, nil
+	}},
+}
+
+// buildIndexes writes a small real index of each format and returns the
+// files' bytes keyed by format name.
+func buildIndexes(tb testing.TB) map[string][]byte {
+	tb.Helper()
 	ds, err := kbtim.GenerateDataset(kbtim.DatasetSpec{
 		Kind: kbtim.TwitterLike, NumUsers: 200, AvgDegree: 5, NumTopics: 4, Seed: 3,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	eng, err := kbtim.NewEngine(ds, kbtim.Options{Epsilon: 0.5, K: 5, MaxThetaPerKeyword: 500, PartitionSize: 5, Seed: 3})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	defer eng.Close()
-	dir := t.TempDir()
+	dir := tb.TempDir()
 	rrPath, irrPath := filepath.Join(dir, "ads.rr"), filepath.Join(dir, "ads.irr")
 	if _, err := eng.BuildRRIndex(rrPath); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := eng.BuildIRRIndex(irrPath); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	formats := []struct {
-		name string
-		path string
-		open func(diskio.Segmented) error
-	}{
-		{"rr", rrPath, func(r diskio.Segmented) error { _, err := rrindex.Open(r); return err }},
-		{"irr", irrPath, func(r diskio.Segmented) error { _, err := irrindex.Open(r); return err }},
+	files := map[string][]byte{}
+	for name, path := range map[string]string{"rr": rrPath, "irr": irrPath} {
+		if files[name], err = os.ReadFile(path); err != nil {
+			tb.Fatal(err)
+		}
 	}
+	return files
+}
+
+// TestHostilePreludes runs one set of corrupted preludes against a real RR
+// file and a real IRR file: every one must be refused at open with
+// ErrBadFormat, whichever format's parser sits behind the shared frame.
+func TestHostilePreludes(t *testing.T) {
+	files := buildIndexes(t)
 	// Frame layout: magic [0,4) | version u32 [4,8) | preludeLen u64 [8,16).
 	setPrelude := func(n func(old uint64, size int) uint64) func([]byte) []byte {
 		return func(b []byte) []byte {
@@ -68,18 +113,52 @@ func TestHostilePreludes(t *testing.T) {
 		{"payload extent inside the prelude", setPrelude(func(old uint64, _ int) uint64 { return old + 1 })},
 	}
 	for _, f := range formats {
-		pristine, err := os.ReadFile(f.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.open(diskio.NewMem(pristine, nil)); err != nil {
+		pristine := files[f.name]
+		if _, _, err := f.open(diskio.NewMem(pristine, nil)); err != nil {
 			t.Fatalf("%s: pristine file refused: %v", f.name, err)
 		}
 		for _, h := range hostile {
 			data := h.corrupt(append([]byte(nil), pristine...))
-			if err := f.open(diskio.NewMem(data, nil)); !errors.Is(err, indexfile.ErrBadFormat) {
+			if _, _, err := f.open(diskio.NewMem(data, nil)); !errors.Is(err, indexfile.ErrBadFormat) {
 				t.Errorf("%s, %s: got %v, want ErrBadFormat", f.name, h.name, err)
 			}
 		}
 	}
+}
+
+// allocSlack is what an open may allocate over a small multiple of its
+// input: the index structs, error values, and whatever the test binary's
+// other goroutines do meanwhile.
+const allocSlack = 1 << 20
+
+// FuzzOpen feeds arbitrary files to both formats' Open: a bounded
+// ErrBadFormat, or an index whose every directory extent lies between the
+// prelude and the end of the file — never a panic, and never an allocation
+// sized by a prelude claim instead of by the bytes.
+func FuzzOpen(f *testing.F) {
+	files := buildIndexes(f)
+	f.Add(files["rr"])
+	f.Add(files["irr"])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, fm := range formats {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			file, exts, err := fm.open(diskio.NewMem(data, nil))
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+allocSlack {
+				t.Fatalf("%s: %d-byte file allocated %d bytes at open", fm.name, len(data), grew)
+			}
+			if err != nil {
+				if !errors.Is(err, indexfile.ErrBadFormat) {
+					t.Fatalf("%s: got %v, want ErrBadFormat", fm.name, err)
+				}
+				continue
+			}
+			for _, e := range exts {
+				if !file.InPayload(e.off, e.length) {
+					t.Fatalf("%s: opened with extent [%d, +%d) outside the payload of a %d-byte file", fm.name, e.off, e.length, len(data))
+				}
+			}
+		}
+	})
 }

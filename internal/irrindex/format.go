@@ -148,8 +148,17 @@ func parseHeader(r *binfmt.Reader) (Header, int, error) {
 		numKeywords < 0 || numKeywords > h.NumTopics {
 		return h, 0, fmt.Errorf("%w: implausible header", ErrBadFormat)
 	}
+	// A directory entry is at least dirEntryLen prelude bytes, so the bytes
+	// present bound the keyword count before Open sizes its table by it.
+	if numKeywords > r.Remaining()/dirEntryLen {
+		return h, 0, fmt.Errorf("%w: implausible keyword count %d", ErrBadFormat, numKeywords)
+	}
 	return h, numKeywords, nil
 }
+
+// dirEntryLen is the fixed part of a keyword directory entry as
+// appendKeywordDir writes it; the partition entries follow it.
+const dirEntryLen = 4 + 8*5 + 4 + 4
 
 func appendKeywordDir(buf []byte, d *KeywordDir) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.TopicID))

@@ -804,9 +804,8 @@ func (idx *Index) loadIP(ctx context.Context, r diskio.Segmented, st *kwState, d
 
 // ipTable is a keyword's decoded first-occurrence table IP_w as two parallel,
 // exactly-sized columns in file order (ascending vertex): users[i] first
-// occurs in RR set first[i]. Its only reader is fillIPHot's linear pass.
-//
-//kbtim:cached
+// occurs in RR set first[i]. Its only reader is fillIPHot's linear pass; it
+// is immutable once published to the decoded cache.
 type ipTable struct {
 	users []uint32
 	first []int32
@@ -860,11 +859,8 @@ func (idx *Index) decodeIP(ctx context.Context, r diskio.Segmented, d *KeywordDi
 // setIDs are the RR sets first claimed by this block. Every block is decoded
 // into arrays borrowed from the scratch pools. A query-private block (no
 // decoded cache) keeps them and is released at query end; the decoded cache
-// instead publishes an exactly-sized heap copy (share), read-only from then
-// on — post-construction writes outside the constructing function are checked
-// by kbtim-lint's cacheimmutable.
-//
-//kbtim:cached
+// instead publishes an exactly-sized heap copy (share), immutable once
+// published to the decoded cache.
 type partBlock struct {
 	users  []uint32
 	lists  [][]int32

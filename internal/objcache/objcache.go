@@ -151,7 +151,7 @@ type flight struct {
 type shard struct {
 	budget int64
 
-	mu         sync.Mutex //kbtim:lockrank 20
+	mu         sync.Mutex
 	ll         *list.List // front = most recently used
 	entries    map[Key]*list.Element
 	flights    map[Key]*flight
@@ -176,7 +176,8 @@ type Cache struct {
 	hasTargets atomic.Bool
 	missTick   atomic.Int64
 
-	rebalMu  sync.Mutex //kbtim:lockrank 10
+	// rebalMu is taken before any shard.mu, never under one.
+	rebalMu  sync.Mutex
 	lastHits [maxRegions]int64
 }
 

@@ -20,9 +20,9 @@ import (
 )
 
 // gets and puts count SlicePool.Get and Put calls across every pool in
-// the process. The counters exist for the leak regression tests (and
-// kbtim-lint's poolpair analyzer they back up): around any code path —
-// in particular error paths — the number of gets and puts must balance
+// the process. The counters exist for the leak tests (TestQueryPoolBalance
+// and the decode error-path tests in rrindex and irrindex): around any code
+// path — in particular error paths — the number of gets and puts must balance
 // once the path has run to completion. One uncontended atomic add per
 // per-query pool operation is noise next to the zeroing Put already does.
 var gets, puts atomic.Int64

@@ -3,21 +3,24 @@ package rrindex
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"kbtim/internal/codec"
 	"kbtim/internal/diskio"
 	"kbtim/internal/pool"
 	"kbtim/internal/prop"
+	"kbtim/internal/topic"
 	"kbtim/internal/wris"
 )
 
-// TestDecodeSetsErrorReturnsPooledArrays is the regression test for the
-// early-error pool leak kbtim-lint's poolpair analyzer flagged: a pooled
-// decodeSets that died mid-decode used to abandon the batch's borrowed
-// Flat/Off arrays instead of returning them. The test corrupts one
-// keyword's sets region so the decode fails after the pool gets, then
-// asserts the pool's global get/put counters still balance.
+// TestDecodeSetsErrorReturnsPooledArrays is the regression test for an
+// early-error pool leak: a pooled decodeSets that died mid-decode used to
+// abandon the batch's borrowed Flat/Off arrays instead of returning them.
+// The test corrupts one keyword's sets region so the decode fails after the
+// pool gets, then asserts the pool's global get/put counters still balance.
 func TestDecodeSetsErrorReturnsPooledArrays(t *testing.T) {
 	g := figure1(t)
 	prof := figure1Profiles(t)
@@ -56,5 +59,64 @@ func TestDecodeSetsErrorReturnsPooledArrays(t *testing.T) {
 	g1, p1 := pool.Counts()
 	if g1-g0 != p1-p0 {
 		t.Fatalf("decodeSets error path leaked pooled slices: %d gets vs %d puts", g1-g0, p1-p0)
+	}
+}
+
+// TestQueryPoolBalance: every query returns every pooled array it borrows —
+// on a single index, across shard indexes, when an expired deadline cuts it
+// short and when its context is already canceled — with the decoded cache
+// off and on, and with serial and parallel keyword loads. The pool counters
+// are process-global, so this test must not run in parallel with others.
+func TestQueryPoolBalance(t *testing.T) {
+	queries := []topic.Query{
+		{Topics: []int{0}, K: 5},
+		{Topics: []int{3, 5}, K: 8},
+		{Topics: []int{0, 1, 2, 3, 4, 5, 6, 7}, K: 12},
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, cache := range []bool{false, true} {
+		full, owner, _ := shardFixture(t, 2, cache)
+		for _, par := range []int{0, 3} {
+			full.SetQueryParallelism(par)
+			for _, w := range full.Keywords() {
+				owner(w).SetQueryParallelism(par)
+			}
+			runs := []struct {
+				name  string
+				query func(topic.Query) error
+			}{
+				{"single", func(q topic.Query) error {
+					_, err := full.QueryCtx(context.Background(), q)
+					return err
+				}},
+				{"sharded", func(q topic.Query) error {
+					_, err := QueryMultiStreamCtx(context.Background(), owner, q, wris.StreamOptions{})
+					return err
+				}},
+				{"expired deadline", func(q topic.Query) error {
+					_, err := QueryMultiStreamCtx(context.Background(), owner, q, wris.StreamOptions{Deadline: time.Now().Add(-time.Second)})
+					return err
+				}},
+				{"canceled", func(q topic.Query) error {
+					if _, err := QueryMultiStreamCtx(canceled, owner, q, wris.StreamOptions{}); !errors.Is(err, context.Canceled) {
+						return fmt.Errorf("got %v, want context.Canceled", err)
+					}
+					return nil
+				}},
+			}
+			for _, run := range runs {
+				for qi, q := range queries {
+					g0, p0 := pool.Counts()
+					if err := run.query(q); err != nil {
+						t.Fatalf("cache=%v par=%d %s query %d: %v", cache, par, run.name, qi, err)
+					}
+					if g1, p1 := pool.Counts(); g1-g0 != p1-p0 {
+						t.Fatalf("cache=%v par=%d %s query %d leaked pooled arrays: gets %d puts %d",
+							cache, par, run.name, qi, g1-g0, p1-p0)
+					}
+				}
+			}
+		}
 	}
 }

@@ -13,10 +13,8 @@ import (
 // Flat[Off[i]:Off[i+1]]. Flat storage keeps hundreds of thousands of sets
 // allocation- and GC-friendly, and it is the exact shape the disk index
 // serializes. Decoded batches are published through internal/objcache and
-// shared read-only between queries, so post-construction writes outside
-// the constructing function are checked by kbtim-lint's cacheimmutable.
-//
-//kbtim:cached
+// shared read-only between queries: a Batch is immutable once published to
+// the decoded cache.
 type Batch struct {
 	Off  []int64
 	Flat []uint32

@@ -1,11 +1,14 @@
 package kbtim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 )
 
 // shardedOptions are small enough for CI but big enough that hash sharding
@@ -247,6 +250,113 @@ func TestShardedPerShardPools(t *testing.T) {
 	for _, st := range s.ShardStats() {
 		if st.InFlight != 0 {
 			t.Fatalf("shard %d reports %d in-flight after drain", st.Shard, st.InFlight)
+		}
+	}
+}
+
+// TestShardedAcquisitionOrder: spanning queries take their shards' worker
+// slots in one global order whatever order their topics come in. With
+// 1-worker shards, a query holding shard 0's slot while waiting for shard 1's
+// and another holding shard 1's while waiting for shard 0's would deadlock
+// until the context gives up.
+func TestShardedAcquisitionOrder(t *testing.T) {
+	ds := shardedDataset(t)
+	s, _ := buildSharded(t, ds, 2, ShardHash, 1)
+	a, b := -1, -1
+	for _, w := range s.IndexedKeywords() {
+		if s.Owner(w) == 0 && a < 0 {
+			a = w
+		}
+		if s.Owner(w) == 1 && b < 0 {
+			b = w
+		}
+	}
+	if a < 0 || b < 0 {
+		t.Fatalf("no topic pair spans both shards (shard 0 topic %d, shard 1 topic %d)", a, b)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	const goroutines, rounds = 8, 50
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		topics := []int{a, b}
+		if g%2 == 1 {
+			topics = []int{b, a}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				if _, err := s.QueryIRRCtx(ctx, Query{Topics: topics, K: 3}); err != nil {
+					t.Errorf("topics %v: %v", topics, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestShardedHandlesAndSlotsDrain: every query path gives back what it
+// pins — the index handle reference of each engine it reads and the worker
+// slot of each shard it occupies — on success, on a rejected query (k > K)
+// and on a canceled context. Afterwards every attached handle holds only its
+// engine's own reference and no shard reports a query in flight. A slot
+// that is never given back blocks the next query on its 1-worker shard, so
+// the live queries run under a timeout instead of hanging.
+func TestShardedHandlesAndSlotsDrain(t *testing.T) {
+	ds := shardedDataset(t)
+	s, single := buildSharded(t, ds, 2, ShardHash, 1)
+	live, cancelLive := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancelLive()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	tooMany := Query{Topics: []int{0, 1, 2, 3}, K: shardedOptions().K + 1}
+	queries := append(shardedQueries(), tooMany)
+	callers := []struct {
+		name  string
+		ctx   context.Context
+		query func(context.Context, Strategy, Query, StreamOptions) (*Result, error)
+	}{
+		{"engine", live, single.Query},
+		{"sharded", live, s.Query},
+		{"sharded canceled", canceled, s.Query},
+	}
+	for _, st := range []Strategy{StrategyRR, StrategyIRR} {
+		for _, c := range callers {
+			for _, q := range queries {
+				_, err := c.query(c.ctx, st, q, StreamOptions{})
+				switch {
+				case c.ctx == canceled:
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("%s %s %v: got %v, want context.Canceled", c.name, st, q, err)
+					}
+				case q.K == tooMany.K:
+					if err == nil {
+						t.Fatalf("%s %s %v: k > K accepted", c.name, st, q)
+					}
+				case err != nil:
+					t.Fatalf("%s %s %v: %v", c.name, st, q, err)
+				}
+			}
+		}
+	}
+	engines := map[string]*Engine{"single engine": single}
+	for i := range s.NumShards() {
+		engines[fmt.Sprintf("shard %d", i)] = s.Shard(i)
+	}
+	for name, e := range engines {
+		e.mu.Lock()
+		for _, st := range []Strategy{StrategyRR, StrategyIRR} {
+			if h := *e.slot(st); h != nil && h.refs.Load() != 1 {
+				t.Errorf("%s: %s handle holds %d references after every query returned, want 1", name, st, h.refs.Load())
+			}
+		}
+		e.mu.Unlock()
+	}
+	for _, st := range s.ShardStats() {
+		if st.InFlight != 0 {
+			t.Errorf("shard %d reports %d in flight after every query returned", st.Shard, st.InFlight)
 		}
 	}
 }
