@@ -93,7 +93,7 @@ func run(args []string) error {
 		shardMode   = fs.String("shard-mode", "hash", "keyword→shard assignment: hash | range | replicate")
 		cacheMB     = fs.Int("cache-mb", 32, "segment (byte) cache budget per index, MiB, split across shards (0 = no cache)")
 		decodedMB   = fs.Int("decoded-cache-mb", 64, "decoded-object cache budget per index, MiB, split across shards (0 = no cache)")
-		queryPar    = fs.Int("query-parallelism", 2, "per-query artifact-load parallelism (<=1 = sequential)")
+		queryPar    = fs.Int("query-parallelism", 2, "per-query artifact-load parallelism: RR keyword loads and IRR IP tables (<=1 = sequential)")
 		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight queries")
 		routerMode  = fs.Bool("router", false, "run as a cross-node fan-out router over -backends (no local indexes)")
 		backends    = fs.String("backends", "", "backend base URLs: comma-separated shards, |-separated replicas of a shard (\"h1|h1b,h2|h2b\"); group i owns shard i's keywords (router mode)")

@@ -75,11 +75,9 @@ type Options struct {
 	// QueryParallelism bounds how many artifacts ONE query fetches and
 	// decodes concurrently (0 or 1 = fully sequential). For QueryRR it
 	// parallelizes the per-keyword set-prefix loads and their inversion; for
-	// QueryIRR it parallelizes IP-table loading and speculatively prefetches
-	// each keyword's next partition while the current NRA round runs. Seeds
-	// and spreads are identical either way; only latency and the I/O shape
-	// change (IRR speculation may read partitions the query ends up not
-	// needing).
+	// QueryIRR it parallelizes IP-table loading, which ends before the first
+	// NRA round (the rounds stay sequential). Seeds, spreads, and the
+	// artifacts read are identical either way; only latency changes.
 	QueryParallelism int
 }
 

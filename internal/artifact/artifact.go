@@ -40,9 +40,9 @@ type Reply struct {
 // a payload is consumed (and its I/O accounted) exactly once, and anything
 // left over is simply garbage-collected with the query.
 //
-// It is mutex-protected because speculative prefetch goroutines from a prior
-// round may still be draining while the main goroutine stashes the next
-// round's batch.
+// It is mutex-protected because one query Takes from several goroutines at
+// once: RR's per-keyword load goroutines and the IRR IP phase each consume
+// their own units from the same stash.
 type Stash struct {
 	mu sync.Mutex
 	m  map[Request][]byte

@@ -32,9 +32,9 @@ func TestStashConsumeOnce(t *testing.T) {
 	}
 }
 
-// TestStashConcurrentPutTake is the planner/prefetcher overlap under -race:
-// one goroutine stashes a round while others drain it, and every payload is
-// delivered to exactly one taker.
+// TestStashConcurrentPutTake is the stash under concurrent load goroutines
+// and -race: one goroutine stashes a round while others drain it, and every
+// payload is delivered to exactly one taker.
 func TestStashConcurrentPutTake(t *testing.T) {
 	const units, takers = 2000, 4
 	s := NewStash()

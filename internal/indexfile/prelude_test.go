@@ -1,6 +1,7 @@
 package indexfile_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -18,38 +19,48 @@ import (
 // extent is one payload byte range a directory names.
 type extent struct{ off, length int64 }
 
-// formats opens a file as each index format and lists every extent the
-// parsed directory names.
+// claim is one keyword's θ_w and the payload bytes that hold its RR sets; a
+// set costs at least one byte.
+type claim struct{ sets, bytes int64 }
+
+// formats opens a file as each index format and lists every extent and
+// θ_w claim the parsed directory names.
 var formats = []struct {
 	name string
-	open func(diskio.Segmented) (*indexfile.File, []extent, error)
+	open func(diskio.Segmented) (*indexfile.File, []extent, []claim, error)
 }{
-	{"rr", func(r diskio.Segmented) (*indexfile.File, []extent, error) {
+	{"rr", func(r diskio.Segmented) (*indexfile.File, []extent, []claim, error) {
 		idx, err := rrindex.Open(r)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		var ext []extent
+		var cl []claim
 		for _, w := range idx.Keywords() {
 			d := idx.Dir(w)
 			ext = append(ext, extent{d.SetsOff, d.SetsLen}, extent{d.InvOff, d.InvLen})
+			cl = append(cl, claim{d.ThetaW, d.SetsLen})
 		}
-		return idx.Substrate(), ext, nil
+		return idx.Substrate(), ext, cl, nil
 	}},
-	{"irr", func(r diskio.Segmented) (*indexfile.File, []extent, error) {
+	{"irr", func(r diskio.Segmented) (*indexfile.File, []extent, []claim, error) {
 		idx, err := irrindex.Open(r)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		var ext []extent
+		var cl []claim
 		for _, w := range idx.Keywords() {
 			d := idx.Dir(w)
 			ext = append(ext, extent{d.IPOff, d.IPLen})
+			c := claim{sets: d.ThetaW}
 			for _, p := range d.Partitions {
 				ext = append(ext, extent{p.Off, p.Len})
+				c.bytes += p.Len
 			}
+			cl = append(cl, c)
 		}
-		return idx.Substrate(), ext, nil
+		return idx.Substrate(), ext, cl, nil
 	}},
 }
 
@@ -85,6 +96,42 @@ func buildIndexes(tb testing.TB) map[string][]byte {
 	return files
 }
 
+// forgeThetaW rewrites every keyword's θ_w claim in a real RR or IRR file
+// to theta(old, part). Both formats' directory entries open with topic ID
+// u32 | θ_w u64, so each claim is found by that pair within the prelude. For
+// an IRR file part is the keyword's first partition entry (off u64 | len u64
+// | numUsers u32 | numSets u32 | lastListLen u32), which theta may rewrite
+// too; for an RR file it is nil.
+func forgeThetaW(b []byte, theta func(old int64, part []byte) int64) []byte {
+	le := binary.LittleEndian
+	prelude := b[:le.Uint64(b[8:])]
+	find := func(key []byte) []byte {
+		i := bytes.Index(prelude, key)
+		if i < 0 || bytes.Contains(prelude[i+1:], key) {
+			panic("forgeThetaW: directory entry not found exactly once")
+		}
+		return prelude[i:]
+	}
+	forge := func(w int, old int64, part []byte) {
+		at := find(le.AppendUint64(le.AppendUint32(nil, uint32(w)), uint64(old)))[4:]
+		le.PutUint64(at, uint64(theta(old, part)))
+	}
+	if rr, err := rrindex.Open(diskio.NewMem(b, nil)); err == nil {
+		for _, w := range rr.Keywords() {
+			forge(w, rr.Dir(w).ThetaW, nil)
+		}
+	} else if irr, err := irrindex.Open(diskio.NewMem(b, nil)); err == nil {
+		for _, w := range irr.Keywords() {
+			d := irr.Dir(w)
+			p := d.Partitions[0]
+			forge(w, d.ThetaW, find(le.AppendUint64(le.AppendUint64(nil, uint64(p.Off)), uint64(p.Len))))
+		}
+	} else {
+		panic("forgeThetaW: pristine file does not open")
+	}
+	return b
+}
+
 // TestHostilePreludes runs one set of corrupted preludes against a real RR
 // file and a real IRR file: every one must be refused at open with
 // ErrBadFormat, whichever format's parser sits behind the shared frame.
@@ -97,10 +144,11 @@ func TestHostilePreludes(t *testing.T) {
 			return b
 		}
 	}
-	hostile := []struct {
+	type row struct {
 		name    string
 		corrupt func([]byte) []byte
-	}{
+	}
+	hostile := []row{
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }},
 		{"wrong version", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 99); return b }},
 		{"file shorter than the frame", func(b []byte) []byte { return b[:10] }},
@@ -111,15 +159,39 @@ func TestHostilePreludes(t *testing.T) {
 		{"truncated directory", setPrelude(func(old uint64, _ int) uint64 { return old - 5 })},
 		{"payload extent past the end of the file", func(b []byte) []byte { return b[:len(b)-1] }},
 		{"payload extent inside the prelude", setPrelude(func(old uint64, _ int) uint64 { return old + 1 })},
+		{"θ_w beyond what the payload holds", func(b []byte) []byte {
+			return forgeThetaW(b, func(int64, []byte) int64 { return 1 << 24 })
+		}},
+	}
+	// An IRR θ_w is exactly its partitions' set count, so smaller lies fail
+	// there too.
+	hostileIRR := []row{
+		{"θ_w one more than the partitions claim", func(b []byte) []byte {
+			return forgeThetaW(b, func(old int64, _ []byte) int64 { return old + 1 })
+		}},
+		{"partition claiming more sets than bytes", func(b []byte) []byte {
+			// numSets := len+1, and θ_w follows it, so only the
+			// per-partition bound can refuse the file.
+			return forgeThetaW(b, func(old int64, part []byte) int64 {
+				sets := binary.LittleEndian.Uint64(part[8:]) + 1
+				old += int64(sets) - int64(binary.LittleEndian.Uint32(part[20:]))
+				binary.LittleEndian.PutUint32(part[20:], uint32(sets))
+				return old
+			})
+		}},
 	}
 	for _, f := range formats {
 		pristine := files[f.name]
-		if _, _, err := f.open(diskio.NewMem(pristine, nil)); err != nil {
+		if _, _, _, err := f.open(diskio.NewMem(pristine, nil)); err != nil {
 			t.Fatalf("%s: pristine file refused: %v", f.name, err)
 		}
-		for _, h := range hostile {
+		rows := hostile
+		if f.name == "irr" {
+			rows = append(rows, hostileIRR...)
+		}
+		for _, h := range rows {
 			data := h.corrupt(append([]byte(nil), pristine...))
-			if _, _, err := f.open(diskio.NewMem(data, nil)); !errors.Is(err, indexfile.ErrBadFormat) {
+			if _, _, _, err := f.open(diskio.NewMem(data, nil)); !errors.Is(err, indexfile.ErrBadFormat) {
 				t.Errorf("%s, %s: got %v, want ErrBadFormat", f.name, h.name, err)
 			}
 		}
@@ -133,8 +205,9 @@ const allocSlack = 1 << 20
 
 // FuzzOpen feeds arbitrary files to both formats' Open: a bounded
 // ErrBadFormat, or an index whose every directory extent lies between the
-// prelude and the end of the file — never a panic, and never an allocation
-// sized by a prelude claim instead of by the bytes.
+// prelude and the end of the file and whose every θ_w fits the bytes that
+// hold its sets — never a panic, and never an allocation (at open or at the
+// first query) sized by a prelude claim instead of by the bytes.
 func FuzzOpen(f *testing.F) {
 	files := buildIndexes(f)
 	f.Add(files["rr"])
@@ -143,7 +216,7 @@ func FuzzOpen(f *testing.F) {
 		for _, fm := range formats {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			file, exts, err := fm.open(diskio.NewMem(data, nil))
+			file, exts, claims, err := fm.open(diskio.NewMem(data, nil))
 			runtime.ReadMemStats(&after)
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+allocSlack {
 				t.Fatalf("%s: %d-byte file allocated %d bytes at open", fm.name, len(data), grew)
@@ -157,6 +230,11 @@ func FuzzOpen(f *testing.F) {
 			for _, e := range exts {
 				if !file.InPayload(e.off, e.length) {
 					t.Fatalf("%s: opened with extent [%d, +%d) outside the payload of a %d-byte file", fm.name, e.off, e.length, len(data))
+				}
+			}
+			for _, c := range claims {
+				if c.sets > c.bytes {
+					t.Fatalf("%s: opened with θ_w %d over %d bytes of sets", fm.name, c.sets, c.bytes)
 				}
 			}
 		}

@@ -21,15 +21,15 @@ type Result struct {
 	// picked (the greedy trace Theorem 3 compares across strategies).
 	Marginals []int
 	// IO is the logical disk activity the query incurred (for IRR: IP reads
-	// plus partition fetches, speculative prefetches included).
+	// plus the partitions its NRA rounds consumed, nothing else).
 	IO diskio.Stats
 	// Loaded maps each query keyword to the number of RR sets fetched — the
 	// Figures 5–7 series (θ^Q_w for RR; IDs < θ^Q_w seen in fetched
 	// partitions for IRR).
 	Loaded map[int]int
 	// PartitionsLoaded counts partition blocks consumed by the NRA rounds
-	// (Table 6's I/O driver; zero for RR). Speculative prefetches the query
-	// never consumed are not counted here (they appear in IO only).
+	// (Table 6's I/O driver; zero for RR). Every partition read is consumed,
+	// so these are exactly the partitions in IO.
 	PartitionsLoaded int
 	// DecodedHits / DecodedMisses count decoded-cache lookups by this query
 	// (zero when no decoded cache is attached). A hit means the artifact was

@@ -115,9 +115,9 @@ func TestQueryCtxPreCanceled(t *testing.T) {
 	}
 }
 
-// TestQueryCtxCanceledParallel: cancellation also lands when the parallel
-// load phase and speculative prefetches are on (the goroutines observe the
-// canceled context and the query surfaces it after the join).
+// TestQueryCtxCanceledParallel: cancellation also lands when the parallel IP
+// phase is on (its goroutines observe the canceled context and the query
+// surfaces it after the join).
 func TestQueryCtxCanceledParallel(t *testing.T) {
 	g := newGatedReader(diskio.NewMem(buildFigure1Mem(t, 2), nil), 1)
 	idx, err := Open(g)

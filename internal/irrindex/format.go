@@ -212,5 +212,18 @@ func parseKeywordDir(r *binfmt.Reader, h *Header) (KeywordDir, error) {
 		d.NumIPEntries < 0 || d.NumIPEntries > h.NumVertices {
 		return d, fmt.Errorf("%w: implausible directory for topic %d", ErrBadFormat, d.TopicID)
 	}
+	// Every RR set is claimed by exactly one partition, and a claimed ID
+	// costs at least one byte, so the partitions' bytes bound θ_w before a
+	// query sizes anything by it.
+	var sets int64
+	for _, p := range d.Partitions {
+		if int64(p.NumSets) > p.Len {
+			return d, fmt.Errorf("%w: partition of topic %d claims %d sets in %d bytes", ErrBadFormat, d.TopicID, p.NumSets, p.Len)
+		}
+		sets += int64(p.NumSets)
+	}
+	if sets != d.ThetaW {
+		return d, fmt.Errorf("%w: topic %d claims %d RR sets, its partitions %d", ErrBadFormat, d.TopicID, d.ThetaW, sets)
+	}
 	return d, nil
 }

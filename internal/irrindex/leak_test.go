@@ -68,10 +68,10 @@ func TestDecodePartitionErrorReturnsPooledArrays(t *testing.T) {
 }
 
 // TestQueryPoolBalance: every query returns every pooled array it borrows —
-// NRA state, heap, consumed blocks and drained speculative prefetches — on a
-// single index, across shard indexes, when an expired deadline cuts it short
-// and when its context is already canceled, with the decoded cache off and
-// on, and with serial and parallel (speculative) loads. The pool counters
+// NRA state, heap and consumed blocks — on a single index, across shard
+// indexes, when an expired deadline cuts it short and when its context is
+// already canceled, with the decoded cache off and on, and with serial and
+// parallel IP loads. The pool counters
 // are process-global, so this test must not run in parallel with others.
 func TestQueryPoolBalance(t *testing.T) {
 	queries := []topic.Query{

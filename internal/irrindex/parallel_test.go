@@ -17,7 +17,8 @@ import (
 )
 
 // newsIRRBytes builds a News-like IRR index with small partitions so NRA
-// runs several incremental rounds (the shape speculation targets).
+// runs several incremental rounds (the shape the parallel IP phase and the
+// per-round fetches are measured on).
 func newsIRRBytes(t testing.TB) []byte {
 	t.Helper()
 	g, err := gen.NewsLike(gen.NewsLikeConfig{N: 400, AvgDegree: 3, Seed: 6})
@@ -46,11 +47,11 @@ func newsIRRBytes(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// TestQueryParallelismParity: parallel IP loading + speculative partition
-// prefetch must not change the NRA outcome — seeds, marginals, spread,
-// loaded counts, and CONSUMED partitions all match the sequential path
-// (speculative fetches may add reads to IO, which is why IO is not
-// compared), with and without a decoded cache.
+// TestQueryParallelismParity: parallel IP loading must change neither the
+// NRA outcome nor the work it counts — seeds, marginals, spread, loaded
+// counts, consumed partitions, I/O and decoded-cache traffic all match the
+// sequential path, with and without a decoded cache. Every round fetches
+// exactly what it consumes, so no read depends on the parallelism.
 func TestQueryParallelismParity(t *testing.T) {
 	raw := newsIRRBytes(t)
 	queries := []topic.Query{
@@ -58,6 +59,14 @@ func TestQueryParallelismParity(t *testing.T) {
 		{Topics: []int{0, 2}, K: 8},
 		{Topics: []int{1, 3, 5}, K: 10},
 		{Topics: []int{0, 1, 2, 3, 4, 5}, K: 12},
+	}
+	// The IP phase joins in whatever order its loads finish, which decides
+	// whether the first partition read continues at the previous offset; the
+	// number of reads and bytes does not depend on it.
+	work := func(s diskio.Stats) diskio.Stats {
+		s.RandomReads += s.SequentialReads
+		s.SequentialReads = 0
+		return s
 	}
 	for _, cached := range []bool{false, true} {
 		seq, err := Open(diskio.NewMem(raw, nil))
@@ -92,13 +101,18 @@ func TestQueryParallelismParity(t *testing.T) {
 					cached, qi, a.Seeds, a.Marginals, a.PartitionsLoaded,
 					b.Seeds, b.Marginals, b.PartitionsLoaded)
 			}
+			if work(a.IO) != work(b.IO) || a.DecodedHits != b.DecodedHits || a.DecodedMisses != b.DecodedMisses {
+				t.Fatalf("cached=%v query %d counted different work:\n seq io %+v decoded %d/%d\n par io %+v decoded %d/%d",
+					cached, qi, a.IO, a.DecodedHits, a.DecodedMisses, b.IO, b.DecodedHits, b.DecodedMisses)
+			}
 		}
 	}
 }
 
-// TestQueryParallelConcurrent hammers one shared speculative-prefetch index
-// with a small sharded decoded cache from many goroutines (run under -race):
-// evictions, singleflight, prefetch futures, and pooled scratch all in play.
+// TestQueryParallelConcurrent hammers one shared parallel-IP index with a
+// small sharded decoded cache from many goroutines (run under -race):
+// evictions, singleflight, concurrent IP loads, and pooled scratch all in
+// play.
 func TestQueryParallelConcurrent(t *testing.T) {
 	raw := newsIRRBytes(t)
 	idx, err := Open(diskio.NewMem(raw, nil))

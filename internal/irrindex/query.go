@@ -35,13 +35,10 @@ const (
 // cache, parallelism and fetcher attachments (set them right after Open),
 // Plan, Keywords, Size.
 //
-// With SetQueryParallelism > 1 a query loads all keywords' IP tables and
-// first partitions concurrently, and each NRA round SPECULATIVELY prefetches
-// every keyword's next partition while the current one is processed. Seeds
-// and spreads are identical either way — NRA state mutation stays sequential
-// in keyword order — but speculative fetches that the query ends up not
-// needing do show up in its I/O stats (that is the price of the latency win;
-// they are decoded-cache warmup, not waste, when a cache is attached).
+// With SetQueryParallelism > 1 a query loads all keywords' IP tables
+// concurrently, in a fork-join that ends before the first NRA round. The
+// rounds themselves are sequential, and each reads exactly the partitions it
+// consumes, so seeds, spreads and I/O are identical at every parallelism.
 type Index struct {
 	indexfile.File
 	hdr  Header
@@ -131,17 +128,6 @@ func (idx *Index) Dir(topicID int) *KeywordDir { return idx.dirs[topicID] }
 // QueryResult is the strategy-independent index result.
 type QueryResult = indexfile.Result
 
-// partFuture is one in-flight speculative partition fetch. The producing
-// goroutine owns blk/err/dec until it closes done; the query consumes them
-// only after <-done.
-type partFuture struct {
-	pi   int // partition index being fetched
-	done chan struct{}
-	blk  *partBlock
-	err  error
-	dec  indexfile.DecCounters
-}
-
 // kwState is the per-keyword in-memory state of one NRA run.
 type kwState struct {
 	topicID int
@@ -174,8 +160,7 @@ type kwState struct {
 	loaded   int       // RR sets (IDs < thetaQw) seen in fetched partitions
 	fetched  int       // partition blocks consumed
 	maxParts int
-	pref     *partFuture // speculative next-partition fetch, nil when none
-	// dec/err carry the parallel load phase's results to the join.
+	// dec/err carry the parallel IP phase's results to the join.
 	dec indexfile.DecCounters
 	err error
 }
@@ -291,9 +276,10 @@ func (idx *Index) QueryStreamCtx(ctx context.Context, q topic.Query, so wris.Str
 // spread lower bound Covered/θ^Q·φ^Q of the emitted prefix. ctx is checked
 // before every keyword's IP load and at the top of every NRA partition
 // round, so a canceled query never fetches another full round of partitions
-// for a client that hung up; outstanding speculative prefetches are still
-// drained before returning (they read through this query's I/O scope), so
-// cancellation never leaks a goroutine into a released index handle. A
+// for a client that hung up. Partition fetches are synchronous and the
+// parallel IP phase joins before the first round, so no goroutine outlives
+// the query into a released index handle, and the reported IO covers
+// exactly the IP tables and the partitions the rounds consumed. A
 // non-zero so.Deadline is checked at the same partition-round boundary; once
 // expired the loop stops and returns the certified prefix with Partial=true
 // (zero-marginal padding is skipped — padding is only correct once every
@@ -315,40 +301,7 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	h := &candHeap{}
 	pushed := pool.Bools(nv)
 	pending := pool.Uint32s(64)[:0] // users discovered by the latest fetches
-	// fetchSem bounds ALL of this query's concurrent artifact loads — the
-	// parallel IP phase and every speculative partition prefetch — at the
-	// configured parallelism (shared across shard indexes, so a scatter
-	// query cannot multiply its load budget by the shard count).
-	var fetchSem chan struct{}
-	if par > 1 {
-		fetchSem = make(chan struct{}, par)
-	}
-	// drainPrefetch settles outstanding speculative fetches. They MUST
-	// finish before the query returns: they read through this query's I/O
-	// scope, and the caller may release the index handle (closing the file)
-	// as soon as Query returns. On the success path (fold=true) their
-	// decoded-cache traffic is folded into the query's counters — their
-	// reads are already in the I/O scope, so dropping the counters would
-	// let DecodedHits+Misses drift from IO — and their unconsumed
-	// pool-backed blocks go back to the pools.
-	drainPrefetch := func(fold bool) {
-		for _, st := range states {
-			f := st.pref
-			if f == nil {
-				continue
-			}
-			st.pref = nil
-			<-f.done
-			if fold {
-				dec.Add(f.dec)
-			}
-			if f.blk != nil {
-				f.blk.release() // no-op for cache-shared blocks
-			}
-		}
-	}
 	defer func() {
-		drainPrefetch(false)
 		for _, st := range states {
 			if st.covered != nil {
 				pool.PutBools(st.covered)
@@ -395,18 +348,18 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	}
 	h.s = candPool.Get(hintCands)[:0]
 
-	spec := par > 1
-	// Wire batching: each fetch round PLANS its needs (all keywords' next
-	// partitions plus the speculative lookahead) and moves them in one batch
-	// round trip per owning backend; the keywords' stash-carrying readers then
-	// serve the decodes. Local indexes make this a no-op.
-	wp := wirePlanner{rq: &rq, spec: spec}
+	// Wire batching: each fetch round PLANS its needs (the next partition
+	// chunk of every keyword) and moves them in one batch round trip per
+	// owning backend; the keywords' stash-carrying readers then serve the
+	// decodes. Local indexes make this a no-op.
+	wp := wirePlanner{rq: &rq}
 	wp.planInitial(ctx, states)
-	if spec && len(states) > 1 {
-		// Parallel load phase: every keyword's IP table is fetched and
-		// decoded concurrently (bounded by fetchSem), and its first
-		// partition is kicked off as a speculative fetch the priming loop
-		// consumes.
+	if par > 1 && len(states) > 1 {
+		// Parallel IP phase: every keyword's IP table is fetched and decoded
+		// concurrently, at most par at a time (one budget across shard
+		// indexes, so a scatter query cannot multiply it by the shard
+		// count). The join ends the phase before the first NRA round.
+		fetchSem := make(chan struct{}, par)
 		var wg sync.WaitGroup
 		for _, st := range states {
 			wg.Add(1)
@@ -418,9 +371,6 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 					return
 				}
 				st.err = st.idx.loadIP(ctx, st.r, st, &st.dec)
-				if st.err == nil && st.maxParts > 0 {
-					st.pref = st.idx.prefetchPartition(ctx, st.r, st, fetchSem)
-				}
 			}(st)
 		}
 		wg.Wait()
@@ -446,7 +396,7 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		pending, err = st.idx.loadNextPartition(ctx, st.r, st, pushed, &dec, fetchSem, &blocks, pending)
+		pending, err = st.idx.loadNextPartition(ctx, st.r, st, pushed, &dec, &blocks, pending)
 		if err != nil {
 			return nil, err
 		}
@@ -581,7 +531,7 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 			progress := false
 			for _, st := range states {
 				if st.next < st.maxParts {
-					pending, err = st.idx.loadNextPartition(ctx, st.r, st, pushed, &dec, fetchSem, &blocks, pending)
+					pending, err = st.idx.loadNextPartition(ctx, st.r, st, pushed, &dec, &blocks, pending)
 					if err != nil {
 						return nil, err
 					}
@@ -631,7 +581,7 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		progress := false
 		for _, st := range states {
 			if st.next < st.maxParts {
-				pending, err = st.idx.loadNextPartition(ctx, st.r, st, pushed, &dec, fetchSem, &blocks, pending)
+				pending, err = st.idx.loadNextPartition(ctx, st.r, st, pushed, &dec, &blocks, pending)
 				if err != nil {
 					return nil, err
 				}
@@ -650,10 +600,6 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		}
 	}
 
-	// Settle outstanding speculation BEFORE reading the counters, so the
-	// reported decoded hits/misses cover exactly the lookups whose I/O the
-	// scope recorded.
-	drainPrefetch(true)
 	for _, st := range states {
 		res.Loaded[st.topicID] = st.loaded
 		res.NumRRSets += st.loaded
@@ -667,48 +613,34 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	return res, nil
 }
 
-// specLookahead is how many partitions ahead of the NRA cursor a batch
-// round fetches per keyword when speculative prefetching is on. Chunking is
-// what turns batching from "fewer, fatter requests" into "fewer wire
-// ROUNDS": a lookahead of L serves ~L NRA rounds from the stash per round
-// trip, at the cost of up to L−1 partitions of over-fetch per keyword when
-// the NRA test certifies early. Partitions are small (length-sorted tails),
-// and with a decoded cache attached over-fetched blocks are warmup, not
-// waste — the same trade the single-partition speculation already makes.
-// Without speculation the planner fetches exactly the round's needs.
-const specLookahead = 4
+// wireChunk is how many partitions, from the NRA cursor on, one batch round
+// asks for per keyword. Chunking is what turns batching from "fewer, fatter
+// requests" into "fewer wire ROUNDS": a chunk of C serves up to C NRA rounds
+// from the stash per round trip, at the cost of up to C−1 partitions of
+// wire over-fetch per keyword when the NRA test certifies early. Partitions
+// are small (length-sorted tails). The chunk is a constant, so the served
+// units depend on the query alone; the local I/O scope counts only the
+// partitions the rounds consume.
+const wireChunk = 4
 
 // wirePlanner batches the query's wire needs per fetch round into the
 // query's per-index stashes, which the per-unit decode path consumes (see
 // indexfile.File.Artifact). Over local indexes every method is a no-op.
 type wirePlanner struct {
-	rq   *indexfile.Query[*Index]
-	spec bool
-}
-
-// lookahead is the per-keyword partition chunk one batch round asks for.
-func (wp wirePlanner) lookahead() int {
-	if wp.spec {
-		return specLookahead
-	}
-	return 1
+	rq *indexfile.Query[*Index]
 }
 
 // partCovered reports whether partition pi of st's keyword needs no wire:
-// an in-flight speculative future is fetching it, a prior batch already
-// stashed it, or the decoded cache holds it.
+// a prior batch already stashed it, or the decoded cache holds it.
 func (wp wirePlanner) partCovered(st *kwState, pi int) bool {
-	if f := st.pref; f != nil && f.pi == pi {
-		return true
-	}
 	return wp.rq.Stashed(st.pos, artifact.Request{Unit: UnitPart, Topic: st.topicID, Aux: int64(pi)}) ||
 		st.idx.Resident(objcache.Key{Region: regionPart, Topic: int32(st.topicID), Aux: int64(pi)})
 }
 
-// wantChunk queues the uncovered partitions of st's lookahead chunk starting
-// at partition from.
+// wantChunk queues the uncovered partitions of st's chunk starting at
+// partition from.
 func (wp wirePlanner) wantChunk(st *kwState, from int) {
-	for pi := from; pi < from+wp.lookahead() && pi < st.maxParts; pi++ {
+	for pi := from; pi < from+wireChunk && pi < st.maxParts; pi++ {
 		if !wp.partCovered(st, pi) {
 			wp.rq.Want(st.pos, artifact.Request{Unit: UnitPart, Topic: st.topicID, Aux: int64(pi)})
 		}
@@ -731,9 +663,8 @@ func (wp wirePlanner) planInitial(ctx context.Context, states []*kwState) {
 }
 
 // planRound batches the partitions the coming fetch round will read. It
-// fires only when some keyword's imminent needs (the next partition, plus
-// the speculative next when prefetching is on) are not already covered; a
-// triggered index then gets the full lookahead chunk of EVERY keyword it
+// fires only when some keyword's next partition is neither stashed nor
+// resident; a triggered index then gets the full chunk of EVERY keyword it
 // owns, so the following rounds ride the stash instead of the wire.
 func (wp wirePlanner) planRound(ctx context.Context, states []*kwState) {
 	if !wp.rq.Remote() {
@@ -741,21 +672,11 @@ func (wp wirePlanner) planRound(ctx context.Context, states []*kwState) {
 	}
 	var need map[*Index]bool
 	for _, st := range states {
-		if st.next >= st.maxParts {
-			continue
-		}
-		span := 1
-		if wp.spec {
-			span = 2 // the round consumes next and kicks a prefetch of next+1
-		}
-		for pi := st.next; pi < st.next+span && pi < st.maxParts; pi++ {
-			if !wp.partCovered(st, pi) {
-				if need == nil {
-					need = make(map[*Index]bool)
-				}
-				need[st.idx] = true
-				break
+		if st.next < st.maxParts && !wp.partCovered(st, st.next) {
+			if need == nil {
+				need = make(map[*Index]bool)
 			}
+			need[st.idx] = true
 		}
 	}
 	if need == nil {
@@ -900,45 +821,18 @@ func (b *partBlock) share() (*partBlock, int64) {
 	return s, int64(cap(s.users)+cap(s.setIDs)+cap(s.arena))*4 + int64(cap(s.lists))*24
 }
 
-// prefetchPartition starts fetching st's next partition in the background
-// and returns the future the next loadNextPartition consumes. The goroutine
-// owns the future's fields until done is closed, and takes a slot on the
-// query's fetch semaphore so speculation honors the parallelism bound.
-func (idx *Index) prefetchPartition(ctx context.Context, r diskio.Segmented, st *kwState, sem chan struct{}) *partFuture {
-	f := &partFuture{pi: st.next, done: make(chan struct{})}
-	d, t := st.dir, st.thetaQw
-	go func() {
-		defer close(f.done)
-		sem <- struct{}{}
-		defer func() { <-sem }()
-		f.blk, f.err = idx.partition(ctx, r, d, f.pi, t, &f.dec)
-	}()
-	return f
-}
-
-// loadNextPartition obtains one partition block — from the keyword's
-// speculative prefetch when one is in flight, else synchronously (a single
-// random I/O on a decoded-cache miss) — merges its inverted lists into st
-// (trimmed to IDs < θ^Q_w by slicing the shared block), counts its RR sets,
-// lowers kb, appends users not seen before to pending (the caller pushes
-// them once their cross-keyword upper bound is known), and, when spec is
-// set, kicks off the NEXT partition's speculative fetch. Query-private
-// blocks are appended to *blocks for release at query end.
-func (idx *Index) loadNextPartition(ctx context.Context, r diskio.Segmented, st *kwState, pushed []bool, dec *indexfile.DecCounters, sem chan struct{}, blocks *[]*partBlock, pending []uint32) ([]uint32, error) {
+// loadNextPartition obtains st's next partition block (a single random I/O
+// on a decoded-cache miss), merges its inverted lists into st (trimmed to
+// IDs < θ^Q_w by slicing the shared block), counts its RR sets, lowers kb,
+// and appends users not seen before to pending (the caller pushes them once
+// their cross-keyword upper bound is known). Query-private blocks are
+// appended to *blocks for release at query end.
+func (idx *Index) loadNextPartition(ctx context.Context, r diskio.Segmented, st *kwState, pushed []bool, dec *indexfile.DecCounters, blocks *[]*partBlock, pending []uint32) ([]uint32, error) {
 	if st.next >= st.maxParts {
 		return pending, nil
 	}
 	pi := st.next
-	var blk *partBlock
-	var err error
-	if f := st.pref; f != nil && f.pi == pi {
-		st.pref = nil
-		<-f.done
-		dec.Add(f.dec)
-		blk, err = f.blk, f.err
-	} else {
-		blk, err = idx.partition(ctx, r, st.dir, pi, st.thetaQw, dec)
-	}
+	blk, err := idx.partition(ctx, r, st.dir, pi, st.thetaQw, dec)
 	if err != nil {
 		return pending, err
 	}
@@ -978,9 +872,6 @@ func (idx *Index) loadNextPartition(ctx context.Context, r diskio.Segmented, st 
 		st.kb = st.dir.Partitions[pi].LastListLen
 		if st.kb > st.thetaQw {
 			st.kb = st.thetaQw
-		}
-		if sem != nil && st.pref == nil {
-			st.pref = idx.prefetchPartition(ctx, r, st, sem)
 		}
 	}
 	return pending, nil

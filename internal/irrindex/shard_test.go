@@ -82,7 +82,7 @@ func shardFixture(t *testing.T, shards int, cache bool, par int) (*Index, func(i
 // TestQueryMultiShardParity: the NRA aggregation over hash-sharded subset
 // indexes must return exactly the single-index result — seeds, marginals,
 // spread, loads, and CONSUMED partitions — for single-shard and
-// shard-spanning queries, across {plain, cached, parallel+speculative}
+// shard-spanning queries, across {plain, cached, parallel IP loads}
 // configurations.
 func TestQueryMultiShardParity(t *testing.T) {
 	queries := []topic.Query{
@@ -125,9 +125,9 @@ func TestQueryMultiShardParity(t *testing.T) {
 }
 
 // TestQueryMultiConcurrent hammers the sharded NRA path from many
-// goroutines (run under -race): shard-spanning queries with speculative
-// prefetch, shared decoded caches, and pooled scratch all in play, each
-// result checked against its baseline.
+// goroutines (run under -race): shard-spanning queries with parallel IP
+// loads, shared decoded caches, and pooled scratch all in play, each result
+// checked against its baseline.
 func TestQueryMultiConcurrent(t *testing.T) {
 	_, owner := shardFixture(t, 2, true, 3)
 	queries := []topic.Query{

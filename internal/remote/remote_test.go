@@ -1,6 +1,7 @@
 package remote_test
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -53,6 +55,7 @@ type cluster struct {
 	irrRemote []*irrindex.Index
 	rrLocal   *rrindex.Index
 	irrLocal  *irrindex.Index
+	irrPath   string // the full IRR file irrLocal reads
 	clients   []*remote.Client
 	urls      []string   // backend base URLs, parallel to clients
 	served    []*unitLog // what each backend served, parallel to clients
@@ -149,7 +152,7 @@ func newCluster(t *testing.T, cacheBytes int64) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &cluster{sm: sm}
+	c := &cluster{sm: sm, irrPath: irrFull}
 	topicsBy, err := builder.ShardTopics(shards, kbtim.ShardHash)
 	if err != nil {
 		t.Fatal(err)
@@ -431,12 +434,75 @@ func TestRemoteWireBytesAccounted(t *testing.T) {
 	}
 }
 
+// readLog is a reader that records the extent of every segment read.
+type readLog struct {
+	diskio.Segmented
+	mu    sync.Mutex
+	reads [][2]int64
+}
+
+func (l *readLog) ReadSegment(off, length int64) ([]byte, error) {
+	l.mu.Lock()
+	l.reads = append(l.reads, [2]int64{off, length})
+	l.mu.Unlock()
+	return l.Segmented.ReadSegment(off, length)
+}
+
+// irrExtent is the directory length of an IRR unit on ix.
+func irrExtent(ix *irrindex.Index, u servedUnit) int64 {
+	d := ix.Dir(u.topic)
+	if u.unit == irrindex.UnitIP {
+		return d.IPLen
+	}
+	return d.Partitions[u.aux].Len
+}
+
+// consumedUnits answers q on a cache-less local IRR index whose reads are
+// logged, and names the unit behind every read: the units the NRA rounds
+// consume, which a remote query over the same keywords must consume too.
+func consumedUnits(t *testing.T, path string, q topic.Query) []servedUnit {
+	t.Helper()
+	f, err := diskio.Open(path, diskio.NewCounter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	log := &readLog{Segmented: f}
+	idx, err := irrindex.Open(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byExtent := map[[2]int64]servedUnit{}
+	for _, w := range q.Topics {
+		d := idx.Dir(w)
+		byExtent[[2]int64{d.IPOff, d.IPLen}] = servedUnit{remote.KindIRR, irrindex.UnitIP, w, 0}
+		for pi, p := range d.Partitions {
+			byExtent[[2]int64{p.Off, p.Len}] = servedUnit{remote.KindIRR, irrindex.UnitPart, w, int64(pi)}
+		}
+	}
+	log.reads = nil // the prelude
+	if _, err := idx.QueryCtx(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	var units []servedUnit
+	for _, r := range log.reads {
+		u, ok := byExtent[r]
+		if !ok {
+			t.Fatalf("local query read [%d,+%d), which is no unit of its keywords", r[0], r[1])
+		}
+		units = append(units, u)
+	}
+	return units
+}
+
 // TestRemoteIRRWireIsDirectoryBytes: what a cache-less spanning IRR query
 // moves is exactly the directory extents of the units it fetched — each
-// keyword's IP region and the head-only partition blocks NRA consumed — so
-// nothing rides along that the query does not decode (format v3 dropped the
-// member lists that used to), and with no speculation configured nothing is
-// fetched that is not consumed.
+// keyword's IP region and the head-only partition blocks of its wire chunks
+// — so nothing rides along that the query does not decode (format v3
+// dropped the member lists that used to). The wire plan is a function of the
+// query alone: the same units are served at every query parallelism, and
+// the query's I/O counts exactly the IP tables and the partitions its NRA
+// rounds consumed.
 func TestRemoteIRRWireIsDirectoryBytes(t *testing.T) {
 	c := newCluster(t, 0)
 	ctx := context.Background()
@@ -449,34 +515,70 @@ func TestRemoteIRRWireIsDirectoryBytes(t *testing.T) {
 	for _, l := range c.served {
 		l.take() // the opens' dir fetches
 	}
-	before := wireBytes()
-	q := topic.Query{Topics: []int{0, 1, 2, 3, 4, 5, 6, 7}, K: 5}
-	res, err := irrindex.QueryMultiStreamCtx(ctx, c.irrOwner, q, wris.StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want int64
-	ips, parts := 0, 0
-	for i, l := range c.served {
-		for _, u := range l.take() {
-			d := c.irrRemote[i].Dir(u.topic)
-			switch {
-			case u.kind == remote.KindIRR && u.unit == irrindex.UnitIP:
-				want += d.IPLen
-				ips++
-			case u.kind == remote.KindIRR && u.unit == irrindex.UnitPart:
-				want += d.Partitions[u.aux].Len
-				parts++
-			default:
-				t.Fatalf("backend %d served %+v to an IRR query", i, u)
-			}
+	for _, k := range []int{1, 5} {
+		q := topic.Query{Topics: []int{0, 1, 2, 3, 4, 5, 6, 7}, K: k}
+		consumed := consumedUnits(t, c.irrPath, q)
+		servedAt := map[int][]servedUnit{}
+		for _, par := range []int{0, 2} {
+			t.Run(fmt.Sprintf("k=%d/par=%d", k, par), func(t *testing.T) {
+				for _, ix := range c.irrRemote {
+					ix.SetQueryParallelism(par)
+				}
+				before := wireBytes()
+				res, err := irrindex.QueryMultiStreamCtx(ctx, c.irrOwner, q, wris.StreamOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var served []servedUnit
+				var moved int64
+				ips := 0
+				for i, l := range c.served {
+					for _, u := range l.take() {
+						if u.kind != remote.KindIRR || (u.unit != irrindex.UnitIP && u.unit != irrindex.UnitPart) {
+							t.Fatalf("backend %d served %+v to an IRR query", i, u)
+						}
+						if u.unit == irrindex.UnitIP {
+							ips++
+						}
+						moved += irrExtent(c.irrRemote[i], u)
+						served = append(served, u)
+					}
+				}
+				slices.SortFunc(served, func(a, b servedUnit) int {
+					return cmp.Or(cmp.Compare(a.topic, b.topic), strings.Compare(a.unit, b.unit), cmp.Compare(a.aux, b.aux))
+				})
+				servedAt[par] = served
+				if ips != len(q.Topics) {
+					t.Fatalf("fetched %d IP tables; the query has %d keywords", ips, len(q.Topics))
+				}
+				if got := wireBytes() - before; got != moved {
+					t.Fatalf("clients moved %d bytes; the served units' directory extents sum to %d", got, moved)
+				}
+				isServed := map[servedUnit]bool{}
+				for _, u := range served {
+					isServed[u] = true
+				}
+				var read int64
+				parts := 0
+				for _, u := range consumed {
+					if !isServed[u] {
+						t.Fatalf("the query consumes %+v, which no backend served", u)
+					}
+					if u.unit == irrindex.UnitPart {
+						parts++
+					}
+					read += irrExtent(c.irrOwner(u.topic), u)
+				}
+				if parts != res.PartitionsLoaded || res.IO.BytesRead != read {
+					t.Fatalf("query consumed %d partitions and read %d bytes; its IP tables and the %d partitions a local query consumes span %d bytes",
+						res.PartitionsLoaded, res.IO.BytesRead, parts, read)
+				}
+			})
 		}
-	}
-	if ips != len(q.Topics) || parts != res.PartitionsLoaded {
-		t.Fatalf("fetched %d IP tables and %d partitions; the query has %d keywords and consumed %d partitions", ips, parts, len(q.Topics), res.PartitionsLoaded)
-	}
-	if moved := wireBytes() - before; moved != want || res.IO.BytesRead != want {
-		t.Fatalf("clients moved %d bytes, query reports %d read; the fetched units' directory extents sum to %d", moved, res.IO.BytesRead, want)
+		if !reflect.DeepEqual(servedAt[0], servedAt[2]) {
+			t.Errorf("k=%d: the backends served %d units at parallelism 0 and %d at parallelism 2:\n %v\n %v",
+				k, len(servedAt[0]), len(servedAt[2]), servedAt[0], servedAt[2])
+		}
 	}
 }
 

@@ -194,5 +194,10 @@ func parseKeywordDir(r *binfmt.Reader, h *Header) (KeywordDir, error) {
 	if n := len(d.Checkpoints); n == 0 || d.Checkpoints[n-1] != d.SetsLen {
 		return d, fmt.Errorf("%w: checkpoint chain broken for topic %d", ErrBadFormat, d.TopicID)
 	}
+	// A set costs at least one byte, so the sets region bounds θ_w before a
+	// query sizes its offset column by it.
+	if d.ThetaW > d.SetsLen {
+		return d, fmt.Errorf("%w: topic %d claims %d RR sets in %d bytes", ErrBadFormat, d.TopicID, d.ThetaW, d.SetsLen)
+	}
 	return d, nil
 }
