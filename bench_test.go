@@ -78,9 +78,6 @@ func BenchmarkAblationPartitionSize(b *testing.B) {
 func BenchmarkAblationCompression(b *testing.B) {
 	runExperiment(b, "ablation-compress", bench.AblationCompression)
 }
-func BenchmarkAblationGreedy(b *testing.B) {
-	runExperiment(b, "ablation-greedy", bench.AblationGreedy)
-}
 
 // TestMain tears down the shared benchmark environment (cached index files
 // in the OS temp dir) after all benchmarks have run.

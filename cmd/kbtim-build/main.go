@@ -6,13 +6,12 @@
 //	kbtim-build -graph g.bin -profiles p.bin -out ads.irr -type irr \
 //	            -epsilon 0.3 -K 50 -delta 100 -max-theta 200000
 //
-// With -shards N > 1 (hash/range mode) the keyword universe is partitioned
-// and one subset index per shard is written to "<out>.s<i>" — the layout
-// kbtim-serve -shards N opens. Per-keyword sampling is seeded by topic ID
-// alone, so shard files hold bit-identical payloads to a full build and a
-// sharded deployment answers queries identically to a single engine.
-// Replicate mode needs no per-shard files: it builds the one full index at
-// <out>, which every serve-side replica opens.
+// With -shards N > 1 the keyword universe is partitioned (-shard-mode hash,
+// the default, or range) and one subset index per shard is written to
+// "<out>.s<i>" — the layout kbtim-serve -shards N opens. Per-keyword sampling
+// is seeded by topic ID alone, so shard files hold bit-identical payloads to
+// a full build and a sharded deployment answers queries identically to a
+// single engine.
 package main
 
 import (
@@ -40,7 +39,7 @@ func main() {
 		seed        = flag.Uint64("seed", 1, "RNG seed")
 		workers     = flag.Int("workers", 0, "sampling workers (0 = all cores)")
 		shards      = flag.Int("shards", 1, "write per-shard index files <out>.s<i> for a sharded deployment")
-		shardMode   = flag.String("shard-mode", "hash", "keyword→shard assignment: hash | range | replicate")
+		shardMode   = flag.String("shard-mode", "hash", "keyword→shard assignment: hash | range")
 	)
 	flag.Parse()
 
@@ -79,9 +78,8 @@ func main() {
 		}
 	}
 
-	mode := kbtim.ShardMode(*shardMode)
-	if *shards > 1 && mode != kbtim.ShardReplicate {
-		reports, err := eng.BuildShardIndexes(*indexType, *shards, mode,
+	if *shards > 1 {
+		reports, err := eng.BuildShardIndexes(*indexType, *shards, kbtim.ShardMode(*shardMode),
 			func(i int) string { return kbtim.ShardIndexPath(*out, i) })
 		if err != nil {
 			log.Fatalf("kbtim-build: %v", err)
@@ -94,10 +92,6 @@ func main() {
 			printReport(kbtim.ShardIndexPath(*out, i), report)
 		}
 		return
-	}
-	if *shards > 1 {
-		fmt.Printf("replicate mode: one full index serves all %d shards (kbtim-serve opens %s on every shard)\n",
-			*shards, *out)
 	}
 	var report *kbtim.BuildReport
 	if *indexType == "rr" {

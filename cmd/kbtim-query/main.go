@@ -50,7 +50,7 @@ func main() {
 		profilePath = flag.String("profiles", "profiles.bin", "input profiles path")
 		indexPath   = flag.String("index", "", "index path (for -type rr|irr)")
 		shards      = flag.Int("shards", 1, "open a sharded index set: shard i at <index>.s<i> (for -type rr|irr)")
-		shardMode   = flag.String("shard-mode", "hash", "keyword→shard assignment of the sharded set: hash | range | replicate")
+		shardMode   = flag.String("shard-mode", "hash", "keyword→shard assignment of the sharded set: hash | range")
 		method      = flag.String("type", "irr", "strategy: wris | rr | irr | ris")
 		model       = flag.String("model", "IC", "propagation model: IC | LT")
 		topicsFlag  = flag.String("topics", "", "comma-separated advertisement keywords")

@@ -304,15 +304,15 @@ func TestRouterRefusesShardWithNoLiveReplica(t *testing.T) {
 	}
 }
 
-// TestReplicateModeSkipsOpenBreakers pins the satellite fix: replicate-mode
-// routing must rotate whole queries across AVAILABLE groups only, instead of
-// round-robining onto a node it already knows is down.
-func TestReplicateModeSkipsOpenBreakers(t *testing.T) {
+// TestRouterReplicaGroupProxiesAndFailsOpen pins how the router replicates:
+// one shard served by a replica group. Over a 1-shard router on a|b (both
+// serving the full index), healthy traffic is spread over both replicas,
+// an open breaker diverts every query to the survivor, and with every
+// breaker open the router still tries a replica rather than failing the
+// query — each answer equal to a single engine's.
+func TestRouterReplicaGroupProxiesAndFailsOpen(t *testing.T) {
 	ds, opts, rrPath, irrPath := shardedFixture(t, 2)
-	// Two single-replica groups, each serving the FULL index — the
-	// replicate-mode topology (every group can answer any query).
-	groups := make([][]string, 2)
-	for i := 0; i < 2; i++ {
+	serve := func() *httptest.Server {
 		be, closeBE, err := openBackend(ds, opts, rrPath, irrPath, 1, kbtim.ShardHash, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -320,41 +320,56 @@ func TestReplicateModeSkipsOpenBreakers(t *testing.T) {
 		t.Cleanup(func() { closeBE() })
 		srv := httptest.NewServer(NewServer(be, 4).Handler())
 		t.Cleanup(srv.Close)
-		groups[i] = []string{srv.URL}
+		return srv
 	}
+	single, a, b := serve(), serve(), serve()
 	cfg := defaultFanoutConfig()
-	cfg.mode = kbtim.ShardReplicate
+	cfg.mode = kbtim.ShardHash
 	cfg.breaker = fastBreaker()
 	cfg.noProbeLoop = true
-	fo, err := openFanout(groups, cfg)
+	fo, err := openFanout([][]string{{a.URL, b.URL}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fo.Close() })
+	router := httptest.NewServer(NewServer(fo, 4).Handler())
+	t.Cleanup(router.Close)
+	na, nb := fo.groups[0].nodes[0], fo.groups[0].nodes[1]
 
-	// Healthy: rotation uses both groups.
-	seen := map[int]bool{}
-	for i := 0; i < 10; i++ {
-		for _, gi := range fo.involved([]int{1}) {
-			seen[gi] = true
+	query := func(i int) {
+		t.Helper()
+		q := queryRequest{Topics: []int{i % 8, (i + 3) % 8}, K: 3, Strategy: []string{"rr", "irr"}[i%2]}
+		want, resp := postQuery(t, single, q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("single %v: %v", q, resp.Status)
+		}
+		got, resp := postQuery(t, router, q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("router %v: %v", q, resp.Status)
+		}
+		if !reflect.DeepEqual(got.Seeds, want.Seeds) || !reflect.DeepEqual(got.Marginals, want.Marginals) ||
+			got.EstSpread != want.EstSpread {
+			t.Fatalf("router %v: (%v, %v, %v) != single (%v, %v, %v)", q,
+				got.Seeds, got.Marginals, got.EstSpread, want.Seeds, want.Marginals, want.EstSpread)
 		}
 	}
-	if len(seen) != 2 {
-		t.Fatalf("healthy replicate rotation used groups %v, want both", seen)
-	}
 
-	// Open group 0's breaker: every pick must land on group 1.
-	fo.groups[0].nodes[0].brk.forceOpen(time.Now(), fo.brkCfg)
 	for i := 0; i < 10; i++ {
-		if gids := fo.involved([]int{1}); len(gids) != 1 || gids[0] != 1 {
-			t.Fatalf("replicate rotation picked dead group on iteration %d: %v", i, gids)
-		}
+		query(i)
+	}
+	if na.proxied.Load() == 0 || nb.proxied.Load() == 0 {
+		t.Fatalf("healthy group proxied a=%d b=%d, want both > 0", na.proxied.Load(), nb.proxied.Load())
 	}
 
-	// All groups down: fail open — still pick exactly one group rather than
-	// erroring before any replica is even tried.
-	fo.groups[1].nodes[0].brk.forceOpen(time.Now(), fo.brkCfg)
-	if gids := fo.involved([]int{1}); len(gids) != 1 {
-		t.Fatalf("fail-open pick = %v, want exactly one group", gids)
+	na.brk.forceOpen(time.Now(), fo.brkCfg)
+	beforeA, beforeB := na.proxied.Load(), nb.proxied.Load()
+	for i := 10; i < 20; i++ {
+		query(i)
 	}
+	if da, db := na.proxied.Load()-beforeA, nb.proxied.Load()-beforeB; da != 0 || db != 10 {
+		t.Fatalf("with a's breaker open: a proxied %d, b proxied %d; want 0 and 10", da, db)
+	}
+
+	nb.brk.forceOpen(time.Now(), fo.brkCfg)
+	query(20)
 }

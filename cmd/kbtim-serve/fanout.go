@@ -70,16 +70,6 @@ type shardGroup struct {
 	next   atomic.Uint64 // proxy round-robin cursor across replicas
 }
 
-// available reports whether at least one replica may take traffic.
-func (g *shardGroup) available() bool {
-	for _, n := range g.nodes {
-		if n.brk.allow() {
-			return true
-		}
-	}
-	return false
-}
-
 // groupHealth adapts a shardGroup's breakers to remote.Health, so artifact
 // fetches are routed around open breakers and their outcomes feed back in.
 type groupHealth struct{ g *shardGroup }
@@ -119,7 +109,6 @@ type fanout struct {
 	// TCP setup every round. It shares its transport (and so its idle pool)
 	// with hc.
 	artifactHC *http.Client
-	next       atomic.Uint64 // replicate-mode group rotation
 
 	proxCnt        atomic.Int64
 	scatCnt        atomic.Int64
@@ -429,26 +418,6 @@ func (f *fanout) probeNode(g *shardGroup, ni int, n *fanoutNode) error {
 	return nil
 }
 
-// involved returns the groups a query must touch, ascending. Replicate mode
-// rotates whole queries across groups, skipping groups with no available
-// replica (a breaker-open node must not keep receiving every Nth query);
-// hash/range return the distinct owners of the query's topics.
-func (f *fanout) involved(topics []int) []int {
-	if f.sm.Mode() == shardmap.Replicate {
-		ng := len(f.groups)
-		start := int(f.next.Add(1)-1) % ng
-		for k := 0; k < ng; k++ {
-			if gi := (start + k) % ng; f.groups[gi].available() {
-				return []int{gi}
-			}
-		}
-		// Every group looks down: fail open on the rotation pick and let
-		// the per-replica retries decide.
-		return []int{start}
-	}
-	return f.sm.Shards(topics)
-}
-
 // proxyOrder returns the group's replicas in try order for a whole-query
 // proxy: round-robin across replicas (spreading load), available ones
 // first, the rest kept as a last resort.
@@ -609,7 +578,7 @@ func (f *fanout) Query(ctx context.Context, s kbtim.Strategy, q kbtim.Query, so 
 	if g := f.groups[0]; (s == kbtim.StrategyRR && g.rr == nil) || (s == kbtim.StrategyIRR && g.irr == nil) {
 		return nil, fmt.Errorf("router backends serve no %s index", strings.ToUpper(string(s)))
 	}
-	gids := f.involved(q.Topics)
+	gids := f.sm.Shards(q.Topics)
 	if len(gids) == 0 {
 		return nil, errors.New("query needs at least one keyword")
 	}

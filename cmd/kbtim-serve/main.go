@@ -6,15 +6,14 @@
 //	kbtim-serve -graph g.bin -profiles p.bin -irr ads.irr \
 //	            -addr :8080 -workers 8 -cache-mb 64
 //
-// With -shards N > 1 the server runs N engine shards on one box. In hash
-// (default) and range modes each shard serves a disjoint keyword subset
+// With -shards N > 1 the server runs N engine shards on one box. Each shard
+// serves a disjoint keyword subset (-shard-mode hash, the default, or range)
 // from its own index file ("<path>.s<i>", written by kbtim-build -shards);
 // queries whose topics co-locate are answered by that shard alone, and
 // spanning queries are scatter-gathered with an exact merge — results are
-// identical to a single-engine deployment. In replicate mode every shard
-// opens the SAME full index file and whole queries round-robin across
-// replicas. The global -cache-mb/-decoded-cache-mb budgets and the -workers
-// pool are split evenly across shards:
+// identical to a single-engine deployment. The global
+// -cache-mb/-decoded-cache-mb budgets and the -workers pool are split evenly
+// across shards:
 //
 //	kbtim-serve -graph g.bin -profiles p.bin -irr ads.irr \
 //	            -shards 4 -shard-mode hash -workers 8 -decoded-cache-mb 256
@@ -35,6 +34,11 @@
 //
 //	kbtim-serve -router -backends 'h1:8080|h1b:8080,h2:8080|h2b:8080' \
 //	            -shard-mode hash -addr :9090 -decoded-cache-mb 256
+//
+// Replication is always a replica group, never a shard mode: a router over
+// one group (-backends 'h1:8080|h1b:8080', both nodes serving the full
+// unsharded index) owns every keyword as shard 0 and proxies each whole
+// query round-robin to a healthy replica.
 //
 // Endpoints:
 //
@@ -90,7 +94,7 @@ func run(args []string) error {
 		irrPath     = fs.String("irr", "", "IRR index path (optional; with -shards > 1, shard i opens <path>.s<i>)")
 		workers     = fs.Int("workers", 0, "query worker pool size, split across shards (0 = NumCPU)")
 		shards      = fs.Int("shards", 1, "engine shard count on this box")
-		shardMode   = fs.String("shard-mode", "hash", "keyword→shard assignment: hash | range | replicate")
+		shardMode   = fs.String("shard-mode", "hash", "keyword→shard assignment: hash | range (for replication, give a shard several backends: -backends 'h1|h2')")
 		cacheMB     = fs.Int("cache-mb", 32, "segment (byte) cache budget per index, MiB, split across shards (0 = no cache)")
 		decodedMB   = fs.Int("decoded-cache-mb", 64, "decoded-object cache budget per index, MiB, split across shards (0 = no cache)")
 		queryPar    = fs.Int("query-parallelism", 2, "per-query artifact-load parallelism: RR keyword loads and IRR IP tables (<=1 = sequential)")

@@ -4,14 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"kbtim/internal/codec"
-	"kbtim/internal/coverage"
 	"kbtim/internal/graph"
 	"kbtim/internal/prop"
 	"kbtim/internal/rng"
-	"kbtim/internal/rrset"
 	"kbtim/internal/topic"
 	"kbtim/internal/wris"
 )
@@ -38,7 +35,6 @@ var Experiments = []struct {
 	{"table8", "Table 8: example seeds per keyword and model", Table8},
 	{"ablation-delta", "Ablation: IRR partition size δ", AblationPartitionSize},
 	{"ablation-compress", "Ablation: compression on/off query impact", AblationCompression},
-	{"ablation-greedy", "Ablation: plain vs CELF-lazy greedy", AblationGreedy},
 }
 
 // Lookup finds an experiment by ID.
@@ -506,49 +502,5 @@ func AblationCompression(ctx context.Context, w io.Writer, env *Env) error {
 		}
 	}
 	t.addf("(compression halves bytes read for a modest decode cost)")
-	return t.write(w)
-}
-
-// AblationGreedy times the plain scan-and-update greedy against the
-// CELF-style lazy variant on an identical coverage instance.
-func AblationGreedy(ctx context.Context, w io.Writer, env *Env) error {
-	g, prof, err := env.Dataset(Twitter, env.defaultSize(Twitter))
-	if err != nil {
-		return err
-	}
-	users, weights := wris.KeywordSupport(prof, 0)
-	picker, err := rrset.NewWeightedRoots(users, weights)
-	if err != nil {
-		return err
-	}
-	batch := rrset.Generate(g, prop.IC{}, picker, rrset.GenerateOptions{Count: 30000, Seed: 5})
-	inst := &coverage.Instance{
-		NumVertices: g.NumVertices(),
-		NumSets:     batch.Len(),
-		Lists:       batch.InvertedLists(g.NumVertices()),
-	}
-	members := func(id int32) []uint32 { return batch.Set(int(id)) }
-	t := newTable("Ablation: greedy maximum-coverage solver (30k RR sets)",
-		"solver", "k", "ms", "covered")
-	for _, k := range []int{10, 50} {
-		start := time.Now()
-		plain, err := coverage.Solve(inst, k, members)
-		if err != nil {
-			return err
-		}
-		plainSec := time.Since(start).Seconds()
-		start = time.Now()
-		lazy, err := coverage.SolveLazy(inst, k, members)
-		if err != nil {
-			return err
-		}
-		lazySec := time.Since(start).Seconds()
-		if plain.Covered != lazy.Covered {
-			return fmt.Errorf("bench: greedy variants disagree (%d vs %d)", plain.Covered, lazy.Covered)
-		}
-		t.add("plain", k, ms(plainSec), plain.Covered)
-		t.add("celf-lazy", k, ms(lazySec), lazy.Covered)
-	}
-	t.addf("(identical results by construction; lazy wins when θ >> |V|)")
 	return t.write(w)
 }

@@ -10,7 +10,7 @@ import (
 
 // TestSolveOptsEmitMatchesBatch: the emitted (seed, marginal) sequence,
 // concatenated, is exactly the batch result — the sink observes the same
-// greedy trace the Result records, for both the plain and the lazy solver.
+// greedy trace the Result records.
 func TestSolveOptsEmitMatchesBatch(t *testing.T) {
 	src := rng.New(41)
 	for trial := 0; trial < 20; trial++ {
@@ -37,8 +37,7 @@ func TestSolveOptsEmitMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, solve := range map[string]func(*Instance, int, func(setID int32) []uint32, SolveOptions) (Result, error){
-			"SolveOpts":     SolveOpts,
-			"SolveLazyOpts": SolveLazyOpts,
+			"SolveOpts": SolveOpts,
 		} {
 			var seeds []uint32
 			var marginals []int

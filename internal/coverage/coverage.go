@@ -6,8 +6,7 @@
 //
 // SolveParts runs the paper's scan-and-update greedy over Parts, each built
 // by NewPart where its sets were decoded; Solve runs the same loop over an
-// Instance, and SolveLazy, a CELF-style lazy greedy, is the ablation (see
-// DESIGN.md). All break ties alike (larger count first, then smaller vertex
+// Instance. Both break ties alike (larger count first, then smaller vertex
 // ID), so they return identical seed sequences.
 package coverage
 
@@ -37,8 +36,8 @@ type Result struct {
 	Partial  bool     // true when a deadline stopped the run before k picks
 }
 
-// SolveOptions carries the anytime-query hooks shared by SolveParts, Solve
-// and SolveLazy. The zero value means "batch": no emission, no deadline, and
+// SolveOptions carries the anytime-query hooks shared by SolveParts and
+// Solve. The zero value means "batch": no emission, no deadline, and
 // SolveOpts(in, k, members, SolveOptions{}) is byte-identical to
 // Solve(in, k, members).
 type SolveOptions struct {
@@ -250,146 +249,6 @@ func greedy(counts []int, numSets, k int, so *SolveOptions, take func(v int, cov
 		take(best, covered)
 		counts[best] = -1
 	}
-	return res, nil
-}
-
-// celfEntry is a lazily evaluated candidate in SolveLazy.
-type celfEntry struct {
-	vertex uint32
-	count  int // possibly stale upper bound on marginal coverage
-	round  int // iteration at which count was computed
-}
-
-// celfPool recycles heap backing arrays between SolveLazy calls.
-var celfPool pool.SlicePool[celfEntry]
-
-// celfHeap is a typed max-heap over celfEntry. container/heap would box
-// every Push/Pop through interface{} — two allocations per operation on the
-// solver's hottest loop — so the sift operations are implemented directly.
-type celfHeap struct{ s []celfEntry }
-
-func (h *celfHeap) len() int { return len(h.s) }
-func (h *celfHeap) less(i, j int) bool {
-	if h.s[i].count != h.s[j].count {
-		return h.s[i].count > h.s[j].count
-	}
-	return h.s[i].vertex < h.s[j].vertex
-}
-
-func (h *celfHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.s[i], h.s[parent] = h.s[parent], h.s[i]
-		i = parent
-	}
-}
-
-func (h *celfHeap) down(i int) {
-	n := len(h.s)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		best := l
-		if r := l + 1; r < n && h.less(r, l) {
-			best = r
-		}
-		if !h.less(best, i) {
-			break
-		}
-		h.s[i], h.s[best] = h.s[best], h.s[i]
-		i = best
-	}
-}
-
-// init heapifies the backing slice in O(n).
-func (h *celfHeap) init() {
-	for i := len(h.s)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-// fix0 restores the heap property after the root entry was updated in place
-// (the lazy-refresh step).
-func (h *celfHeap) fix0() { h.down(0) }
-
-// pop removes and returns the root.
-func (h *celfHeap) pop() celfEntry {
-	top := h.s[0]
-	n := len(h.s) - 1
-	h.s[0] = h.s[n]
-	h.s = h.s[:n]
-	h.down(0)
-	return top
-}
-
-// SolveLazy runs CELF-style greedy: marginal counts are only refreshed for
-// the heap top, exploiting submodularity (stale counts are valid upper
-// bounds). Returns exactly the same seeds as Solve under the shared
-// tie-breaking rule.
-func SolveLazy(in *Instance, k int, members func(setID int32) []uint32) (Result, error) {
-	return SolveLazyOpts(in, k, members, SolveOptions{})
-}
-
-// SolveLazyOpts is SolveLazy with the same anytime hooks as SolveOpts.
-func SolveLazyOpts(in *Instance, k int, members func(setID int32) []uint32, so SolveOptions) (Result, error) {
-	if err := in.Validate(); err != nil {
-		return Result{}, err
-	}
-	if k <= 0 {
-		return Result{}, fmt.Errorf("coverage: k must be positive, got %d", k)
-	}
-	covered := pool.Bools(in.NumSets)
-	defer pool.PutBools(covered)
-	// Every vertex enters the heap (zero-count ones too) so that the
-	// zero-marginal tie-breaking matches Solve exactly.
-	h := celfHeap{s: celfPool.Get(in.NumVertices)}
-	for v, list := range in.Lists {
-		h.s[v] = celfEntry{vertex: uint32(v), count: len(list), round: 0}
-	}
-	h.init()
-	defer func() { celfPool.Put(h.s) }()
-
-	fresh := func(v uint32) int {
-		c := 0
-		for _, setID := range in.Lists[v] {
-			if !covered[setID] {
-				c++
-			}
-		}
-		return c
-	}
-
-	var res Result
-	for iter := 1; len(res.Seeds) < k && h.len() > 0; {
-		top := h.s[0]
-		if top.round != iter {
-			// Refresh and push back; only when the refreshed entry stays on
-			// top is it selected (next loop turn).
-			h.s[0].count = fresh(top.vertex)
-			h.s[0].round = iter
-			h.fix0()
-			continue
-		}
-		// The deadline gates the pick, not the refresh churn above: an entry
-		// that is about to be selected is a certified greedy choice, so the
-		// boundary between iterations is the only safe cut point.
-		if so.expired() {
-			res.Partial = true
-			break
-		}
-		h.pop()
-		so.emit(&res, top.vertex, top.count)
-		for _, setID := range in.Lists[top.vertex] {
-			covered[setID] = true
-		}
-		iter++
-	}
-	_ = members // signature symmetry with Solve; lazy path never rescans members
 	return res, nil
 }
 

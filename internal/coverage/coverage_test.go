@@ -1,7 +1,6 @@
 package coverage
 
 import (
-	"reflect"
 	"testing"
 
 	"kbtim/internal/rng"
@@ -91,44 +90,6 @@ func TestGreedyMarksCoveredOnce(t *testing.T) {
 	}
 }
 
-func TestLazyMatchesPlain(t *testing.T) {
-	src := rng.New(31)
-	for trial := 0; trial < 30; trial++ {
-		n := src.Intn(20) + 3
-		numSets := src.Intn(40) + 1
-		sets := make([][]uint32, numSets)
-		for i := range sets {
-			size := src.Intn(4) + 1
-			seen := map[uint32]bool{}
-			for len(sets[i]) < size {
-				v := uint32(src.Intn(n))
-				if !seen[v] {
-					seen[v] = true
-					sets[i] = append(sets[i], v)
-				}
-			}
-			sortSlice(sets[i])
-		}
-		in, members := instanceFromSets(n, sets)
-		k := src.Intn(n) + 1
-		plain, err := Solve(in, k, members)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lazy, err := SolveLazy(in, k, members)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain.Seeds, lazy.Seeds) {
-			t.Fatalf("trial %d: plain %v vs lazy %v (marginals %v vs %v)",
-				trial, plain.Seeds, lazy.Seeds, plain.Marginal, lazy.Marginal)
-		}
-		if plain.Covered != lazy.Covered {
-			t.Fatalf("trial %d: covered %d vs %d", trial, plain.Covered, lazy.Covered)
-		}
-	}
-}
-
 func TestGreedyApproximationRatio(t *testing.T) {
 	// Property: greedy ≥ (1-1/e)·OPT on random brute-forceable instances.
 	src := rng.New(37)
@@ -184,9 +145,6 @@ func TestSolveRejectsBadK(t *testing.T) {
 	if _, err := Solve(in, 0, members); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := SolveLazy(in, -1, members); err == nil {
-		t.Fatal("k=-1 accepted by lazy")
-	}
 }
 
 func TestKLargerThanVertices(t *testing.T) {
@@ -228,31 +186,6 @@ func BenchmarkGreedy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Solve(in, 30, members); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGreedyLazy(b *testing.B) {
-	src := rng.New(1)
-	n := 5000
-	sets := make([][]uint32, 20000)
-	for i := range sets {
-		size := src.Intn(8) + 1
-		seen := map[uint32]bool{}
-		for len(sets[i]) < size {
-			v := uint32(src.Intn(n))
-			if !seen[v] {
-				seen[v] = true
-				sets[i] = append(sets[i], v)
-			}
-		}
-		sortSlice(sets[i])
-	}
-	in, members := instanceFromSets(n, sets)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveLazy(in, 30, members); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,7 +67,7 @@ type Query[I Handle] struct {
 	Par int
 
 	// The overwhelmingly common case — every keyword on ONE index
-	// (single-engine deployments, replicate shards, co-located fast paths) —
+	// (single-engine deployments, co-located shard queries) —
 	// lives in one[0] and allocates none of the spanning bookkeeping.
 	idxOf []I // per-keyword owner; nil when Base owns every keyword
 	one   [1]view

@@ -25,13 +25,10 @@
 // Zipf keyword workload this is the difference between one decode per
 // eviction and one decode per query.
 //
-// The byte budget is split adaptively between REGIONS: every rebalance
-// interval the cache compares each region's recent hits per cached byte
-// (θ-prefix batches are big but hot; partition blocks are small and
-// long-tailed) and shifts per-region byte targets toward the regions that
-// earn more hits per byte. Eviction then prefers LRU entries of regions over
-// their target. Call Rebalance to force a recomputation; it also runs
-// automatically every rebalanceEvery misses.
+// Eviction is plain LRU within each shard: when an insert pushes a shard
+// over its budget, entries leave from the least recently used end until the
+// budget holds. Every lock is a shard's own, and none is taken while another
+// is held.
 //
 // Cached values are shared between queries and MUST be treated as
 // immutable; consumers trim to their private θ^Q_w by slicing, never by
@@ -43,7 +40,6 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // errPanicked is what waiters of a flight observe when its loader panicked
@@ -52,20 +48,8 @@ var errPanicked = errors.New("objcache: loader panicked")
 
 // Region tags the artifact kind of a cache key. The values are declared by
 // the index packages; objcache only requires them to be distinct per cache
-// instance and below maxRegions.
+// instance, so that two kinds of artifact never share a key.
 type Region uint8
-
-// maxRegions bounds the per-region accounting arrays. Each index declares
-// two regions today; eight leaves room without bloating the shards.
-const maxRegions = 8
-
-// rebalanceEvery is the number of cache misses between automatic region
-// budget rebalances.
-const rebalanceEvery = 1024
-
-// evictScanWindow bounds how far from the LRU end eviction searches for an
-// entry of an over-target region before falling back to plain LRU.
-const evictScanWindow = 8
 
 // Key identifies one decoded artifact within a cache instance.
 type Key struct {
@@ -93,9 +77,6 @@ func (k Key) hash() uint64 {
 	h ^= h >> 31
 	return h
 }
-
-// region clamps the key's region into the accounting range.
-func (k Key) region() int { return int(k.Region) & (maxRegions - 1) }
 
 // Stats is a snapshot of a Cache's counters, aggregated across shards.
 type Stats struct {
@@ -151,14 +132,12 @@ type flight struct {
 type shard struct {
 	budget int64
 
-	mu         sync.Mutex
-	ll         *list.List // front = most recently used
-	entries    map[Key]*list.Element
-	flights    map[Key]*flight
-	used       int64
-	stats      Stats
-	regionUsed [maxRegions]int64
-	regionHits [maxRegions]int64 // cumulative, consumed as deltas by Rebalance
+	mu      sync.Mutex
+	ll      *list.List // front = most recently used
+	entries map[Key]*list.Element
+	flights map[Key]*flight
+	used    int64
+	stats   Stats
 }
 
 // Cache is a concurrency-safe byte-budget LRU of decoded artifacts with
@@ -169,16 +148,6 @@ type Cache struct {
 	budget int64
 	shards []*shard
 	mask   uint64
-
-	// Adaptive region budgeting: targets[r] is region r's byte target
-	// (0 = unconstrained), recomputed by Rebalance from recent hit density.
-	targets    [maxRegions]atomic.Int64
-	hasTargets atomic.Bool
-	missTick   atomic.Int64
-
-	// rebalMu is taken before any shard.mu, never under one.
-	rebalMu  sync.Mutex
-	lastHits [maxRegions]int64
 }
 
 // New returns a single-shard cache with the given payload byte budget: one
@@ -261,7 +230,6 @@ func (c *Cache) GetOrLoad(key Key, load func() (val any, size int64, err error))
 	if el, ok := s.entries[key]; ok {
 		s.ll.MoveToFront(el)
 		s.stats.Hits++
-		s.regionHits[key.region()]++
 		v := el.Value.(*entry).val
 		s.mu.Unlock()
 		return v, true, nil
@@ -276,9 +244,6 @@ func (c *Cache) GetOrLoad(key Key, load func() (val any, size int64, err error))
 	s.flights[key] = f
 	s.stats.Misses++
 	s.mu.Unlock()
-	if c.missTick.Add(1)%rebalanceEvery == 0 {
-		c.Rebalance()
-	}
 
 	// The flight MUST be retired even if the loader panics — otherwise the
 	// key is wedged forever and every future caller blocks on f.done (in a
@@ -294,7 +259,7 @@ func (c *Cache) GetOrLoad(key Key, load func() (val any, size int64, err error))
 		s.mu.Lock()
 		delete(s.flights, key)
 		if finished && f.err == nil {
-			c.insertLocked(s, key, f.val, size)
+			s.insertLocked(key, f.val, size)
 		}
 		s.mu.Unlock()
 		close(f.done)
@@ -304,142 +269,38 @@ func (c *Cache) GetOrLoad(key Key, load func() (val any, size int64, err error))
 	return f.val, false, f.err
 }
 
-// insertLocked stores val under key in shard s (whose mutex the caller
-// holds) and evicts entries until the shard budget holds. Values larger than
-// the shard budget are not cached. A concurrent duplicate (possible when a
-// flight for the same key failed and was retried) is refreshed in place.
-func (c *Cache) insertLocked(s *shard, key Key, val any, size int64) {
+// insertLocked stores val under key (the caller holds s.mu) and evicts
+// least recently used entries until the shard budget holds. Values larger
+// than the shard budget are not cached. A concurrent duplicate (possible
+// when a flight for the same key failed and was retried) is refreshed in
+// place.
+func (s *shard) insertLocked(key Key, val any, size int64) {
 	if size < 0 {
 		size = 0
 	}
 	if size > s.budget || s.budget <= 0 {
 		return
 	}
-	r := key.region()
 	if el, ok := s.entries[key]; ok {
 		ent := el.Value.(*entry)
 		s.used += size - ent.size
-		s.regionUsed[r] += size - ent.size
 		ent.val, ent.size = val, size
 		s.ll.MoveToFront(el)
 	} else {
 		s.entries[key] = s.ll.PushFront(&entry{key: key, val: val, size: size})
 		s.used += size
-		s.regionUsed[r] += size
 	}
-	c.evictLocked(s)
-}
-
-// evictLocked drops entries from shard s until its budget holds. When region
-// targets are set, a bounded window from the LRU end is searched for an
-// entry of an over-target region first; plain LRU otherwise, so the cache
-// degrades to exact LRU when regions are balanced or targets are unset.
-func (c *Cache) evictLocked(s *shard) {
-	nshards := int64(len(c.shards))
 	for s.used > s.budget {
 		victim := s.ll.Back()
 		if victim == nil {
 			break
 		}
-		if c.hasTargets.Load() {
-			for el, scanned := victim, 0; el != nil && scanned < evictScanWindow; el, scanned = el.Prev(), scanned+1 {
-				r := el.Value.(*entry).key.region()
-				if t := c.targets[r].Load() / nshards; t > 0 && s.regionUsed[r] > t {
-					victim = el
-					break
-				}
-			}
-		}
 		ent := victim.Value.(*entry)
 		s.ll.Remove(victim)
 		delete(s.entries, ent.key)
 		s.used -= ent.size
-		s.regionUsed[ent.key.region()] -= ent.size
 		s.stats.Evictions++
 	}
-}
-
-// Rebalance recomputes the per-region byte targets from the hit density
-// observed since the last rebalance: each region's weight is its recent hits
-// per cached byte (Laplace-smoothed), and the total budget is split in
-// weight proportion, blended 50/50 with the previous split so budgets move
-// gradually. Regions that earn more hits per byte therefore grow at the
-// expense of cold ones. Runs automatically every rebalanceEvery misses; safe
-// to call concurrently with lookups.
-func (c *Cache) Rebalance() {
-	if c.budget <= 0 {
-		return
-	}
-	c.rebalMu.Lock()
-	defer c.rebalMu.Unlock()
-
-	var hits, used [maxRegions]int64
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for r := 0; r < maxRegions; r++ {
-			hits[r] += s.regionHits[r]
-			used[r] += s.regionUsed[r]
-		}
-		s.mu.Unlock()
-	}
-
-	var weight [maxRegions]float64
-	var total float64
-	active := 0
-	for r := 0; r < maxRegions; r++ {
-		delta := hits[r] - c.lastHits[r]
-		c.lastHits[r] = hits[r]
-		if used[r] == 0 && delta == 0 {
-			continue
-		}
-		active++
-		// Hits per cached byte, Laplace-smoothed so empty-but-requested
-		// regions neither explode nor vanish. A tiny dense region can earn
-		// a target far beyond what it can fill; that is harmless — targets
-		// only steer eviction preference, and an under-filled region simply
-		// never gets preferentially evicted.
-		weight[r] = (float64(delta) + 1) / (float64(used[r]) + 4096)
-		total += weight[r]
-	}
-	if active < 2 || total <= 0 {
-		// One region (or none) observed: budgets constrain nothing.
-		c.hasTargets.Store(false)
-		for r := 0; r < maxRegions; r++ {
-			c.targets[r].Store(0)
-		}
-		return
-	}
-	for r := 0; r < maxRegions; r++ {
-		if weight[r] == 0 {
-			c.targets[r].Store(0)
-			continue
-		}
-		raw := int64(float64(c.budget) * weight[r] / total)
-		old := c.targets[r].Load()
-		if old == 0 {
-			old = raw
-		}
-		c.targets[r].Store((old + raw) / 2)
-	}
-	c.hasTargets.Store(true)
-}
-
-// RegionTarget returns region r's current byte target (0 when the adaptive
-// budgeter has not constrained it).
-func (c *Cache) RegionTarget(r Region) int64 {
-	return c.targets[int(r)&(maxRegions-1)].Load()
-}
-
-// RegionUsed returns the bytes currently cached for region r across shards.
-func (c *Cache) RegionUsed(r Region) int64 {
-	ri := int(r) & (maxRegions - 1)
-	var used int64
-	for _, s := range c.shards {
-		s.mu.Lock()
-		used += s.regionUsed[ri]
-		s.mu.Unlock()
-	}
-	return used
 }
 
 // Stats returns a snapshot of the cache counters aggregated across shards.

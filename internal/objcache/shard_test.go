@@ -158,71 +158,3 @@ func TestShardedStatsAggregation(t *testing.T) {
 		t.Fatalf("budget reports the per-shard slice, not the total: %+v", s)
 	}
 }
-
-// TestRebalanceShiftsBudgetTowardHotRegion: after one region earns far more
-// hits per byte than another, Rebalance must give it the larger target, and
-// eviction must then sacrifice the cold region even when plain LRU would
-// have evicted the hot one.
-func TestRebalanceShiftsBudgetTowardHotRegion(t *testing.T) {
-	c := New(1000) // single shard: deterministic LRU order
-	load := func(r Region, topic int32) {
-		if _, _, err := c.GetOrLoad(Key{Region: r, Topic: topic}, func() (any, int64, error) {
-			return topic, 100, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := int32(0); i < 5; i++ {
-		load(0, i) // hot region
-	}
-	for i := int32(0); i < 5; i++ {
-		load(1, 100+i) // cold region
-	}
-	// Region 0 earns many hits; region 1 is touched once per entry, LAST, so
-	// its entries sit at the LRU front and plain LRU would evict region 0.
-	for round := 0; round < 10; round++ {
-		for i := int32(0); i < 5; i++ {
-			load(0, i)
-		}
-	}
-	for i := int32(0); i < 5; i++ {
-		load(1, 100+i)
-	}
-	c.Rebalance()
-	if hot, cold := c.RegionTarget(0), c.RegionTarget(1); hot <= cold {
-		t.Fatalf("hot region target %d not above cold %d", hot, cold)
-	}
-	// Inserting one more cold entry must evict a COLD entry (over target),
-	// not the LRU-back hot one.
-	load(1, 200)
-	if used := c.RegionUsed(0); used != 500 {
-		t.Fatalf("hot region shrank to %d bytes; eviction ignored targets", used)
-	}
-	if used := c.RegionUsed(1); used != 500 {
-		t.Fatalf("cold region used %d bytes, want 500 after evicting its own", used)
-	}
-	s := c.Stats()
-	if s.BytesCached > 1000 {
-		t.Fatalf("over budget: %+v", s)
-	}
-}
-
-// TestRebalanceSingleRegionUnconstrained: with one region in play the
-// budgeter must not constrain anything.
-func TestRebalanceSingleRegionUnconstrained(t *testing.T) {
-	c := New(1000)
-	for i := int32(0); i < 5; i++ {
-		if _, _, err := c.GetOrLoad(Key{Region: 3, Topic: i}, func() (any, int64, error) {
-			return i, 100, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Rebalance()
-	if c.hasTargets.Load() {
-		t.Fatal("single-region cache grew targets")
-	}
-	if c.RegionTarget(3) != 0 {
-		t.Fatalf("single region target %d, want 0", c.RegionTarget(3))
-	}
-}

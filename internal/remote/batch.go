@@ -65,37 +65,49 @@ func NewBatchHandler(src Source) http.Handler {
 			http.Error(w, fmt.Sprintf("batch of %d units exceeds the %d-unit cap", len(req.Units), maxBatchUnits), http.StatusBadRequest)
 			return
 		}
-		// Replies are buffered so the headers (version, index size) can be
-		// written after the last unit is resolved.
-		var body bytes.Buffer
-		var lenBuf [binary.MaxVarintLen64]byte
-		size := int64(0)
-		for _, u := range req.Units {
+		// Every unit is resolved before the reply is assembled, so the headers
+		// (version, index size) can lead it and its buffer is sized once. One
+		// batch is one kind and one fetch round, whose units are disjoint
+		// extents of one file: a request for more OK bytes than that file
+		// holds is not a round, and is refused as soon as it passes that size.
+		type record struct {
+			status  byte
+			payload []byte
+		}
+		recs := make([]record, len(req.Units))
+		var lenBuf [1 + binary.MaxVarintLen64]byte // status byte + payload length
+		size, served, bodyLen := int64(0), int64(0), 0
+		for i, u := range req.Units {
 			b, sz, err := src.ArtifactBytes(req.Kind, u.Unit, u.Topic, u.Aux)
-			var status byte
-			payload := b
+			rec := record{status: batchOK, payload: b}
 			switch {
 			case err == nil:
-				status = batchOK
 				if size == 0 {
 					size = sz
 				}
+				if served += int64(len(b)); served > size {
+					http.Error(w, fmt.Sprintf("batch asks for more than the %d bytes of the %s index it is cut from", size, req.Kind), http.StatusBadRequest)
+					return
+				}
 			case errors.Is(err, ErrNoArtifact):
-				status = batchNotServed
-				payload = []byte(err.Error())
+				rec = record{status: batchNotServed, payload: []byte(err.Error())}
 			default:
-				status = batchFailed
-				payload = []byte(err.Error())
+				rec = record{status: batchFailed, payload: []byte(err.Error())}
 			}
-			body.WriteByte(status)
-			body.Write(lenBuf[:binary.PutUvarint(lenBuf[:], uint64(len(payload)))])
-			body.Write(payload)
+			recs[i] = rec
+			bodyLen += 1 + binary.PutUvarint(lenBuf[:], uint64(len(rec.payload))) + len(rec.payload)
 		}
 		h := w.Header()
 		h.Set("Content-Type", "application/octet-stream")
 		h.Set(headerVersion, strconv.Itoa(BatchVersion))
 		h.Set(headerIndexSize, strconv.FormatInt(size, 10))
-		h.Set("Content-Length", strconv.Itoa(body.Len()))
+		h.Set("Content-Length", strconv.Itoa(bodyLen))
+		body := bytes.NewBuffer(make([]byte, 0, bodyLen))
+		for _, rec := range recs {
+			lenBuf[0] = rec.status
+			body.Write(lenBuf[:1+binary.PutUvarint(lenBuf[1:], uint64(len(rec.payload)))])
+			body.Write(rec.payload)
+		}
 		body.WriteTo(w)
 	})
 }
@@ -168,8 +180,8 @@ func (c *Client) FetchBatch(ctx context.Context, kind string, reqs []artifact.Re
 				i+1, len(reqs), n, owed, int64(maxArtifactBytes))
 		}
 		owed -= int64(n)
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
+		buf, err := readPayload(br, int(n))
+		if err != nil {
 			return replies, size, fmt.Errorf("remote: batch reply truncated in unit %d of %d: %w", i+1, len(reqs), err)
 		}
 		r := reqs[i]
@@ -189,6 +201,27 @@ func (c *Client) FetchBatch(ctx context.Context, kind string, reqs []artifact.Re
 		}
 	}
 	return replies, size, nil
+}
+
+// readStep is the most readPayload allocates ahead of the bytes it has
+// received. Artifacts up to it are read into one exact allocation.
+const readStep = 1 << 20
+
+// readPayload reads an n-byte record payload. The length is the peer's
+// claim, and so is the Content-Length that bounds it, so the buffer grows
+// only as bytes arrive: a reply that claims more than it sends costs at most
+// readStep past twice what was actually received.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, readStep))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, buf[off:]); err != nil {
+			return nil, err
+		}
+		if off = len(buf); off == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(off, n-off))...)
+	}
 }
 
 // FetchBatch retrieves a whole round of artifacts from the replica group in

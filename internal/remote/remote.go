@@ -36,7 +36,9 @@
 //	      (payload is the error text; retryable on another replica).
 //	      Failures are isolated per unit: one missing keyword never fails
 //	      the round's other fetches.
-//	400 → malformed batch request.
+//	400 → malformed batch request, more than 4 096 units, or units whose
+//	      ok payloads would sum past the advertised index size (one round's
+//	      units are disjoint extents of one file, so honest rounds never do).
 //	anything else (a 404/405 on the path included) → a replica fault.
 //
 // The record stream is strictly ordered and length-prefixed, so a client

@@ -1,11 +1,13 @@
 package remote_test
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
@@ -381,6 +383,73 @@ func TestFetchBatchHostileLength(t *testing.T) {
 	if _, _, err := cl.FetchBatch(context.Background(), remote.KindRR, reqs); err == nil ||
 		!strings.Contains(err.Error(), "Content-Length") {
 		t.Fatalf("reply without a declared length: got %v, want a refusal", err)
+	}
+}
+
+// TestFetchBatchLargePayload: a payload larger than one read step arrives
+// whole, byte for byte, followed by the next record.
+func TestFetchBatchLargePayload(t *testing.T) {
+	payload := make([]byte, 5<<20/2+3)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Kbtim-Artifact-Version", strconv.Itoa(remote.BatchVersion))
+		w.Header().Set("X-Kbtim-Index-Size", strconv.Itoa(len(payload)+2))
+		body := binary.AppendUvarint([]byte{0}, uint64(len(payload)))
+		body = append(append(body, payload...), 0, 2, 'o', 'k')
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
+	}))
+	defer srv.Close()
+	cl := remote.NewClient(srv.URL, srv.Client())
+	replies, _, err := cl.FetchBatch(context.Background(), remote.KindRR,
+		[]artifact.Request{{Unit: "inv", Topic: 1}, {Unit: "inv", Topic: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replies) != 2 || !bytes.Equal(replies[0].Payload, payload) || string(replies[1].Payload) != "ok" {
+		t.Fatalf("got %d replies; want the %d-byte payload intact, then \"ok\"", len(replies), len(payload))
+	}
+}
+
+// TestBatchReplyBoundedByIndexSize: one round's units are disjoint extents
+// of one file, so a batch asking for more OK bytes than the file holds is
+// refused with a 400 before the node assembles a reply. The request is 4 096 copies
+// of the node's largest inv unit — the unit cap — which a node without the
+// bound answers with 4 096 copies of the payload.
+func TestBatchReplyBoundedByIndexSize(t *testing.T) {
+	c := newCluster(t, 0)
+	idx := c.rrRemote[0]
+	big := -1
+	for w := 0; w < c.sm.NumTopics(); w++ {
+		if d := idx.Dir(w); d != nil && (big < 0 || d.InvLen > idx.Dir(big).InvLen) {
+			big = w
+		}
+	}
+	if big < 0 {
+		t.Fatal("shard 0 indexes no keyword")
+	}
+	// The request body is built before the measurement, so what is counted
+	// is what the node allocates to answer it.
+	units := strings.Repeat(fmt.Sprintf(`{"unit":%q,"topic":%d},`, rrindex.UnitInv, big), 4096)
+	body := `{"kind":"rr","units":[` + strings.TrimSuffix(units, ",") + `]}`
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(c.urls[0]+remote.BatchPath, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("4096 × %d-byte unit over a %d-byte file: %s; want 400 Bad Request",
+			idx.Dir(big).InvLen, idx.Size(), resp.Status)
+	}
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*idx.Size()+1<<20); grew > limit {
+		t.Fatalf("refused batch allocated %d bytes; want at most %d (2 × the %d-byte file + 1 MiB)", grew, limit, idx.Size())
 	}
 }
 

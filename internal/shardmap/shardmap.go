@@ -5,17 +5,16 @@
 // the engines that can answer it. Both sides must agree, so every mode is a
 // pure function of (keyword ID, shard count) with no per-process state.
 //
-// Three modes are provided:
+// Two modes are provided; both partition the universe disjointly:
 //
 //   - Hash: keyword → shard by a fixed 64-bit mix of the topic ID. Spreads
 //     hot keywords independently of ID locality; the default.
 //   - Range: contiguous topic-ID blocks of the topic space. Keeps adjacent
 //     IDs together (useful when topic IDs encode category locality) at the
 //     price of skew when popularity correlates with ID.
-//   - Replicate: every shard holds the full universe. No scatter-gather is
-//     ever needed — the router picks one replica per query — which is the
-//     right trade for small indexes where N copies are cheaper than
-//     cross-shard merges.
+//
+// Replication is not a mode: the router serves one shard from several
+// interchangeable backends (a replica group, -backends 'h1|h2').
 package shardmap
 
 import (
@@ -30,7 +29,6 @@ type Mode int
 const (
 	Hash Mode = iota
 	Range
-	Replicate
 )
 
 // String returns the flag spelling of the mode.
@@ -40,8 +38,6 @@ func (m Mode) String() string {
 		return "hash"
 	case Range:
 		return "range"
-	case Replicate:
-		return "replicate"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
@@ -54,10 +50,8 @@ func ParseMode(s string) (Mode, error) {
 		return Hash, nil
 	case "range":
 		return Range, nil
-	case "replicate":
-		return Replicate, nil
 	default:
-		return 0, fmt.Errorf("shardmap: unknown mode %q (want hash, range, or replicate)", s)
+		return 0, fmt.Errorf("shardmap: unknown mode %q (want hash or range)", s)
 	}
 }
 
@@ -76,7 +70,7 @@ func New(n int, mode Mode, numTopics int) (*Map, error) {
 		return nil, fmt.Errorf("shardmap: shard count must be >= 1, got %d", n)
 	}
 	switch mode {
-	case Hash, Range, Replicate:
+	case Hash, Range:
 	default:
 		return nil, fmt.Errorf("shardmap: invalid mode %d", int(mode))
 	}
@@ -111,9 +105,7 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Owner returns the shard owning topic w. In Replicate mode every shard
-// holds w; the hash assignment is still returned so callers can use it as a
-// deterministic default replica for balancing.
+// Owner returns the shard owning topic w.
 func (m *Map) Owner(w int) int {
 	if w < 0 || w >= m.numTopics {
 		// Out-of-space keywords are routed (not rejected) so the owning
@@ -125,7 +117,7 @@ func (m *Map) Owner(w int) int {
 	case Range:
 		// Proportional blocks: shard i owns IDs [i*T/n, (i+1)*T/n).
 		return w * m.n / m.numTopics
-	default: // Hash, Replicate
+	default: // Hash
 		return int(mix64(uint64(w)) % uint64(m.n))
 	}
 }
@@ -152,15 +144,10 @@ func Affinity(w, replicas int) int {
 }
 
 // Shards returns the distinct shards owning any of the given topics, in
-// ascending order. In Replicate mode any single shard can answer, so the
-// result is always one shard — the hash of the first topic — making replica
-// choice deterministic per topic set (callers wanting rotation can override).
+// ascending order.
 func (m *Map) Shards(topics []int) []int {
 	if len(topics) == 0 {
 		return nil
-	}
-	if m.mode == Replicate {
-		return []int{m.Owner(topics[0])}
 	}
 	seen := make(map[int]bool, m.n)
 	out := make([]int, 0, len(topics))
@@ -177,16 +164,9 @@ func (m *Map) Shards(topics []int) []int {
 
 // Partition splits a concrete keyword universe (the topics an unsharded
 // build would index) into per-shard topic lists: result[i] is shard i's
-// build set, each list preserving the input order. Hash and Range partition
-// the universe disjointly; Replicate gives every shard the full list.
+// build set, each list preserving the input order. The lists are disjoint.
 func (m *Map) Partition(topics []int) [][]int {
 	out := make([][]int, m.n)
-	if m.mode == Replicate {
-		for i := range out {
-			out[i] = append([]int(nil), topics...)
-		}
-		return out
-	}
 	for _, w := range topics {
 		s := m.Owner(w)
 		out[s] = append(out[s], w)

@@ -2,6 +2,7 @@ package shardmap
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -31,7 +32,7 @@ func TestParseMode(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want Mode
-	}{{"hash", Hash}, {"range", Range}, {"replicate", Replicate}} {
+	}{{"hash", Hash}, {"range", Range}} {
 		got, err := ParseMode(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseMode(%q) = %v, %v", tc.in, got, err)
@@ -40,8 +41,8 @@ func TestParseMode(t *testing.T) {
 			t.Fatalf("round trip %q → %q", tc.in, got.String())
 		}
 	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("bogus mode parsed")
+	if _, err := ParseMode("bogus"); err == nil || !strings.Contains(err.Error(), "want hash or range") {
+		t.Fatalf("ParseMode(bogus) error = %v, want one listing hash and range", err)
 	}
 }
 
@@ -49,7 +50,7 @@ func TestParseMode(t *testing.T) {
 // shard, and two independently constructed maps agree (the build/serve
 // contract).
 func TestOwnerDeterministicAndTotal(t *testing.T) {
-	for _, mode := range []Mode{Hash, Range, Replicate} {
+	for _, mode := range []Mode{Hash, Range} {
 		a, _ := New(4, mode, 200)
 		b, _ := New(4, mode, 200)
 		for w := 0; w < 200; w++ {
@@ -95,7 +96,7 @@ func TestRangeContiguity(t *testing.T) {
 }
 
 // TestPartitionDisjointCover: hash/range partitions are a disjoint cover of
-// the universe preserving order; replicate copies it to every shard.
+// the universe preserving order.
 func TestPartitionDisjointCover(t *testing.T) {
 	universe := []int{0, 2, 3, 5, 8, 13, 14, 15}
 	for _, mode := range []Mode{Hash, Range} {
@@ -125,17 +126,9 @@ func TestPartitionDisjointCover(t *testing.T) {
 			t.Fatalf("%v: partition covers %d of %d topics", mode, len(seen), len(universe))
 		}
 	}
-
-	m, _ := New(3, Replicate, 16)
-	for s, part := range m.Partition(universe) {
-		if !reflect.DeepEqual(part, universe) {
-			t.Fatalf("replicate shard %d = %v", s, part)
-		}
-	}
 }
 
-// TestShardsRouting: distinct ascending owners for hash, single replica for
-// replicate, deterministic across calls.
+// TestShardsRouting: distinct ascending owners, deterministic across calls.
 func TestShardsRouting(t *testing.T) {
 	m, _ := New(4, Hash, 64)
 	topics := []int{1, 9, 33, 42, 9}
@@ -153,11 +146,6 @@ func TestShardsRouting(t *testing.T) {
 	}
 	if m.Shards(nil) != nil {
 		t.Fatal("empty topics routed somewhere")
-	}
-
-	r, _ := New(4, Replicate, 64)
-	if s := r.Shards(topics); len(s) != 1 {
-		t.Fatalf("replicate scattered to %v", s)
 	}
 }
 

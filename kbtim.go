@@ -48,10 +48,9 @@
 // number of goroutines, and Options.CacheBytes adds an in-memory segment
 // cache in front of the index files for repeated-keyword traffic.
 // cmd/kbtim-serve exposes an Engine over HTTP/JSON behind a bounded worker
-// pool and doubles as a closed-loop load driver. For horizontal scale on
-// one box, Sharded partitions (or replicates) the keyword universe across
-// N engines with per-shard worker pools and cache budgets, returning
-// results identical to a single engine (see DESIGN.md §6.1).
+// pool. For horizontal scale on one box, Sharded partitions the keyword
+// universe across N engines with per-shard worker pools and cache budgets,
+// returning results identical to a single engine (see DESIGN.md §6.1).
 //
 // See examples/ for runnable programs and DESIGN.md for the full mapping
 // between the paper and this repository, the index file formats, and the

@@ -25,11 +25,10 @@ type querier interface {
 func TestQueryEntryPoint(t *testing.T) {
 	ds := shardedDataset(t)
 	hash, single := buildSharded(t, ds, 4, ShardHash, 0)
-	replicate, _ := buildSharded(t, ds, 2, ShardReplicate, 0)
 	deployments := []struct {
 		name string
 		d    querier
-	}{{"engine", single}, {"sharded-hash", hash}, {"sharded-replicate", replicate}}
+	}{{"engine", single}, {"sharded-hash", hash}}
 	ctx := context.Background()
 
 	for _, dep := range deployments {
@@ -110,7 +109,7 @@ func TestQueryEntryPoint(t *testing.T) {
 			t.Fatalf("%s: unknown strategy: %v", dep.name, err)
 		}
 	}
-	for name, d := range map[string]querier{"engine": bare("", 1), "sharded-hash": bare(ShardHash, 4), "sharded-replicate": bare(ShardReplicate, 2)} {
+	for name, d := range map[string]querier{"engine": bare("", 1), "sharded-hash": bare(ShardHash, 4)} {
 		for st, want := range map[Strategy]string{
 			StrategyRR:  "kbtim: no RR index opened (call OpenRRIndex)",
 			StrategyIRR: "kbtim: no IRR index opened (call OpenIRRIndex)",

@@ -22,9 +22,6 @@ const (
 	ShardHash ShardMode = "hash"
 	// ShardRange assigns contiguous topic-ID blocks to shards.
 	ShardRange ShardMode = "range"
-	// ShardReplicate gives every shard the full universe; queries are
-	// load-balanced round-robin across replicas and never scatter.
-	ShardReplicate ShardMode = "replicate"
 )
 
 func (m ShardMode) internal() (shardmap.Mode, error) {
@@ -52,15 +49,14 @@ type ShardStat struct {
 }
 
 // Sharded serves one logical keyword universe from N engine shards on one
-// box. In hash/range mode each shard's indexes cover a disjoint keyword
-// subset: a query whose topics co-locate on one shard is answered from that
-// shard's index exactly as a single-engine deployment would, and a query
-// spanning shards by the exact cross-index merge
+// box. Each shard's indexes cover a disjoint keyword subset: a query whose
+// topics co-locate on one shard is answered from that shard's index exactly
+// as a single-engine deployment would, and a query spanning shards by the
+// exact cross-index merge
 // (rrindex/irrindex QueryMultiStreamCtx), which returns bit-identical seeds,
 // marginals, and spreads to a single full index — per-keyword build
 // determinism makes shard payloads equal to the full index's, and the merge
-// runs in query-keyword order. In replicate mode every shard holds the full
-// index and queries round-robin across replicas.
+// runs in query-keyword order.
 //
 // Each shard optionally has its own bounded worker pool: a query occupies
 // one slot on every shard it reads from, acquired in ascending shard order
@@ -77,7 +73,6 @@ type Sharded struct {
 	sm       *shardmap.Map
 	sems     []chan struct{} // per-shard worker pools; nil = unbounded
 	inflight []atomic.Int64
-	next     atomic.Uint64 // round-robin cursor for replicate routing
 }
 
 // NewSharded assembles a sharded deployment from per-shard engines (all
@@ -134,8 +129,7 @@ func (s *Sharded) Mode() ShardMode { return ShardMode(s.sm.Mode().String()) }
 // Shard returns shard i's engine (for hot swaps and per-shard inspection).
 func (s *Sharded) Shard(i int) *Engine { return s.engines[i] }
 
-// Owner returns the shard owning a topic (ownership is shared in replicate
-// mode; the returned shard is the deterministic default replica).
+// Owner returns the shard owning a topic.
 func (s *Sharded) Owner(topic int) int { return s.sm.Owner(topic) }
 
 // Close closes every shard engine and returns the first error.
@@ -150,7 +144,7 @@ func (s *Sharded) Close() error {
 }
 
 // IndexedKeywords returns the sorted union of every shard's queryable
-// topics (disjoint in hash/range mode, identical in replicate mode).
+// topics.
 func (s *Sharded) IndexedKeywords() []int {
 	seen := map[int]bool{}
 	var out []int
@@ -212,17 +206,6 @@ func addCacheStats(a, b diskio.CacheStats) diskio.CacheStats {
 	return a
 }
 
-// route returns the shards a query must touch, ascending, and the shard each
-// keyword is read from. Hash/range modes follow the shard map; replicate mode
-// rotates across replicas, and every keyword is read from the pick.
-func (s *Sharded) route(topics []int) ([]int, func(topic int) int) {
-	if s.sm.Mode() == shardmap.Replicate {
-		pick := int(s.next.Add(1)-1) % len(s.engines)
-		return []int{pick}, func(int) int { return pick }
-	}
-	return s.sm.Shards(topics), s.sm.Owner
-}
-
 // acquire takes one worker slot on every involved shard, in ascending shard
 // order (the total order makes concurrent multi-shard acquisition
 // deadlock-free), and returns the matching release. The waits honor ctx: a
@@ -264,7 +247,7 @@ func (s *Sharded) acquire(ctx context.Context, shards []int) (func(), error) {
 // query is the exact cross-index merge. ctx is additionally honored while
 // waiting for the per-shard worker slots.
 func (s *Sharded) Query(ctx context.Context, st Strategy, q Query, so StreamOptions) (*Result, error) {
-	shards, ownerOf := s.route(q.Topics)
+	shards := s.sm.Shards(q.Topics)
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("kbtim: query needs at least one keyword")
 	}
@@ -278,7 +261,7 @@ func (s *Sharded) Query(ctx context.Context, st Strategy, q Query, so StreamOpti
 		return nil, err
 	}
 	defer done()
-	return queryPinned(ctx, st, func(w int) *indexHandle { return handles[ownerOf(w)] }, q, so)
+	return queryPinned(ctx, st, func(w int) *indexHandle { return handles[s.sm.Owner(w)] }, q, so)
 }
 
 // QueryRR is Query(context.Background(), StrategyRR, q, StreamOptions{}).
@@ -335,10 +318,9 @@ func (s *Sharded) ArtifactBytes(kind, unit string, topic int, aux int64) ([]byte
 
 // BuildShardIndexes builds per-shard index files for a sharded deployment:
 // the engine's indexable universe is partitioned by (shards, mode) and each
-// shard's subset index is written to pathFor(shard). Replicate mode writes
-// the full index to every shard path. kind is "rr" or "irr". Shards left
-// with no keywords (possible at tiny universes under hash skew) get no file
-// and a nil report.
+// shard's subset index is written to pathFor(shard). kind is "rr" or "irr".
+// Shards left with no keywords (possible at tiny universes under hash skew)
+// get no file and a nil report.
 func (e *Engine) BuildShardIndexes(kind string, shards int, mode ShardMode, pathFor func(shard int) string) ([]*BuildReport, error) {
 	m, err := mode.internal()
 	if err != nil {
@@ -382,8 +364,7 @@ func (e *Engine) BuildShardIndexes(kind string, shards int, mode ShardMode, path
 
 // ShardIndexPath returns the conventional per-shard index filename,
 // "<path>.s<shard>" — the naming contract between kbtim-build's sharded
-// output and kbtim-serve's sharded open (replicate mode serves one
-// unsuffixed file to every shard instead).
+// output and kbtim-serve's sharded open.
 func ShardIndexPath(path string, shard int) string {
 	return fmt.Sprintf("%s.s%d", path, shard)
 }
@@ -392,10 +373,9 @@ func ShardIndexPath(path string, shard int) string {
 // per-shard index files: N engines are created over ds with opts (the
 // caller splits any global cache budgets per shard beforehand), and shard i
 // opens "<path>.s<i>" for each non-empty rrPath/irrPath — the files
-// kbtim-build -shards writes — while replicate mode opens the one full
-// index at the unsuffixed path on every shard. Shards whose keyword
-// partition is empty (possible when hashing a tiny universe) are left
-// indexless and are never routed to.
+// kbtim-build -shards writes. Shards whose keyword partition is empty
+// (possible when hashing a tiny universe) are left indexless and are never
+// routed to.
 //
 // The open is all-or-nothing: any failure closes every engine already
 // created — including the ones that had opened their files — so a partial
@@ -426,24 +406,18 @@ func OpenShardedIndexes(ds *Dataset, opts Options, rrPath, irrPath string, shard
 	if err != nil {
 		return fail(err)
 	}
-	pathFor := func(path string, shard int) string {
-		if mode == ShardReplicate {
-			return path
-		}
-		return ShardIndexPath(path, shard)
-	}
 	for i, eng := range engines {
 		if len(topicsBy[i]) == 0 {
 			continue
 		}
 		if rrPath != "" {
-			p := pathFor(rrPath, i)
+			p := ShardIndexPath(rrPath, i)
 			if err := eng.OpenRRIndex(p); err != nil {
 				return fail(shardOpenErr(p, i, shards, mode, err))
 			}
 		}
 		if irrPath != "" {
-			p := pathFor(irrPath, i)
+			p := ShardIndexPath(irrPath, i)
 			if err := eng.OpenIRRIndex(p); err != nil {
 				return fail(shardOpenErr(p, i, shards, mode, err))
 			}
@@ -459,7 +433,7 @@ func OpenShardedIndexes(ds *Dataset, opts Options, rrPath, irrPath string, shard
 // shardOpenErr decorates a per-shard open failure with the likely fix when
 // the file simply is not there.
 func shardOpenErr(path string, shard, shards int, mode ShardMode, err error) error {
-	if os.IsNotExist(err) && mode != ShardReplicate {
+	if os.IsNotExist(err) {
 		return fmt.Errorf("kbtim: shard %d index %s missing (build per-shard files with kbtim-build -shards %d -shard-mode %s): %w",
 			shard, path, shards, mode, err)
 	}

@@ -188,30 +188,6 @@ func TestShardedHashParity(t *testing.T) {
 	}
 }
 
-// TestShardedReplicateParity: replicate mode round-robins whole queries
-// across identical replicas, so every result matches the single engine and
-// nothing ever scatters.
-func TestShardedReplicateParity(t *testing.T) {
-	ds := shardedDataset(t)
-	s, single := buildSharded(t, ds, 2, ShardReplicate, 0)
-	for _, q := range shardedQueries() {
-		a, err := single.QueryIRR(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Twice per query so the round-robin cursor visits both replicas.
-		for i := 0; i < 2; i++ {
-			b, err := s.QueryIRR(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a.Seeds, b.Seeds) || a.EstSpread != b.EstSpread {
-				t.Fatalf("replicate %v diverged on attempt %d", q, i)
-			}
-		}
-	}
-}
-
 // TestShardedPerShardPools: bounded per-shard pools under concurrent mixed
 // single/scatter traffic — every result stays correct and the pools drain
 // back to zero in-flight.
