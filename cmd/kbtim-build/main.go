@@ -9,9 +9,10 @@
 // With -shards N > 1 the keyword universe is partitioned (-shard-mode hash,
 // the default, or range) and one subset index per shard is written to
 // "<out>.s<i>" — the layout kbtim-serve -shards N opens. Per-keyword sampling
-// is seeded by topic ID alone, so shard files hold bit-identical payloads to
-// a full build and a sharded deployment answers queries identically to a
-// single engine.
+// is seeded by topic ID alone, so at equal -workers shard files hold
+// bit-identical payloads to a full build and a sharded deployment answers
+// queries identically to a single engine. The payloads do depend on -workers
+// (ROADMAP direction 8): build every file of a deployment with one value.
 package main
 
 import (

@@ -3,6 +3,7 @@ package kbtim
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -361,29 +362,16 @@ func (e *Engine) BuildRRIndex(path string) (*BuildReport, error) {
 
 // BuildRRIndexTopics builds an RR index restricted to the given topic IDs
 // (nil = every topic with positive mass, i.e. BuildRRIndex). Each keyword's
-// θ_w planning and RR-set sampling are seeded by the topic ID alone, so a
-// keyword's payload is bit-identical whether it is built into a full index
-// or a subset one — the property keyword-sharded serving relies on for
-// exact result parity.
+// θ_w planning and RR-set sampling are seeded by the topic ID alone, so at
+// equal Options.Workers a keyword's payload is bit-identical whether it is
+// built into a full index or a subset one — the property keyword-sharded
+// serving relies on for exact result parity. The bytes do depend on
+// Workers (ROADMAP direction 8): build every file of a deployment with the
+// same value.
 func (e *Engine) BuildRRIndexTopics(path string, topics []int) (*BuildReport, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := rrindex.Build(f, e.ds.graph, e.model, e.ds.profiles, e.cfg, rrindex.BuildOptions{
-		Compression: e.opts.compression(),
-		Sizing:      e.opts.sizing(),
-		Topics:      topics,
+	return e.buildIndex(path, func(w io.Writer) (*indexfile.BuildStats, error) {
+		return rrindex.Build(w, e.ds.graph, e.model, e.ds.profiles, e.cfg, e.buildOptions(topics))
 	})
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(path)
-		return nil, err
-	}
-	return buildReport(stats.Keywords, stats.TotalBytes, stats.SumTheta(), stats.MeanRRSize(), stats.Elapsed,
-		func(k rrindex.KeywordStats) bool { return k.Capped }), nil
 }
 
 // BuildIRRIndex builds the incremental IRR index (Algorithm 3) at path.
@@ -395,16 +383,27 @@ func (e *Engine) BuildIRRIndex(path string) (*BuildReport, error) {
 // (nil = every topic with positive mass). See BuildRRIndexTopics for the
 // per-keyword determinism guarantee sharded serving builds on.
 func (e *Engine) BuildIRRIndexTopics(path string, topics []int) (*BuildReport, error) {
+	return e.buildIndex(path, func(w io.Writer) (*indexfile.BuildStats, error) {
+		return irrindex.Build(w, e.ds.graph, e.model, e.ds.profiles, e.cfg, irrindex.BuildOptions{
+			BuildOptions:  e.buildOptions(topics),
+			PartitionSize: e.opts.PartitionSize,
+		})
+	})
+}
+
+// buildOptions is what both kinds' builds take from the engine's options.
+func (e *Engine) buildOptions(topics []int) indexfile.BuildOptions {
+	return indexfile.BuildOptions{Compression: e.opts.compression(), Sizing: e.opts.sizing(), Topics: topics}
+}
+
+// buildIndex runs one index build into a new file at path, removing the
+// file if the build fails, and reports it.
+func (e *Engine) buildIndex(path string, build func(io.Writer) (*indexfile.BuildStats, error)) (*BuildReport, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	stats, err := irrindex.Build(f, e.ds.graph, e.model, e.ds.profiles, e.cfg, irrindex.BuildOptions{
-		Compression:   e.opts.compression(),
-		Sizing:        e.opts.sizing(),
-		PartitionSize: e.opts.PartitionSize,
-		Topics:        topics,
-	})
+	stats, err := build(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -412,26 +411,20 @@ func (e *Engine) BuildIRRIndexTopics(path string, topics []int) (*BuildReport, e
 		os.Remove(path)
 		return nil, err
 	}
-	return buildReport(stats.Keywords, stats.TotalBytes, stats.SumTheta(), stats.MeanRRSize(), stats.Elapsed,
-		func(k irrindex.KeywordStats) bool { return k.Capped }), nil
-}
-
-// buildReport assembles the public report from either index's build stats.
-func buildReport[K any](keywords []K, bytes, sumTheta int64, meanRR float64, elapsed time.Duration, capped func(K) bool) *BuildReport {
-	n := 0
-	for _, k := range keywords {
-		if capped(k) {
-			n++
+	capped := 0
+	for _, k := range stats.Keywords {
+		if k.Capped {
+			capped++
 		}
 	}
 	return &BuildReport{
-		Bytes:         bytes,
-		SumTheta:      sumTheta,
-		MeanRRSetSize: meanRR,
-		Keywords:      len(keywords),
-		Capped:        n,
-		Elapsed:       elapsed,
-	}
+		Bytes:         stats.TotalBytes,
+		SumTheta:      stats.SumTheta(),
+		MeanRRSetSize: stats.MeanRRSize(),
+		Keywords:      len(stats.Keywords),
+		Capped:        capped,
+		Elapsed:       stats.Elapsed,
+	}, nil
 }
 
 // IndexableTopics returns the sorted topic IDs a full index build would

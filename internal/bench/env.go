@@ -15,6 +15,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -23,6 +24,7 @@ import (
 	"kbtim/internal/diskio"
 	"kbtim/internal/gen"
 	"kbtim/internal/graph"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/irrindex"
 	"kbtim/internal/prop"
 	"kbtim/internal/rrindex"
@@ -332,38 +334,25 @@ func (e *Env) index(key indexKey) (*indexEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	ent := &indexEntry{}
-	switch key.kind {
-	case "rr":
-		stats, berr := rrindex.Build(fo, g, prop.IC{}, prof, cfg, rrindex.BuildOptions{
-			Compression: key.comp,
-			Sizing:      key.sizing,
-		})
-		if berr != nil {
-			fo.Close()
-			return nil, berr
+	opts := indexfile.BuildOptions{Compression: key.comp, Sizing: key.sizing}
+	build := func(w io.Writer) (*indexfile.BuildStats, error) {
+		return rrindex.Build(w, g, prop.IC{}, prof, cfg, opts)
+	}
+	if key.kind == "irr" {
+		build = func(w io.Writer) (*indexfile.BuildStats, error) {
+			return irrindex.Build(w, g, prop.IC{}, prof, cfg, irrindex.BuildOptions{BuildOptions: opts, PartitionSize: key.delta})
 		}
-		ent.bytes = stats.TotalBytes
-		ent.sumTheta = stats.SumTheta()
-		ent.meanRR = stats.MeanRRSize()
-		ent.buildSec = stats.Elapsed.Seconds()
-	case "irr":
-		stats, berr := irrindex.Build(fo, g, prop.IC{}, prof, cfg, irrindex.BuildOptions{
-			Compression:   key.comp,
-			Sizing:        key.sizing,
-			PartitionSize: key.delta,
-		})
-		if berr != nil {
-			fo.Close()
-			return nil, berr
-		}
-		ent.bytes = stats.TotalBytes
-		ent.sumTheta = stats.SumTheta()
-		ent.meanRR = stats.MeanRRSize()
-		ent.buildSec = stats.Elapsed.Seconds()
-	default:
+	}
+	stats, err := build(fo)
+	if err != nil {
 		fo.Close()
-		return nil, fmt.Errorf("bench: unknown index kind %q", key.kind)
+		return nil, err
+	}
+	ent := &indexEntry{
+		bytes:    stats.TotalBytes,
+		sumTheta: stats.SumTheta(),
+		meanRR:   stats.MeanRRSize(),
+		buildSec: stats.Elapsed.Seconds(),
 	}
 	if err := fo.Close(); err != nil {
 		return nil, err

@@ -1,10 +1,19 @@
 // Package indexfile is the substrate the RR and IRR index packages share:
-// everything about an opened index file that depends on neither its payload
-// format nor its query algorithm.
+// everything about building or opening an index file that depends on
+// neither its payload format nor its query algorithm.
 //
+//   - Build (write.go) is Algorithms 1 and 3 up to their encoders: the topic
+//     checks, one wris.SampleKeyword per keyword — so both kinds draw the
+//     same R_w — and the two-pass prelude writer. A kind supplies a Format:
+//     magic, version, its header tail, and a per-keyword encoder returning
+//     the keyword's payload regions and its directory-entry writer.
+//     BuildOptions, KeywordStats and BuildStats are the one set of build
+//     types.
 //   - Open frames the prelude both formats start with (magic | version u32 |
-//     preludeLen u64, then the format's own header and keyword directory) and
-//     InPayload bounds every extent a directory names.
+//     preludeLen u64, then Header, the format's tail, and the keyword
+//     directory); ParseHeader reads the shared header, AddKeyword refuses a
+//     topic named twice, and InPayload bounds every extent a directory
+//     names.
 //   - File carries what attaches to an open index: the decoded-object cache,
 //     the per-query load parallelism, the remote fetcher.
 //   - Artifact is the one choke point through which a query turns an artifact
@@ -17,7 +26,7 @@
 //   - Result (query.go) is what a query returns under either algorithm.
 //
 // rrindex and irrindex embed File in their Index types and keep their payload
-// formats, unit names, cache regions and algorithms.
+// encoders and formats, unit names, cache regions and algorithms.
 package indexfile
 
 import (
@@ -29,9 +38,11 @@ import (
 
 	"kbtim/internal/artifact"
 	"kbtim/internal/binfmt"
+	"kbtim/internal/codec"
 	"kbtim/internal/diskio"
 	"kbtim/internal/objcache"
 	"kbtim/internal/topic"
+	"kbtim/internal/wris"
 )
 
 // UnitDir names the prelude artifact (header plus keyword directory) of
@@ -124,14 +135,74 @@ func Open(r diskio.Segmented, name, magic string, version uint32) (File, *binfmt
 	return File{name: name, r: r, prelude: preludeLen, keywords: make(map[int]Keyword)}, br, nil
 }
 
+// Header is the index-wide metadata both index kinds carry. On disk it
+// follows the frame as
+//
+//	compression u8 | sizing u8 | modelNameLen u8 | modelName |
+//	numVertices u64 | numTopics u32 | K u32 | epsilon f64 |
+//	<the kind's header tail> | numKeywords u32
+//
+// and the keyword directory follows it.
+type Header struct {
+	Compression codec.Compression
+	Sizing      wris.SizingMode
+	ModelName   string
+	NumVertices int
+	NumTopics   int
+	K           int
+	Epsilon     float64
+}
+
+// ParseHeader reads the shared header from r, positioned just past the frame
+// as Open leaves it; tail (nil when the kind has none) reads the kind's own
+// fields between ε and numKeywords. It sets f.Shape and returns the header
+// with the directory's keyword count. minEntry is the length of the kind's
+// smallest directory entry: the prelude bytes left bound the count before a
+// caller sizes a table by it.
+func (f *File) ParseHeader(r *binfmt.Reader, tail func(*binfmt.Reader), minEntry int) (Header, int, error) {
+	var h Header
+	h.Compression = codec.Compression(r.U8())
+	h.Sizing = wris.SizingMode(r.U8())
+	h.ModelName = string(r.Bytes(int(r.U8())))
+	h.NumVertices = int(r.U64())
+	h.NumTopics = int(r.U32())
+	h.K = int(r.U32())
+	h.Epsilon = r.F64()
+	if tail != nil {
+		tail(r)
+	}
+	numKeywords := int(r.U32())
+	if err := r.Err(); err != nil {
+		return h, 0, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	}
+	if !h.Compression.Valid() {
+		return h, 0, fmt.Errorf("%w: unknown compression %d", ErrBadFormat, h.Compression)
+	}
+	if h.NumVertices < 0 || h.NumTopics <= 0 || numKeywords < 0 || numKeywords > h.NumTopics {
+		return h, 0, fmt.Errorf("%w: implausible header", ErrBadFormat)
+	}
+	if numKeywords > r.Remaining()/minEntry {
+		return h, 0, fmt.Errorf("%w: implausible keyword count %d", ErrBadFormat, numKeywords)
+	}
+	f.Shape = Shape{NumVertices: h.NumVertices, NumTopics: h.NumTopics, K: h.K}
+	return h, numKeywords, nil
+}
+
 // InPayload reports whether [off, off+length) lies between the prelude and
 // the end of the file — the bound every directory extent must satisfy.
 func (f *File) InPayload(off, length int64) bool {
 	return off >= f.prelude && length >= 0 && length <= f.r.Size()-off
 }
 
-// AddKeyword registers one parsed directory entry.
-func (f *File) AddKeyword(kw Keyword) { f.keywords[kw.TopicID] = kw }
+// AddKeyword registers one parsed directory entry. A directory names each
+// topic at most once: a second entry for it is ErrBadFormat.
+func (f *File) AddKeyword(kw Keyword) error {
+	if _, dup := f.keywords[kw.TopicID]; dup {
+		return fmt.Errorf("%w: topic %d has two directory entries", ErrBadFormat, kw.TopicID)
+	}
+	f.keywords[kw.TopicID] = kw
+	return nil
+}
 
 // Substrate returns f. Index types embed File, so this is how generic code
 // (Resolve) reaches the substrate of whichever index package it serves.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"testing"
 
 	"kbtim"
@@ -27,9 +28,10 @@ type claim struct{ sets, bytes int64 }
 // θ_w claim the parsed directory names.
 var formats = []struct {
 	name string
+	tail int // header bytes between ε and numKeywords
 	open func(diskio.Segmented) (*indexfile.File, []extent, []claim, error)
 }{
-	{"rr", func(r diskio.Segmented) (*indexfile.File, []extent, []claim, error) {
+	{"rr", 0, func(r diskio.Segmented) (*indexfile.File, []extent, []claim, error) {
 		idx, err := rrindex.Open(r)
 		if err != nil {
 			return nil, nil, nil, err
@@ -43,7 +45,7 @@ var formats = []struct {
 		}
 		return idx.Substrate(), ext, cl, nil
 	}},
-	{"irr", func(r diskio.Segmented) (*indexfile.File, []extent, []claim, error) {
+	{"irr", 4, func(r diskio.Segmented) (*indexfile.File, []extent, []claim, error) {
 		idx, err := irrindex.Open(r)
 		if err != nil {
 			return nil, nil, nil, err
@@ -96,25 +98,31 @@ func buildIndexes(tb testing.TB) map[string][]byte {
 	return files
 }
 
+// entryKey is how both formats open topic w's directory entry: topic ID u32 |
+// θ_w u64.
+func entryKey(w int, theta int64) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, uint32(w)), uint64(theta))
+}
+
+// findOnce returns b from the one place key occurs in b's prelude.
+func findOnce(b, key []byte) []byte {
+	prelude := b[:binary.LittleEndian.Uint64(b[8:])]
+	i := bytes.Index(prelude, key)
+	if i < 0 || bytes.Contains(prelude[i+1:], key) {
+		panic("findOnce: directory field not found exactly once")
+	}
+	return b[i:]
+}
+
 // forgeThetaW rewrites every keyword's θ_w claim in a real RR or IRR file
-// to theta(old, part). Both formats' directory entries open with topic ID
-// u32 | θ_w u64, so each claim is found by that pair within the prelude. For
-// an IRR file part is the keyword's first partition entry (off u64 | len u64
-// | numUsers u32 | numSets u32 | lastListLen u32), which theta may rewrite
-// too; for an RR file it is nil.
+// to theta(old, part). Each claim is found by its entry key within the
+// prelude. For an IRR file part is the keyword's first partition entry (off
+// u64 | len u64 | numUsers u32 | numSets u32 | lastListLen u32), which theta
+// may rewrite too; for an RR file it is nil.
 func forgeThetaW(b []byte, theta func(old int64, part []byte) int64) []byte {
 	le := binary.LittleEndian
-	prelude := b[:le.Uint64(b[8:])]
-	find := func(key []byte) []byte {
-		i := bytes.Index(prelude, key)
-		if i < 0 || bytes.Contains(prelude[i+1:], key) {
-			panic("forgeThetaW: directory entry not found exactly once")
-		}
-		return prelude[i:]
-	}
 	forge := func(w int, old int64, part []byte) {
-		at := find(le.AppendUint64(le.AppendUint32(nil, uint32(w)), uint64(old)))[4:]
-		le.PutUint64(at, uint64(theta(old, part)))
+		le.PutUint64(findOnce(b, entryKey(w, old))[4:], uint64(theta(old, part)))
 	}
 	if rr, err := rrindex.Open(diskio.NewMem(b, nil)); err == nil {
 		for _, w := range rr.Keywords() {
@@ -124,11 +132,36 @@ func forgeThetaW(b []byte, theta func(old int64, part []byte) int64) []byte {
 		for _, w := range irr.Keywords() {
 			d := irr.Dir(w)
 			p := d.Partitions[0]
-			forge(w, d.ThetaW, find(le.AppendUint64(le.AppendUint64(nil, uint64(p.Off)), uint64(p.Len))))
+			forge(w, d.ThetaW, findOnce(b, le.AppendUint64(le.AppendUint64(nil, uint64(p.Off)), uint64(p.Len))))
 		}
 	} else {
 		panic("forgeThetaW: pristine file does not open")
 	}
+	return b
+}
+
+// duplicateTopic relabels the directory entry of a real file's second-lowest
+// topic with its lowest, so two entries name one topic. Every extent and
+// claim stays valid: only a check for the repeat can refuse the file.
+func duplicateTopic(b []byte) []byte {
+	theta := map[int]int64{}
+	if rr, err := rrindex.Open(diskio.NewMem(b, nil)); err == nil {
+		for _, w := range rr.Keywords() {
+			theta[w] = rr.Dir(w).ThetaW
+		}
+	} else if irr, err := irrindex.Open(diskio.NewMem(b, nil)); err == nil {
+		for _, w := range irr.Keywords() {
+			theta[w] = irr.Dir(w).ThetaW
+		}
+	} else {
+		panic("duplicateTopic: pristine file does not open")
+	}
+	topics := make([]int, 0, len(theta))
+	for w := range theta {
+		topics = append(topics, w)
+	}
+	sort.Ints(topics)
+	binary.LittleEndian.PutUint32(findOnce(b, entryKey(topics[1], theta[topics[1]])), uint32(topics[0]))
 	return b
 }
 
@@ -162,6 +195,7 @@ func TestHostilePreludes(t *testing.T) {
 		{"θ_w beyond what the payload holds", func(b []byte) []byte {
 			return forgeThetaW(b, func(int64, []byte) int64 { return 1 << 24 })
 		}},
+		{"topic named by two directory entries", duplicateTopic},
 	}
 	// An IRR θ_w is exactly its partitions' set count, so smaller lies fail
 	// there too.
@@ -198,15 +232,22 @@ func TestHostilePreludes(t *testing.T) {
 	}
 }
 
+// declaredKeywords reads numKeywords from the header of a file that opened:
+// frame (16) | compression, sizing, modelNameLen (3) | modelName |
+// numVertices u64 | numTopics u32 | K u32 | ε f64 | tail | numKeywords u32.
+func declaredKeywords(b []byte, tail int) int {
+	return int(binary.LittleEndian.Uint32(b[16+3+int(b[18])+8+4+4+8+tail:]))
+}
+
 // allocSlack is what an open may allocate over a small multiple of its
 // input: the index structs, error values, and whatever the test binary's
 // other goroutines do meanwhile.
 const allocSlack = 1 << 20
 
 // FuzzOpen feeds arbitrary files to both formats' Open: a bounded
-// ErrBadFormat, or an index whose every directory extent lies between the
-// prelude and the end of the file and whose every θ_w fits the bytes that
-// hold its sets — never a panic, and never an allocation (at open or at the
+// ErrBadFormat, or an index with one keyword per directory entry, whose every
+// directory extent lies between the prelude and the end of the file and
+// whose every θ_w fits the bytes that hold its sets — never a panic, and never an allocation (at open or at the
 // first query) sized by a prelude claim instead of by the bytes.
 func FuzzOpen(f *testing.F) {
 	files := buildIndexes(f)
@@ -226,6 +267,9 @@ func FuzzOpen(f *testing.F) {
 					t.Fatalf("%s: got %v, want ErrBadFormat", fm.name, err)
 				}
 				continue
+			}
+			if n := declaredKeywords(data, fm.tail); len(file.Keywords()) != n {
+				t.Fatalf("%s: opened %d keywords from %d directory entries", fm.name, len(file.Keywords()), n)
 			}
 			for _, e := range exts {
 				if !file.InPayload(e.off, e.length) {

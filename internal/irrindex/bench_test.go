@@ -8,6 +8,7 @@ import (
 	"kbtim/internal/codec"
 	"kbtim/internal/diskio"
 	"kbtim/internal/gen"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/objcache"
 	"kbtim/internal/prop"
 	"kbtim/internal/topic"
@@ -36,7 +37,7 @@ func benchIndex(b *testing.B) *Index {
 	}
 	var buf bytes.Buffer
 	if _, err := Build(&buf, g, prop.IC{}, prof, cfg, BuildOptions{
-		Compression:   codec.Delta,
+		BuildOptions:  indexfile.BuildOptions{Compression: codec.Delta},
 		PartitionSize: 10,
 	}); err != nil {
 		b.Fatal(err)

@@ -9,6 +9,7 @@ import (
 
 	"kbtim/internal/codec"
 	"kbtim/internal/diskio"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/prop"
 	"kbtim/internal/topic"
 )
@@ -18,7 +19,7 @@ func buildFigure1Mem(t testing.TB, delta int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := Build(&buf, figure1(t), prop.IC{}, figure1Profiles(t), testConfig(), BuildOptions{
-		Compression:   codec.Delta,
+		BuildOptions:  indexfile.BuildOptions{Compression: codec.Delta},
 		PartitionSize: delta,
 	}); err != nil {
 		t.Fatal(err)

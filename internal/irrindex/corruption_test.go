@@ -10,6 +10,7 @@ import (
 
 	"kbtim/internal/codec"
 	"kbtim/internal/diskio"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/pool"
 	"kbtim/internal/prop"
 	"kbtim/internal/rng"
@@ -26,7 +27,7 @@ func TestRandomCorruptionNeverPanics(t *testing.T) {
 	prof := figure1Profiles(t)
 	var buf bytes.Buffer
 	if _, err := Build(&buf, g, prop.IC{}, prof, testConfig(), BuildOptions{
-		Compression:   codec.Delta,
+		BuildOptions:  indexfile.BuildOptions{Compression: codec.Delta},
 		PartitionSize: 2,
 	}); err != nil {
 		t.Fatal(err)
@@ -77,7 +78,7 @@ func TestTruncationSweepNeverPanics(t *testing.T) {
 	cfg.MaxThetaPerKeyword = 200 // keep the file small enough to sweep
 	var buf bytes.Buffer
 	if _, err := Build(&buf, g, prop.IC{}, prof, cfg, BuildOptions{
-		Compression:   codec.Delta,
+		BuildOptions:  indexfile.BuildOptions{Compression: codec.Delta},
 		PartitionSize: 2,
 	}); err != nil {
 		t.Fatal(err)

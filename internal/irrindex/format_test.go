@@ -207,7 +207,7 @@ func TestOpenRejectsOldFormat(t *testing.T) {
 // consult. They read through the reader they are handed, so a hostile region
 // needs no file framed around it.
 func bareIndex(comp codec.Compression, numVertices int) *Index {
-	return &Index{hdr: Header{Compression: comp, NumVertices: numVertices}}
+	return &Index{hdr: Header{Header: indexfile.Header{Compression: comp, NumVertices: numVertices}}}
 }
 
 // decodeBareIP runs decodeIP over region as the whole IP table of a keyword

@@ -13,6 +13,7 @@ import (
 	"kbtim/internal/diskio"
 	"kbtim/internal/gen"
 	"kbtim/internal/graph"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/objcache"
 	"kbtim/internal/prop"
 	"kbtim/internal/rrindex"
@@ -91,7 +92,7 @@ func buildBoth(t testing.TB, g *graph.Graph, prof *topic.Profiles, cfg wris.Conf
 		t.Fatal(err)
 	}
 	if _, err := Build(&irrBuf, g, prop.IC{}, prof, cfg, BuildOptions{
-		Compression:   codec.Delta,
+		BuildOptions:  indexfile.BuildOptions{Compression: codec.Delta},
 		PartitionSize: delta,
 	}); err != nil {
 		t.Fatal(err)
@@ -112,7 +113,7 @@ func TestBuildAndOpenRoundTrip(t *testing.T) {
 	prof := figure1Profiles(t)
 	var buf bytes.Buffer
 	stats, err := Build(&buf, g, prop.IC{}, prof, testConfig(), BuildOptions{
-		Compression:   codec.Delta,
+		BuildOptions:  indexfile.BuildOptions{Compression: codec.Delta},
 		PartitionSize: 2,
 	})
 	if err != nil {
@@ -133,9 +134,6 @@ func TestBuildAndOpenRoundTrip(t *testing.T) {
 		d := idx.Dir(ks.TopicID)
 		if d == nil || int(d.ThetaW) != ks.Theta {
 			t.Fatalf("dir mismatch for topic %d", ks.TopicID)
-		}
-		if ks.NumPartitions != len(d.Partitions) {
-			t.Fatalf("partition count mismatch for topic %d", ks.TopicID)
 		}
 		// Partition invariants: users ≤ δ, LastListLen non-increasing.
 		prev := 1 << 30
@@ -305,7 +303,7 @@ func TestIRRIOGrowsWithK(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	if _, err := Build(&buf, g, prop.IC{}, prof, cfg, BuildOptions{
-		Compression:   codec.Delta,
+		BuildOptions:  indexfile.BuildOptions{Compression: codec.Delta},
 		PartitionSize: 5,
 	}); err != nil {
 		t.Fatal(err)
@@ -384,7 +382,7 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	prof := figure1Profiles(t)
 	var buf bytes.Buffer
 	if _, err := Build(&buf, g, prop.IC{}, prof, testConfig(), BuildOptions{
-		Compression:   codec.Delta,
+		BuildOptions:  indexfile.BuildOptions{Compression: codec.Delta},
 		PartitionSize: 2,
 	}); err != nil {
 		t.Fatal(err)
@@ -406,7 +404,7 @@ func TestBuildValidation(t *testing.T) {
 	prof := figure1Profiles(t)
 	var buf bytes.Buffer
 	if _, err := Build(&buf, g, prop.IC{}, prof, testConfig(), BuildOptions{
-		Compression: codec.Compression(7),
+		BuildOptions: indexfile.BuildOptions{Compression: codec.Compression(7)},
 	}); err == nil {
 		t.Fatal("bad compression accepted")
 	}
@@ -416,9 +414,14 @@ func TestBuildValidation(t *testing.T) {
 		t.Fatal("negative partition size accepted")
 	}
 	if _, err := Build(&buf, g, prop.IC{}, prof, testConfig(), BuildOptions{
-		Topics: []int{77},
+		BuildOptions: indexfile.BuildOptions{Topics: []int{77}},
 	}); err == nil {
 		t.Fatal("bad topic accepted")
+	}
+	if _, err := Build(&buf, g, prop.IC{}, prof, testConfig(), BuildOptions{
+		BuildOptions: indexfile.BuildOptions{Topics: []int{0, 0, 1}},
+	}); err == nil {
+		t.Fatal("repeated topic accepted")
 	}
 }
 
@@ -446,7 +449,7 @@ func TestLTModelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Build(&irrBuf, g, prop.LT{}, prof, cfg, BuildOptions{
-		Compression:   codec.Delta,
+		BuildOptions:  indexfile.BuildOptions{Compression: codec.Delta},
 		PartitionSize: 2,
 	}); err != nil {
 		t.Fatal(err)
@@ -494,7 +497,7 @@ func TestTriggeringModelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Build(&irrBuf, g, model, prof, cfg, BuildOptions{
-		Compression:   codec.Delta,
+		BuildOptions:  indexfile.BuildOptions{Compression: codec.Delta},
 		PartitionSize: 2,
 	}); err != nil {
 		t.Fatal(err)
@@ -611,7 +614,7 @@ func TestDecodedCacheCorrectness(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	if _, err := Build(&buf, g, prop.IC{}, prof, cfg, BuildOptions{
-		Compression:   codec.Delta,
+		BuildOptions:  indexfile.BuildOptions{Compression: codec.Delta},
 		PartitionSize: 10,
 	}); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 
 	"kbtim/internal/codec"
 	"kbtim/internal/diskio"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/pool"
 	"kbtim/internal/prop"
 	"kbtim/internal/topic"
@@ -27,7 +28,7 @@ func TestDecodePartitionErrorReturnsPooledArrays(t *testing.T) {
 	prof := figure1Profiles(t)
 	var buf bytes.Buffer
 	if _, err := Build(&buf, g, prop.IC{}, prof, testConfig(), BuildOptions{
-		Compression:   codec.Delta,
+		BuildOptions:  indexfile.BuildOptions{Compression: codec.Delta},
 		PartitionSize: 2,
 	}); err != nil {
 		t.Fatal(err)

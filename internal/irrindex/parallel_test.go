@@ -10,6 +10,7 @@ import (
 	"kbtim/internal/codec"
 	"kbtim/internal/diskio"
 	"kbtim/internal/gen"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/objcache"
 	"kbtim/internal/prop"
 	"kbtim/internal/topic"
@@ -39,7 +40,7 @@ func newsIRRBytes(t testing.TB) []byte {
 	}
 	var buf bytes.Buffer
 	if _, err := Build(&buf, g, prop.IC{}, prof, cfg, BuildOptions{
-		Compression:   codec.Delta,
+		BuildOptions:  indexfile.BuildOptions{Compression: codec.Delta},
 		PartitionSize: 10,
 	}); err != nil {
 		t.Fatal(err)

@@ -69,12 +69,16 @@ func Open(r diskio.Segmented) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr, numKeywords, err := parseHeader(br)
+	var delta int
+	shared, numKeywords, err := f.ParseHeader(br, func(r *binfmt.Reader) { delta = int(r.U32()) }, dirEntryLen)
 	if err != nil {
 		return nil, err
 	}
+	if delta <= 0 {
+		return nil, fmt.Errorf("%w: implausible partition size %d", ErrBadFormat, delta)
+	}
+	hdr := Header{Header: shared, PartitionSize: delta}
 	idx := &Index{File: f, hdr: hdr, dirs: make(map[int]*KeywordDir, numKeywords)}
-	idx.Shape = indexfile.Shape{NumVertices: hdr.NumVertices, NumTopics: hdr.NumTopics, K: hdr.K}
 	for i := 0; i < numKeywords; i++ {
 		d, err := parseKeywordDir(br, &hdr)
 		if err != nil {
@@ -88,8 +92,10 @@ func Open(r diskio.Segmented) (*Index, error) {
 				return nil, fmt.Errorf("%w: partition out of file for topic %d", ErrBadFormat, d.TopicID)
 			}
 		}
+		if err := idx.AddKeyword(indexfile.Keyword{TopicID: d.TopicID, ThetaW: d.ThetaW, Phi: d.Phi}); err != nil {
+			return nil, err
+		}
 		idx.dirs[d.TopicID] = &d
-		idx.AddKeyword(indexfile.Keyword{TopicID: d.TopicID, ThetaW: d.ThetaW, Phi: d.Phi})
 	}
 	return idx, nil
 }
@@ -263,7 +269,8 @@ func (idx *Index) QueryStreamCtx(ctx context.Context, q topic.Query, so wris.Str
 // keyword's state simply fetches from ITS owning index through that index's
 // per-query I/O scope. Per-keyword partitions, IP tables, and the
 // allocation plan are bit-identical however the universe is partitioned
-// (sampling is seeded by topic ID alone), and all NRA state mutation stays
+// (sampling is seeded by topic ID alone; the files must be built at equal
+// sampling Workers, ROADMAP direction 8), and all NRA state mutation stays
 // sequential in query-keyword order — so a query spanning N shard indexes
 // returns exactly the seeds, marginals, and spread a single full index
 // would. The reported IO is the sum over the involved indexes' scopes.

@@ -10,6 +10,7 @@ import (
 	"kbtim/internal/codec"
 	"kbtim/internal/diskio"
 	"kbtim/internal/gen"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/objcache"
 	"kbtim/internal/prop"
 	"kbtim/internal/shardmap"
@@ -42,9 +43,8 @@ func shardFixture(t *testing.T, shards int, cache bool, par int) (*Index, func(i
 	build := func(only []int) *Index {
 		var buf bytes.Buffer
 		if _, err := Build(&buf, g, prop.IC{}, prof, cfg, BuildOptions{
-			Compression:   codec.Delta,
+			BuildOptions:  indexfile.BuildOptions{Compression: codec.Delta, Topics: only},
 			PartitionSize: 10,
-			Topics:        only,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -2,203 +2,40 @@ package rrindex
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
-	"time"
 
-	"kbtim/internal/codec"
 	"kbtim/internal/graph"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/prop"
-	"kbtim/internal/rrset"
 	"kbtim/internal/topic"
 	"kbtim/internal/wris"
 )
 
-// BuildOptions configures index construction (Algorithm 1).
-type BuildOptions struct {
-	// Compression selects the list codec (Table 4's ablation).
-	Compression codec.Compression
-	// Sizing selects θ̂_w vs θ_w (Table 3's ablation).
-	Sizing wris.SizingMode
-	// Topics restricts the index to a keyword subset; nil indexes every
-	// topic with positive mass.
-	Topics []int
-}
-
-// KeywordStats reports one keyword's build outcome.
-type KeywordStats struct {
-	TopicID    int
-	Theta      int     // number of RR sets sampled
-	Capped     bool    // whether MaxThetaPerKeyword truncated θ_w
-	MeanRRSize float64 // average RR-set cardinality (Table 5)
-	SetsBytes  int64
-	InvBytes   int64
-}
-
-// BuildStats summarizes a build (Tables 3–5).
-type BuildStats struct {
-	Keywords   []KeywordStats
-	TotalBytes int64
-	Elapsed    time.Duration
-}
-
-// SumTheta returns Σ_w θ_w (the "Sum of θw" column of Table 5).
-func (s *BuildStats) SumTheta() int64 {
-	var total int64
-	for _, k := range s.Keywords {
-		total += int64(k.Theta)
-	}
-	return total
-}
-
-// MeanRRSize returns the set-count-weighted mean RR-set size across
-// keywords (Table 5).
-func (s *BuildStats) MeanRRSize() float64 {
-	var sets, members float64
-	for _, k := range s.Keywords {
-		sets += float64(k.Theta)
-		members += float64(k.Theta) * k.MeanRRSize
-	}
-	if sets == 0 {
-		return 0
-	}
-	return members / sets
-}
-
-// kwPayload is one keyword's serialized regions before offsets are known.
-type kwPayload struct {
-	dir  KeywordDir
-	sets []byte
-	inv  []byte
-}
+// BuildOptions configures an RR index build: the options both kinds share.
+type BuildOptions = indexfile.BuildOptions
 
 // Build constructs the RR index for the given graph, model, and profiles,
 // writing the single-file index to w. It implements Algorithm 1: for each
 // keyword, plan θ_w (Lemma 3 or 4 via a pilot OPT estimate), sample θ_w RR
 // sets with root probability ps(v,w), invert them, and serialize both
 // regions.
-func Build(w io.Writer, g *graph.Graph, model prop.Model, prof *topic.Profiles, cfg wris.Config, opts BuildOptions) (*BuildStats, error) {
-	start := time.Now()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if !opts.Compression.Valid() {
-		return nil, fmt.Errorf("rrindex: invalid compression %d", opts.Compression)
-	}
-	topics := opts.Topics
-	if topics == nil {
-		for t := 0; t < prof.NumTopics(); t++ {
-			if prof.TFSum(t) > 0 {
-				topics = append(topics, t)
-			}
-		}
-	}
-	if len(topics) == 0 {
-		return nil, fmt.Errorf("rrindex: no topics to index")
-	}
-
-	stats := &BuildStats{}
-	payloads := make([]kwPayload, 0, len(topics))
-	for _, t := range topics {
-		if t < 0 || t >= prof.NumTopics() {
-			return nil, fmt.Errorf("rrindex: topic %d outside topic space", t)
-		}
-		if prof.TFSum(t) <= 0 {
-			return nil, fmt.Errorf("rrindex: topic %d has no mass", t)
-		}
-		p, ks, err := buildKeyword(g, model, prof, t, cfg, opts)
-		if err != nil {
-			return nil, fmt.Errorf("rrindex: keyword %d: %w", t, err)
-		}
-		payloads = append(payloads, p)
-		stats.Keywords = append(stats.Keywords, ks)
-	}
-
-	hdr := Header{
-		Compression: opts.Compression,
-		Sizing:      opts.Sizing,
-		ModelName:   model.Name(),
-		NumVertices: g.NumVertices(),
-		NumTopics:   prof.NumTopics(),
-		K:           cfg.K,
-		Epsilon:     cfg.Epsilon,
-	}
-	prelude, err := assemblePrelude(&hdr, payloads)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(prelude); err != nil {
-		return nil, err
-	}
-	written := int64(len(prelude))
-	for i := range payloads {
-		if _, err := w.Write(payloads[i].sets); err != nil {
-			return nil, err
-		}
-		if _, err := w.Write(payloads[i].inv); err != nil {
-			return nil, err
-		}
-		written += int64(len(payloads[i].sets) + len(payloads[i].inv))
-	}
-	stats.TotalBytes = written
-	stats.Elapsed = time.Since(start)
-	return stats, nil
-}
-
-// assemblePrelude serializes header + directory, assigning absolute payload
-// offsets and patching the prelude-length slot.
-func assemblePrelude(hdr *Header, payloads []kwPayload) ([]byte, error) {
-	// First pass with zero offsets to measure the prelude.
-	measure, err := appendHeader(nil, hdr, len(payloads))
-	if err != nil {
-		return nil, err
-	}
-	for i := range payloads {
-		measure = appendKeywordDir(measure, &payloads[i].dir)
-	}
-	preludeLen := int64(len(measure))
-
-	off := preludeLen
-	for i := range payloads {
-		payloads[i].dir.SetsOff = off
-		off += payloads[i].dir.SetsLen
-		payloads[i].dir.InvOff = off
-		off += payloads[i].dir.InvLen
-	}
-	buf, err := appendHeader(nil, hdr, len(payloads))
-	if err != nil {
-		return nil, err
-	}
-	for i := range payloads {
-		buf = appendKeywordDir(buf, &payloads[i].dir)
-	}
-	if int64(len(buf)) != preludeLen {
-		return nil, fmt.Errorf("rrindex: prelude size drifted (%d vs %d)", len(buf), preludeLen)
-	}
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(preludeLen))
-	return buf, nil
-}
-
-func buildKeyword(g *graph.Graph, model prop.Model, prof *topic.Profiles, t int, cfg wris.Config, opts BuildOptions) (kwPayload, KeywordStats, error) {
-	theta, capped, err := wris.PlanThetaW(g, model, prof, t, cfg, opts.Sizing)
-	if err != nil {
-		return kwPayload{}, KeywordStats{}, err
-	}
-	users, weights := wris.KeywordSupport(prof, t)
-	picker, err := rrset.NewWeightedRoots(users, weights)
-	if err != nil {
-		return kwPayload{}, KeywordStats{}, err
-	}
-	batch := rrset.Generate(g, model, picker, rrset.GenerateOptions{
-		Count:   theta,
-		Seed:    cfg.Seed ^ (uint64(t+1) * 0x9E3779B97F4A7C15),
-		Workers: cfg.Workers,
+func Build(w io.Writer, g *graph.Graph, model prop.Model, prof *topic.Profiles, cfg wris.Config, opts BuildOptions) (*indexfile.BuildStats, error) {
+	return indexfile.Build(w, g, model, prof, cfg, opts, indexfile.Format{
+		Name:    "rrindex",
+		Magic:   indexMagic,
+		Version: indexVersion,
+		Encode:  encodeKeyword,
 	})
+}
 
+// encodeKeyword serializes one keyword's sets region (with its checkpoints)
+// and inverted region.
+func encodeKeyword(h *indexfile.Header, kw *indexfile.Sample) indexfile.Encoded {
+	batch := kw.Sets
 	var sets []byte
 	var checkpoints []int64
 	for i := 0; i < batch.Len(); i++ {
-		sets = opts.Compression.AppendList(sets, batch.Set(i))
+		sets = h.Compression.AppendList(sets, batch.Set(i))
 		if (i+1)%checkpointInterval == 0 {
 			checkpoints = append(checkpoints, int64(len(sets)))
 		}
@@ -207,7 +44,7 @@ func buildKeyword(g *graph.Graph, model prop.Model, prof *topic.Profiles, t int,
 		checkpoints = append(checkpoints, int64(len(sets)))
 	}
 
-	lists := batch.InvertedLists(g.NumVertices())
+	lists := batch.InvertedLists(h.NumVertices)
 	var inv []byte
 	numLists := 0
 	tmp := make([]uint32, 0, 64)
@@ -221,30 +58,24 @@ func buildKeyword(g *graph.Graph, model prop.Model, prof *topic.Profiles, t int,
 		for _, id := range list {
 			tmp = append(tmp, uint32(id))
 		}
-		inv = opts.Compression.AppendList(inv, tmp)
+		inv = h.Compression.AppendList(inv, tmp)
 	}
 
-	p := kwPayload{
-		dir: KeywordDir{
-			TopicID:     t,
-			ThetaW:      int64(batch.Len()),
-			TFSum:       prof.TFSum(t),
-			Phi:         prof.Phi(t),
-			SetsLen:     int64(len(sets)),
-			InvLen:      int64(len(inv)),
-			NumInvLists: numLists,
-			Checkpoints: checkpoints,
+	d := &KeywordDir{
+		TopicID:     kw.TopicID,
+		ThetaW:      int64(batch.Len()),
+		TFSum:       kw.TFSum,
+		Phi:         kw.Phi,
+		SetsLen:     int64(len(sets)),
+		InvLen:      int64(len(inv)),
+		NumInvLists: numLists,
+		Checkpoints: checkpoints,
+	}
+	return indexfile.Encoded{
+		Regions: [][]byte{sets, inv},
+		AppendDir: func(buf []byte, offs []int64) []byte {
+			d.SetsOff, d.InvOff = offs[0], offs[1]
+			return appendKeywordDir(buf, d)
 		},
-		sets: sets,
-		inv:  inv,
 	}
-	ks := KeywordStats{
-		TopicID:    t,
-		Theta:      batch.Len(),
-		Capped:     capped,
-		MeanRRSize: batch.MeanSize(),
-		SetsBytes:  int64(len(sets)),
-		InvBytes:   int64(len(inv)),
-	}
-	return p, ks, nil
 }

@@ -5,10 +5,10 @@
 //
 // On-disk layout (single file, little-endian):
 //
-//	header:
-//	  magic "KBRI" | version u32 | compression u8 | sizing u8 |
-//	  modelNameLen u8 | modelName | numVertices u64 | numTopics u32 |
-//	  K u32 | epsilon f64 | numKeywords u32
+//	header (indexfile.Header, no tail):
+//	  magic "KBRI" | version u32 | preludeLen u64 | compression u8 |
+//	  sizing u8 | modelNameLen u8 | modelName | numVertices u64 |
+//	  numTopics u32 | K u32 | epsilon f64 | numKeywords u32
 //	directory, one entry per indexed keyword:
 //	  topicID u32 | thetaW u64 | tfSum f64 | phi f64 |
 //	  setsOff u64 | setsLen u64 | invOff u64 | invLen u64 |
@@ -30,9 +30,7 @@ import (
 	"math"
 
 	"kbtim/internal/binfmt"
-	"kbtim/internal/codec"
 	"kbtim/internal/indexfile"
-	"kbtim/internal/wris"
 )
 
 const (
@@ -46,16 +44,9 @@ const (
 // ErrBadFormat reports a malformed or corrupt index file.
 var ErrBadFormat = indexfile.ErrBadFormat
 
-// Header is the index-wide metadata.
-type Header struct {
-	Compression codec.Compression
-	Sizing      wris.SizingMode
-	ModelName   string
-	NumVertices int
-	NumTopics   int
-	K           int
-	Epsilon     float64
-}
+// Header is the index-wide metadata; the RR index adds no field to the
+// shared header.
+type Header = indexfile.Header
 
 // KeywordDir is one keyword's directory entry.
 type KeywordDir struct {
@@ -89,57 +80,6 @@ func (d *KeywordDir) prefixBytes(t int64) int64 {
 		return d.SetsLen
 	}
 	return d.Checkpoints[j-1]
-}
-
-func appendHeader(buf []byte, h *Header, numKeywords int) ([]byte, error) {
-	if len(h.ModelName) == 0 || len(h.ModelName) > 255 {
-		return nil, fmt.Errorf("rrindex: invalid model name %q", h.ModelName)
-	}
-	if !h.Compression.Valid() {
-		return nil, fmt.Errorf("rrindex: invalid compression %d", h.Compression)
-	}
-	buf = append(buf, indexMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, indexVersion)
-	// Prelude length (header + directory bytes); patched by the builder
-	// once the directory size is known, read first by Open.
-	buf = binary.LittleEndian.AppendUint64(buf, 0)
-	buf = append(buf, byte(h.Compression), byte(h.Sizing), byte(len(h.ModelName)))
-	buf = append(buf, h.ModelName...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(h.NumVertices))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.NumTopics))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.K))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Epsilon))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(numKeywords))
-	return buf, nil
-}
-
-// parseHeader reads the format's header from a reader positioned just past
-// the prelude frame (indexfile.Open has checked magic and version).
-func parseHeader(r *binfmt.Reader) (Header, int, error) {
-	var h Header
-	h.Compression = codec.Compression(r.U8())
-	h.Sizing = wris.SizingMode(r.U8())
-	h.ModelName = string(r.Bytes(int(r.U8())))
-	h.NumVertices = int(r.U64())
-	h.NumTopics = int(r.U32())
-	h.K = int(r.U32())
-	h.Epsilon = r.F64()
-	numKeywords := int(r.U32())
-	if err := r.Err(); err != nil {
-		return h, 0, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	if !h.Compression.Valid() {
-		return h, 0, fmt.Errorf("%w: unknown compression %d", ErrBadFormat, h.Compression)
-	}
-	if h.NumVertices < 0 || h.NumTopics <= 0 || numKeywords < 0 || numKeywords > h.NumTopics {
-		return h, 0, fmt.Errorf("%w: implausible header", ErrBadFormat)
-	}
-	// A directory entry is at least dirEntryLen prelude bytes, so the bytes
-	// present bound the keyword count before Open sizes its table by it.
-	if numKeywords > r.Remaining()/dirEntryLen {
-		return h, 0, fmt.Errorf("%w: implausible keyword count %d", ErrBadFormat, numKeywords)
-	}
-	return h, numKeywords, nil
 }
 
 // dirEntryLen is the fixed part of a keyword directory entry as

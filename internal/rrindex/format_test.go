@@ -1,6 +1,11 @@
 package rrindex
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+
+	"kbtim/internal/prop"
+)
 
 func TestPrefixBytes(t *testing.T) {
 	// 2500 sets, checkpoints at 1024, 2048, and the final end.
@@ -39,13 +44,19 @@ func TestPrefixBytesSingleCheckpoint(t *testing.T) {
 	}
 }
 
+// namedIC is IC under another name, which the header must carry.
+type namedIC struct {
+	prop.IC
+	name string
+}
+
+func (m namedIC) Name() string { return m.name }
+
 func TestHeaderRejectsBadModelName(t *testing.T) {
-	h := &Header{ModelName: "", Compression: 1}
-	if _, err := appendHeader(nil, h, 0); err == nil {
-		t.Fatal("empty model name accepted")
-	}
-	h.ModelName = string(make([]byte, 300))
-	if _, err := appendHeader(nil, h, 0); err == nil {
-		t.Fatal("oversized model name accepted")
+	for _, name := range []string{"", string(make([]byte, 300))} {
+		var buf bytes.Buffer
+		if _, err := Build(&buf, figure1(t), namedIC{name: name}, figure1Profiles(t), testConfig(), BuildOptions{}); err == nil {
+			t.Fatalf("model name of %d bytes accepted", len(name))
+		}
 	}
 }

@@ -65,12 +65,11 @@ func Open(r diskio.Segmented) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr, numKeywords, err := parseHeader(br)
+	hdr, numKeywords, err := f.ParseHeader(br, nil, dirEntryLen)
 	if err != nil {
 		return nil, err
 	}
 	idx := &Index{File: f, hdr: hdr, dirs: make(map[int]*KeywordDir, numKeywords)}
-	idx.Shape = indexfile.Shape{NumVertices: hdr.NumVertices, NumTopics: hdr.NumTopics, K: hdr.K}
 	for i := 0; i < numKeywords; i++ {
 		d, err := parseKeywordDir(br, &hdr)
 		if err != nil {
@@ -79,8 +78,10 @@ func Open(r diskio.Segmented) (*Index, error) {
 		if !idx.InPayload(d.SetsOff, d.SetsLen) || !idx.InPayload(d.InvOff, d.InvLen) {
 			return nil, fmt.Errorf("%w: payload offsets for topic %d out of file", ErrBadFormat, d.TopicID)
 		}
+		if err := idx.AddKeyword(indexfile.Keyword{TopicID: d.TopicID, ThetaW: d.ThetaW, Phi: d.Phi}); err != nil {
+			return nil, err
+		}
 		idx.dirs[d.TopicID] = &d
-		idx.AddKeyword(indexfile.Keyword{TopicID: d.TopicID, ThetaW: d.ThetaW, Phi: d.Phi})
 	}
 	return idx, nil
 }
@@ -155,7 +156,8 @@ var errDeadline = errors.New("rrindex: query deadline expired")
 // keyword-partitioned set of indexes: owner(w) returns the Index holding
 // keyword w (nil = not indexed anywhere). Per-keyword artifacts are
 // bit-identical however the keyword universe is partitioned (each keyword's
-// sampling is seeded by the topic ID alone), the allocation plan depends
+// sampling is seeded by the topic ID alone; the files must be built at equal
+// sampling Workers, ROADMAP direction 8), the allocation plan depends
 // only on the query keywords' own directory entries, and greedy numbers the
 // sets in query-keyword order — so a query spanning N shard indexes returns
 // exactly the seeds, marginals, and spread a single full index would. Each

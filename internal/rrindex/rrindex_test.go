@@ -82,7 +82,7 @@ func testConfig() wris.Config {
 
 // figure1Bytes builds the index file over the running example (seeded, so
 // every call yields the same bytes).
-func figure1Bytes(t testing.TB, comp codec.Compression, sizing wris.SizingMode) ([]byte, *BuildStats) {
+func figure1Bytes(t testing.TB, comp codec.Compression, sizing wris.SizingMode) ([]byte, *indexfile.BuildStats) {
 	t.Helper()
 	g := figure1(t)
 	prof := figure1Profiles(t)
@@ -98,7 +98,7 @@ func figure1Bytes(t testing.TB, comp codec.Compression, sizing wris.SizingMode) 
 }
 
 // buildFigure1 builds an in-memory index over the running example.
-func buildFigure1(t testing.TB, comp codec.Compression, sizing wris.SizingMode) (*Index, *BuildStats) {
+func buildFigure1(t testing.TB, comp codec.Compression, sizing wris.SizingMode) (*Index, *indexfile.BuildStats) {
 	t.Helper()
 	raw, stats := figure1Bytes(t, comp, sizing)
 	idx, err := Open(diskio.NewMem(raw, nil))
@@ -340,6 +340,9 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := Build(&buf, g, prop.IC{}, prof, testConfig(), BuildOptions{Topics: []int{99}}); err == nil {
 		t.Fatal("bad topic accepted")
+	}
+	if _, err := Build(&buf, g, prop.IC{}, prof, testConfig(), BuildOptions{Topics: []int{0, 0, 1}}); err == nil {
+		t.Fatal("repeated topic accepted")
 	}
 	bad := testConfig()
 	bad.Epsilon = 2

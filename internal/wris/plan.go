@@ -5,6 +5,7 @@ import (
 
 	"kbtim/internal/graph"
 	"kbtim/internal/prop"
+	"kbtim/internal/rrset"
 	"kbtim/internal/topic"
 )
 
@@ -60,4 +61,29 @@ func PlanThetaW(g *graph.Graph, model prop.Model, prof *topic.Profiles, w int, c
 	}
 	capped := cfg.MaxThetaPerKeyword > 0 && theta == cfg.MaxThetaPerKeyword
 	return theta, capped, nil
+}
+
+// SampleKeyword draws keyword w's R_w for an offline index: θ_w RR sets
+// (PlanThetaW under mode) rooted with probability ps(v,w). The sampling seed
+// is cfg.Seed mixed with w alone, so both index kinds built from the same
+// inputs hold the same R_w (what makes Theorem 3 testable end to end), and a
+// keyword's sets do not depend on which other keywords share its file. They
+// do depend on cfg.Workers, because rrset.Generate gives set i to worker
+// i mod Workers (ROADMAP direction 8). The boolean reports whether the
+// configured cap truncated θ_w.
+func SampleKeyword(g *graph.Graph, model prop.Model, prof *topic.Profiles, w int, cfg Config, mode SizingMode) (*rrset.Batch, bool, error) {
+	theta, capped, err := PlanThetaW(g, model, prof, w, cfg, mode)
+	if err != nil {
+		return nil, false, err
+	}
+	users, weights := KeywordSupport(prof, w)
+	picker, err := rrset.NewWeightedRoots(users, weights)
+	if err != nil {
+		return nil, false, err
+	}
+	return rrset.Generate(g, model, picker, rrset.GenerateOptions{
+		Count:   theta,
+		Seed:    cfg.Seed ^ (uint64(w+1) * 0x9E3779B97F4A7C15),
+		Workers: cfg.Workers,
+	}), capped, nil
 }
