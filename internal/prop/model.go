@@ -47,19 +47,19 @@ type IC struct{}
 func (IC) Name() string { return "IC" }
 
 // AppendTrigger implements Model: each in-neighbor joins T(v) independently
-// with probability 1/InDegree(v).
+// with probability 1/InDegree(v). It makes one Bernoulli(1/InDegree(v))
+// coin per in-neighbor, in adjacency order, so in-degree 1 draws nothing
+// (the one neighbor always joins); the coins run through rng's integer
+// kernel, which makes the same draws and decisions as Bernoulli.
 func (IC) AppendTrigger(dst []uint32, g *graph.Graph, v uint32, src *rng.Source) []uint32 {
 	in := g.InNeighbors(v)
-	if len(in) == 0 {
+	switch len(in) {
+	case 0:
 		return dst
+	case 1:
+		return append(dst, in[0])
 	}
-	p := 1 / float64(len(in))
-	for _, u := range in {
-		if src.Bernoulli(p) {
-			dst = append(dst, u)
-		}
-	}
-	return dst
+	return src.AppendHits(dst, in, rng.Threshold(1/float64(len(in))))
 }
 
 // TriggerProb implements Model.
@@ -115,19 +115,15 @@ type WeightedIC struct {
 // Name implements Model.
 func (WeightedIC) Name() string { return "WIC" }
 
-// AppendTrigger implements Model.
+// AppendTrigger implements Model: one Bernoulli(P(v)) coin per in-neighbor,
+// in adjacency order, through the same kernel as IC. P(v) ≤ 0 and P(v) ≥ 1
+// draw nothing; a NaN P(v) draws once per in-neighbor and keeps none.
 func (m WeightedIC) AppendTrigger(dst []uint32, g *graph.Graph, v uint32, src *rng.Source) []uint32 {
 	in := g.InNeighbors(v)
 	if len(in) == 0 {
 		return dst
 	}
-	p := m.P(g, v)
-	for _, u := range in {
-		if src.Bernoulli(p) {
-			dst = append(dst, u)
-		}
-	}
-	return dst
+	return src.AppendHits(dst, in, rng.Threshold(m.P(g, v)))
 }
 
 // TriggerProb implements Model.

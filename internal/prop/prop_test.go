@@ -2,6 +2,7 @@ package prop
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"kbtim/internal/graph"
@@ -199,6 +200,68 @@ func TestWeightedICCustomProb(t *testing.T) {
 	}
 	if p := m.TriggerProb(g, vE, vB); p != 1 {
 		t.Fatalf("WIC TriggerProb = %v", p)
+	}
+}
+
+// bernoulliTrigger is the IC trigger sampler as one Bernoulli(p) coin per
+// in-neighbor, in adjacency order: the stream every index byte depends on.
+func bernoulliTrigger(dst []uint32, g *graph.Graph, v uint32, p float64, src *rng.Source) []uint32 {
+	for _, u := range g.InNeighbors(v) {
+		if src.Bernoulli(p) {
+			dst = append(dst, u)
+		}
+	}
+	return dst
+}
+
+// IC, WeightedIC{P: 1/N_v} and the plain Bernoulli loop must agree draw for
+// draw: the same trigger sets and the same Source state afterwards, on a
+// graph with in-degrees 0, 1 and many.
+func TestWeightedICMatchesIC(t *testing.T) {
+	gen := rng.New(31)
+	b := graph.NewBuilder(300)
+	for i := 0; i < 1500; i++ {
+		_ = b.AddEdge(uint32(gen.Intn(300)), uint32(gen.Intn(300)))
+	}
+	g := b.Build()
+	wic := WeightedIC{P: func(g *graph.Graph, v uint32) float64 { return g.ICProb(v) }}
+	ref, ic, w := rng.New(5), rng.New(5), rng.New(5)
+	var want, gotIC, gotW []uint32
+	degs := map[int]int{}
+	for round := 0; round < 20; round++ {
+		for v := uint32(0); v < uint32(g.NumVertices()); v++ {
+			degs[g.InDegree(v)]++
+			want = bernoulliTrigger(want[:0], g, v, g.ICProb(v), ref)
+			gotIC = IC{}.AppendTrigger(gotIC[:0], g, v, ic)
+			gotW = wic.AppendTrigger(gotW[:0], g, v, w)
+			if !slices.Equal(gotIC, want) || !slices.Equal(gotW, want) {
+				t.Fatalf("round %d v=%d: IC %v, WIC %v, Bernoulli %v", round, v, gotIC, gotW, want)
+			}
+		}
+	}
+	if degs[0] == 0 || degs[1] == 0 || degs[8] == 0 {
+		t.Fatalf("graph lacks in-degree 0, 1 or 8: %v", degs)
+	}
+	// The sources are in step iff their next draws agree.
+	for i := 0; i < 4; i++ {
+		if r := ref.Uint64(); ic.Uint64() != r || w.Uint64() != r {
+			t.Fatal("Source state diverged from the Bernoulli loop")
+		}
+	}
+}
+
+// A NaN probability draws once per in-neighbor and keeps none; P ≤ 0 and
+// P ≥ 1 draw nothing, as Bernoulli does.
+func TestWeightedICEdgeProbabilities(t *testing.T) {
+	g := figure1(t)
+	for _, p := range []float64{math.NaN(), 0, -1, 1, 2} {
+		m := WeightedIC{P: func(*graph.Graph, uint32) float64 { return p }}
+		ref, src := rng.New(9), rng.New(9)
+		want := bernoulliTrigger(nil, g, vD, p, ref)
+		got := m.AppendTrigger(nil, g, vD, src)
+		if !slices.Equal(got, want) || ref.Uint64() != src.Uint64() {
+			t.Fatalf("P=%v: got %v, Bernoulli %v (or the streams diverged)", p, got, want)
+		}
 	}
 }
 

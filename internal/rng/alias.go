@@ -3,6 +3,7 @@ package rng
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Alias is a Vose alias table supporting O(1) sampling from a fixed discrete
@@ -22,7 +23,9 @@ type Alias struct {
 var ErrEmptyDistribution = errors.New("rng: alias table needs at least one positive weight")
 
 // NewAlias builds an alias table for the given non-negative weights.
-// Weights need not be normalized. Negative or NaN weights are rejected.
+// Weights need not be normalized. Negative, NaN and infinite weights are
+// rejected, and so are weights whose sum overflows to +Inf: the table is
+// built from w·n/total, which a non-finite total turns into 0 or NaN.
 func NewAlias(weights []float64) (*Alias, error) {
 	n := len(weights)
 	if n == 0 {
@@ -30,10 +33,13 @@ func NewAlias(weights []float64) (*Alias, error) {
 	}
 	var total float64
 	for i, w := range weights {
-		if w < 0 || w != w {
+		if w < 0 || w != w || math.IsInf(w, 1) {
 			return nil, fmt.Errorf("rng: weight %d is invalid (%v)", i, w)
 		}
 		total += w
+	}
+	if math.IsInf(total, 1) {
+		return nil, fmt.Errorf("rng: weights sum to %v, want a finite total", total)
 	}
 	if total <= 0 {
 		return nil, ErrEmptyDistribution

@@ -19,6 +19,15 @@ func TestAliasRejectsBadInput(t *testing.T) {
 	if _, err := NewAlias([]float64{math.NaN()}); err == nil {
 		t.Fatal("NaN weight accepted")
 	}
+	// A total of +Inf scales every weight to 0 or NaN, and sampling then
+	// silently follows the alias links: [1e308, 1e308, 1] drew index 1
+	// twice as often as index 0.
+	if _, err := NewAlias([]float64{1e308, 1e308, 1}); err == nil {
+		t.Fatal("weights summing to +Inf accepted")
+	}
+	if _, err := NewAlias([]float64{math.Inf(1), 1}); err == nil {
+		t.Fatal("+Inf weight accepted")
+	}
 }
 
 func TestAliasSingleOutcome(t *testing.T) {

@@ -6,10 +6,23 @@
 // All experiments in the paper depend on sampling enormous numbers of
 // reverse-reachable sets; determinism (seed in, identical index out) is what
 // makes the index formats testable byte-for-byte and the benchmarks
-// repeatable, so math/rand is deliberately not used.
+// repeatable, so math/rand is deliberately not used. The promise holds at an
+// equal number of sampling workers: rrset.Generate seeds one stream per
+// worker, so a different Workers count gives different, equally valid files
+// (ROADMAP direction 8).
+//
+// The coin stream is a stated contract: Bernoulli(p) with 0 < p < 1 makes
+// exactly one Uint64 draw and hits iff Float64() < p; p ≤ 0 and p ≥ 1 draw
+// nothing; NaN draws once and never hits. Hit and AppendHits make the same
+// draws and the same decisions in integer arithmetic (see Threshold), so a
+// sampler may use either without moving an index byte.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Source is a xoshiro256** pseudo-random generator. The zero value is not
 // usable; construct with New. It intentionally mirrors the subset of
@@ -108,6 +121,76 @@ func (s *Source) Bernoulli(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
+}
+
+// Threshold's values for a coin that draws nothing and has a fixed outcome.
+// Both lie above every drawn threshold (< 2^53), so Hit tells them apart
+// from a drawn coin with one compare.
+const (
+	thresholdNever  uint64 = math.MaxUint64 - 1 // p ≤ 0
+	thresholdAlways uint64 = math.MaxUint64     // p ≥ 1
+)
+
+// Threshold returns the integer form of Bernoulli(p) for Hit and AppendHits.
+// For 0 < p < 1 it is ⌈p·2^53⌉, in [1, 2^53): Float64() is y/2^53 with
+// y = Uint64()>>11 < 2^53, and y, y/2^53 and p·2^53 are all exact, so
+// Float64() < p ⇔ y < p·2^53 ⇔ y < ⌈p·2^53⌉. NaN maps to 0: one draw that
+// never hits, as in Bernoulli (a plain uint64(math.Ceil(NaN)) would be
+// 1<<63 on amd64 and hit every time). p ≤ 0 and p ≥ 1 map to sentinels that
+// draw nothing.
+func Threshold(p float64) uint64 {
+	switch {
+	case p <= 0:
+		return thresholdNever
+	case p >= 1:
+		return thresholdAlways
+	case p != p:
+		return 0
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Hit is Bernoulli(p) for t = Threshold(p): the same draws, the same result.
+func (s *Source) Hit(t uint64) bool {
+	if t > 1<<53 {
+		return t == thresholdAlways
+	}
+	return s.Uint64()>>11 < t
+}
+
+// AppendHits makes one Hit(t) coin per candidate, in order, appends each
+// candidate whose coin hits to dst and returns the extended slice. It leaves
+// the Source exactly where len(cand) calls of Hit(t) would. This is the
+// sampling kernel of the IC models: Uint64's step runs on locals, so the
+// xoshiro state stays in registers for the whole loop, and the keep decision
+// is branch-free, because a coin's outcome is a branch the CPU cannot
+// predict.
+func (s *Source) AppendHits(dst, cand []uint32, t uint64) []uint32 {
+	switch t {
+	case thresholdNever:
+		return dst
+	case thresholdAlways:
+		return append(dst, cand...)
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(cand))[:n+len(cand)]
+	s0, s1, s2, s3 := s.s0, s.s1, s.s2, s.s3
+	for _, u := range cand {
+		x := bits.RotateLeft64(s1*5, 7) * 9
+		t1 := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t1
+		s3 = bits.RotateLeft64(s3, 45)
+		// x>>11 and t are both below 2^53, so the difference wraps to a
+		// value with the top bit set exactly when x>>11 < t.
+		dst[n] = u
+		n += int((x>>11 - t) >> 63)
+	}
+	s.s0, s.s1, s.s2, s.s3 = s0, s1, s2, s3
+	return dst[:n]
 }
 
 // Perm returns a pseudo-random permutation of [0, n) (Fisher–Yates).

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -134,6 +135,87 @@ func TestBernoulli(t *testing.T) {
 	if math.Abs(p-0.3) > 0.01 {
 		t.Fatalf("Bernoulli(0.3) empirical rate %v", p)
 	}
+}
+
+// hitProbs are the coin probabilities the exactness tests run: every IC
+// coin 1/N_v up to in-degree 4096, values near both ends of (0, 1), the
+// smallest subnormal and normal, and the three no-draw or never-hit cases.
+func hitProbs() []float64 {
+	ps := []float64{0.3, 0.5, math.Nextafter(1, 0), 5e-324, 0x1p-1022, math.NaN(), 0, 1}
+	for n := 2; n <= 4096; n++ {
+		ps = append(ps, 1/float64(n))
+	}
+	return ps
+}
+
+// Hit and AppendHits must make exactly Bernoulli's draws and decisions:
+// the same outcomes and the same Source afterwards.
+func TestHitMatchesBernoulli(t *testing.T) {
+	for i, p := range hitProbs() {
+		checkHits(t, uint64(i)+1, p)
+	}
+	// Random draws all but never land on a threshold, so also put the first
+	// draw of each seed exactly on it (a miss) and one below it (a hit).
+	for seed := uint64(1); seed <= 64; seed++ {
+		y := New(seed).Uint64() >> 11
+		checkHits(t, seed, float64(y)/(1<<53))
+		checkHits(t, seed, float64(y+1)/(1<<53))
+	}
+}
+
+func checkHits(t *testing.T, seed uint64, p float64) {
+	t.Helper()
+	const draws = 64
+	cand := make([]uint32, draws)
+	for i := range cand {
+		cand[i] = uint32(i)
+	}
+	ref, hit, kernel := New(seed), New(seed), New(seed)
+	th := Threshold(p)
+	var want []uint32
+	for j, u := range cand {
+		b := ref.Bernoulli(p)
+		if h := hit.Hit(th); h != b {
+			t.Fatalf("p=%v draw %d: Hit %v, Bernoulli %v", p, j, h, b)
+		}
+		if b {
+			want = append(want, u)
+		}
+	}
+	got := kernel.AppendHits([]uint32{99}, cand, th)
+	if got[0] != 99 || !slices.Equal(got[1:], want) {
+		t.Fatalf("p=%v: AppendHits kept %v, Bernoulli %v", p, got[1:], want)
+	}
+	if *hit != *ref || *kernel != *ref {
+		t.Fatalf("p=%v: Source state diverged from Bernoulli's", p)
+	}
+}
+
+// FuzzThreshold checks the integer coin against Bernoulli's float compare at
+// the fuzzed draw x and at the two draws either side of the threshold,
+// wherever Bernoulli draws (0 < p < 1, or NaN).
+func FuzzThreshold(f *testing.F) {
+	for _, p := range hitProbs() {
+		f.Add(uint64(math.MaxUint64), p)
+	}
+	f.Fuzz(func(t *testing.T, x uint64, p float64) {
+		if p <= 0 || p >= 1 {
+			return // Bernoulli draws nothing; TestHitMatchesBernoulli covers it
+		}
+		th := Threshold(p)
+		if th >= 1<<53 {
+			t.Fatalf("Threshold(%v) = %#x, want < 2^53 for a drawn coin", p, th)
+		}
+		ys := []uint64{x >> 11}
+		if th > 0 {
+			ys = append(ys, th-1, th)
+		}
+		for _, y := range ys {
+			if got, want := y < th, float64(y)/(1<<53) < p; got != want {
+				t.Fatalf("p=%v y=%#x: integer coin %v, float coin %v", p, y, got, want)
+			}
+		}
+	})
 }
 
 func TestPermIsPermutation(t *testing.T) {

@@ -13,7 +13,7 @@ package rrset
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"kbtim/internal/graph"
 	"kbtim/internal/prop"
@@ -71,8 +71,7 @@ func (s *Sampler) AppendRR(dst []uint32, root uint32, src *rng.Source) []uint32 
 			dst = append(dst, u)
 		}
 	}
-	region := dst[start:]
-	sort.Slice(region, func(i, j int) bool { return region[i] < region[j] })
+	slices.Sort(dst[start:])
 	return dst
 }
 
