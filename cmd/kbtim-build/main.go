@@ -9,10 +9,10 @@
 // With -shards N > 1 the keyword universe is partitioned (-shard-mode hash,
 // the default, or range) and one subset index per shard is written to
 // "<out>.s<i>" — the layout kbtim-serve -shards N opens. Per-keyword sampling
-// is seeded by topic ID alone, so at equal -workers shard files hold
-// bit-identical payloads to a full build and a sharded deployment answers
-// queries identically to a single engine. The payloads do depend on -workers
-// (ROADMAP direction 8): build every file of a deployment with one value.
+// is seeded by topic ID alone, so shard files hold bit-identical payloads to a
+// full build and a sharded deployment answers queries identically to a single
+// engine. -workers sets only the build's speed: every value, on every host,
+// writes the same bytes.
 package main
 
 import (
@@ -38,7 +38,7 @@ func main() {
 		thetaHat    = flag.Bool("theta-hat", false, "size with the conservative θ̂_w bound (Eqn 8)")
 		maxTheta    = flag.Int("max-theta", 0, "cap on per-keyword RR sets (0 = none)")
 		seed        = flag.Uint64("seed", 1, "RNG seed")
-		workers     = flag.Int("workers", 0, "sampling workers (0 = all cores)")
+		workers     = flag.Int("workers", 0, "sampling workers, speed only (0 = all cores)")
 		shards      = flag.Int("shards", 1, "write per-shard index files <out>.s<i> for a sharded deployment")
 		shardMode   = flag.String("shard-mode", "hash", "keyword→shard assignment: hash | range")
 	)

@@ -50,7 +50,8 @@ type Options struct {
 	PilotSets int
 	// Seed drives all randomness (default 1).
 	Seed uint64
-	// Workers bounds sampling parallelism (0 = GOMAXPROCS).
+	// Workers bounds sampling parallelism (0 = GOMAXPROCS). It sets speed
+	// only: every value samples the same sets and builds the same bytes.
 	Workers int
 	// CacheBytes is the byte budget of the in-memory segment cache placed
 	// in front of each opened index file (0 = no cache, every query reads
@@ -362,12 +363,11 @@ func (e *Engine) BuildRRIndex(path string) (*BuildReport, error) {
 
 // BuildRRIndexTopics builds an RR index restricted to the given topic IDs
 // (nil = every topic with positive mass, i.e. BuildRRIndex). Each keyword's
-// θ_w planning and RR-set sampling are seeded by the topic ID alone, so at
-// equal Options.Workers a keyword's payload is bit-identical whether it is
-// built into a full index or a subset one — the property keyword-sharded
-// serving relies on for exact result parity. The bytes do depend on
-// Workers (ROADMAP direction 8): build every file of a deployment with the
-// same value.
+// θ_w planning and RR-set sampling are seeded by the topic ID alone, so a
+// keyword's payload is bit-identical whether it is built into a full index
+// or a subset one — the property keyword-sharded serving relies on for exact
+// result parity. Options.Workers sets only the build's speed, never its
+// bytes.
 func (e *Engine) BuildRRIndexTopics(path string, topics []int) (*BuildReport, error) {
 	return e.buildIndex(path, func(w io.Writer) (*indexfile.BuildStats, error) {
 		return rrindex.Build(w, e.ds.graph, e.model, e.ds.profiles, e.cfg, e.buildOptions(topics))
@@ -493,6 +493,11 @@ func (e *Engine) open(s Strategy, path string) error {
 		return err
 	}
 	sub := h.substrate()
+	if got := sub.Shape; got.NumVertices != e.ds.NumUsers() || got.NumTopics != e.ds.NumTopics() {
+		f.Close()
+		return fmt.Errorf("kbtim: %s index %s was built for %d users and %d topics, the dataset has %d and %d",
+			s.upper(), path, got.NumVertices, got.NumTopics, e.ds.NumUsers(), e.ds.NumTopics())
+	}
 	if e.opts.DecodedCacheBytes > 0 {
 		h.dec = objcache.NewSharded(e.opts.DecodedCacheBytes, e.opts.CacheShards)
 		sub.SetDecodedCache(h.dec)

@@ -15,23 +15,17 @@ import (
 )
 
 // goldenIndexSHA256 pins the bytes of every index file buildIndexFiles
-// writes, keyed by "w<Workers>/<file>". The bytes depend on Options.Workers
-// because rrset.Generate gives RR set i to worker i mod Workers (ROADMAP
-// direction 8); a sampler or format change that moves them must update these
+// writes, keyed by file name. rrset.Generate draws RR set i from a stream
+// seeded by the set's index, so the bytes depend on neither Options.Workers
+// nor the host; a sampler or format change that moves them must update these
 // constants on purpose, and nothing else may.
 var goldenIndexSHA256 = map[string]string{
-	"w1/rr":     "92bb986cc7026ad9ca53b104cd716cc8825a24a6b34276ed1425a06ab4ee0096",
-	"w1/rr.s0":  "506bfccba5d005575f0e9dad9b5a0c210f6861d3de8eaf8a60b0a30d84151086",
-	"w1/rr.s1":  "6ff47fa3129802fbd4a8e2c0d20df3fc4e0b0dda65de99afa09f51f7027e7e4c",
-	"w1/irr":    "811c88e0fe3dec88d2187dae81a9aebca003fd1fc397710bdda967a760f0c323",
-	"w1/irr.s0": "aa93ede6ee9768c7c1a358a2388381961ead13330da8b192aea062287c03108e",
-	"w1/irr.s1": "f9061f8c7f78e031e3ad55dcde0a76bdd09ca842cda27958b33692e4600a989d",
-	"w2/rr":     "7235998060e75a7dbf6544efe5e4f00c0a80adc75c5fb3281c8c04f183634746",
-	"w2/rr.s0":  "e739a98a22cd9f7a3f40bbd5417c1c8b2816583f6cc133a817e7c384037eba83",
-	"w2/rr.s1":  "b74ea2049be94c943ad9cd811f444336d3fe0090e466c6c242a42f609a258019",
-	"w2/irr":    "f05125eb7dfa0ba8dfb5c695d8372e04d39ec3f28e13ec283c07c8731ea0ce38",
-	"w2/irr.s0": "8542df4aded1c6020712dab299180fc1c555a7abbcd0e6aa32846059321d7c0d",
-	"w2/irr.s1": "264b897494ab23a3577d2ab4f6f1d0b8d3ea5fc44d30a786be4e2fd443bb28c1",
+	"rr":     "26d4b46977162e364d00d2a964909b261f9ed988e417bfc4495d487f994b10d0",
+	"rr.s0":  "f269f8984d4071503b9b55ea9b33e802efaa07f942ee2ce2e9bc6ff5ad15f091",
+	"rr.s1":  "f1af378d78106eecb4594086703357e606e4a0d8a832cd08e85f86f62abb2e05",
+	"irr":    "89c0d572b2d585335cc390b21979b8990356f1b6eb352b8a077ab65f5b66af87",
+	"irr.s0": "28a84f987e8ebf136ff1176d8ae5a04494b5dda5bec2406a8683d756e3a0a06d",
+	"irr.s1": "174739ff81a1d72b71b9cc5e065eb831bc74b61c19caa86a7e4f1eb79c1f5b59",
 }
 
 // buildIndexFiles builds, at the given sampling Workers over one fixed small
@@ -79,16 +73,15 @@ func buildIndexFiles(t *testing.T, workers int) map[string]string {
 }
 
 func TestIndexBytesPinned(t *testing.T) {
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{0, 1, 2, 3} {
 		for name, path := range buildIndexFiles(t, workers) {
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sum := sha256.Sum256(b)
-			key := fmt.Sprintf("w%d/%s", workers, name)
-			if got, want := hex.EncodeToString(sum[:]), goldenIndexSHA256[key]; got != want {
-				t.Errorf("%s: sha256 %s, want %s", key, got, want)
+			if got, want := hex.EncodeToString(sum[:]), goldenIndexSHA256[name]; got != want {
+				t.Errorf("Workers %d, %s: sha256 %s, want %s", workers, name, got, want)
 			}
 		}
 	}
@@ -124,8 +117,8 @@ func keywordUnits(src artifactSource, w int) []unitRef {
 }
 
 // TestShardFilesCarryFullKeywordBytes checks the property keyword-sharded
-// serving rests on: at equal Workers, every unit a keyword's shard file
-// serves is byte-identical to the same unit of the unsharded file, so a query
+// serving rests on: every unit a keyword's shard file serves is
+// byte-identical to the same unit of the unsharded file, so a query
 // answers the same whichever file holds the keyword.
 func TestShardFilesCarryFullKeywordBytes(t *testing.T) {
 	files := buildIndexFiles(t, 1)

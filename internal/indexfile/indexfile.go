@@ -178,7 +178,8 @@ func (f *File) ParseHeader(r *binfmt.Reader, tail func(*binfmt.Reader), minEntry
 	if !h.Compression.Valid() {
 		return h, 0, fmt.Errorf("%w: unknown compression %d", ErrBadFormat, h.Compression)
 	}
-	if h.NumVertices < 0 || h.NumTopics <= 0 || numKeywords < 0 || numKeywords > h.NumTopics {
+	// Vertex IDs are uint32, so no graph has more than 2^32 vertices.
+	if h.NumVertices < 0 || h.NumVertices > 1<<32 || h.NumTopics <= 0 || numKeywords < 0 || numKeywords > h.NumTopics {
 		return h, 0, fmt.Errorf("%w: implausible header", ErrBadFormat)
 	}
 	if numKeywords > r.Remaining()/minEntry {

@@ -196,6 +196,12 @@ func TestHostilePreludes(t *testing.T) {
 			return forgeThetaW(b, func(int64, []byte) int64 { return 1 << 24 })
 		}},
 		{"topic named by two directory entries", duplicateTopic},
+		{"|V| beyond 2^32, more vertices than uint32 IDs name", func(b []byte) []byte {
+			// numVertices u64 follows the frame, the three single-byte
+			// fields and the model name, whose length is b[18].
+			binary.LittleEndian.PutUint64(b[16+3+int(b[18]):], 1<<40)
+			return b
+		}},
 	}
 	// An IRR θ_w is exactly its partitions' set count, so smaller lies fail
 	// there too.
@@ -245,9 +251,10 @@ func declaredKeywords(b []byte, tail int) int {
 const allocSlack = 1 << 20
 
 // FuzzOpen feeds arbitrary files to both formats' Open: a bounded
-// ErrBadFormat, or an index with one keyword per directory entry, whose every
-// directory extent lies between the prelude and the end of the file and
-// whose every θ_w fits the bytes that hold its sets — never a panic, and never an allocation (at open or at the
+// ErrBadFormat, or an index with one keyword per directory entry, whose |V|
+// is at most 2^32 (vertex IDs are uint32), whose every directory extent lies
+// between the prelude and the end of the file and whose every θ_w fits the
+// bytes that hold its sets — never a panic, and never an allocation (at open or at the
 // first query) sized by a prelude claim instead of by the bytes.
 func FuzzOpen(f *testing.F) {
 	files := buildIndexes(f)
@@ -267,6 +274,9 @@ func FuzzOpen(f *testing.F) {
 					t.Fatalf("%s: got %v, want ErrBadFormat", fm.name, err)
 				}
 				continue
+			}
+			if file.Shape.NumVertices > 1<<32 {
+				t.Fatalf("%s: opened with |V| = %d", fm.name, file.Shape.NumVertices)
 			}
 			if n := declaredKeywords(data, fm.tail); len(file.Keywords()) != n {
 				t.Fatalf("%s: opened %d keywords from %d directory entries", fm.name, len(file.Keywords()), n)

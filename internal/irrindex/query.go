@@ -269,8 +269,7 @@ func (idx *Index) QueryStreamCtx(ctx context.Context, q topic.Query, so wris.Str
 // keyword's state simply fetches from ITS owning index through that index's
 // per-query I/O scope. Per-keyword partitions, IP tables, and the
 // allocation plan are bit-identical however the universe is partitioned
-// (sampling is seeded by topic ID alone; the files must be built at equal
-// sampling Workers, ROADMAP direction 8), and all NRA state mutation stays
+// (sampling is seeded by topic ID alone), and all NRA state mutation stays
 // sequential in query-keyword order — so a query spanning N shard indexes
 // returns exactly the seeds, marginals, and spread a single full index
 // would. The reported IO is the sum over the involved indexes' scopes.

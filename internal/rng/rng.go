@@ -1,15 +1,13 @@
 // Package rng provides the deterministic random-number machinery used by
-// every sampler in the repository: a splittable 64-bit generator
-// (xoshiro256** seeded through splitmix64) and Vose's alias method for O(1)
-// weighted sampling.
+// every sampler in the repository: a 64-bit generator (xoshiro256** seeded
+// through splitmix64) and Vose's alias method for O(1) weighted sampling.
 //
 // All experiments in the paper depend on sampling enormous numbers of
 // reverse-reachable sets; determinism (seed in, identical index out) is what
 // makes the index formats testable byte-for-byte and the benchmarks
-// repeatable, so math/rand is deliberately not used. The promise holds at an
-// equal number of sampling workers: rrset.Generate seeds one stream per
-// worker, so a different Workers count gives different, equally valid files
-// (ROADMAP direction 8).
+// repeatable, so math/rand is deliberately not used. rrset.Generate reseeds
+// one Source per RR set from the set's index (see Mix64), so the files do not
+// depend on how many workers sampled them.
 //
 // The coin stream is a stated contract: Bernoulli(p) with 0 < p < 1 makes
 // exactly one Uint64 draw and hits iff Float64() < p; p ≤ 0 and p ≥ 1 draw
@@ -26,7 +24,7 @@ import (
 
 // Source is a xoshiro256** pseudo-random generator. The zero value is not
 // usable; construct with New. It intentionally mirrors the subset of
-// math/rand's API the samplers need, but is splittable and allocation-free.
+// math/rand's API the samplers need, and is allocation-free.
 type Source struct {
 	s0, s1, s2, s3 uint64
 }
@@ -44,10 +42,7 @@ func (s *Source) Seed(seed uint64) {
 	sm := seed
 	next := func() uint64 {
 		sm += 0x9E3779B97F4A7C15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
+		return Mix64(sm)
 	}
 	s.s0, s.s1, s.s2, s.s3 = next(), next(), next(), next()
 	// xoshiro must not start in the all-zero state.
@@ -56,10 +51,14 @@ func (s *Source) Seed(seed uint64) {
 	}
 }
 
-// Split derives an independent child generator from the current state.
-// The parent is advanced, so successive Splits yield distinct children.
-func (s *Source) Split() *Source {
-	return New(s.Uint64() ^ 0xA5A5A5A55A5A5A5A)
+// Mix64 is splitmix64's finalizer: a bijection of uint64 under which inputs
+// that differ in one bit give outputs that differ in about half of them. Seed
+// applies it to each step of its walk; samplers use it to derive one seed
+// per item from a base seed and the item's index.
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -191,25 +190,4 @@ func (s *Source) AppendHits(dst, cand []uint32, t uint64) []uint32 {
 	}
 	s.s0, s.s1, s.s2, s.s3 = s0, s1, s2, s3
 	return dst[:n]
-}
-
-// Perm returns a pseudo-random permutation of [0, n) (Fisher–Yates).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes xs in place.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -156,8 +156,7 @@ var errDeadline = errors.New("rrindex: query deadline expired")
 // keyword-partitioned set of indexes: owner(w) returns the Index holding
 // keyword w (nil = not indexed anywhere). Per-keyword artifacts are
 // bit-identical however the keyword universe is partitioned (each keyword's
-// sampling is seeded by the topic ID alone; the files must be built at equal
-// sampling Workers, ROADMAP direction 8), the allocation plan depends
+// sampling is seeded by the topic ID alone), the allocation plan depends
 // only on the query keywords' own directory entries, and greedy numbers the
 // sets in query-keyword order — so a query spanning N shard indexes returns
 // exactly the seeds, marginals, and spread a single full index would. Each

@@ -3,6 +3,7 @@ package rrset
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"kbtim/internal/graph"
 	"kbtim/internal/prop"
@@ -51,62 +52,72 @@ func (b *Batch) Append(set []uint32) {
 type GenerateOptions struct {
 	Count   int    // number of RR sets
 	Seed    uint64 // base seed; the result is a deterministic function of it
-	Workers int    // 0 = GOMAXPROCS
+	Workers int    // 0 = GOMAXPROCS; sets speed only, never the result
 }
 
-// Generate samples opts.Count RR sets concurrently. The output is
-// deterministic for a fixed (graph, model, picker, Count, Seed, Workers):
-// set i is produced by worker i%Workers from a per-worker child seed, and
-// sets are reassembled in index order. Index construction for the paper's
-// experiments runs with 8 threads (§6.2); this is the equivalent machinery.
+// chunk is how many consecutive sets a worker claims at a time: enough to
+// amortize the shared counter, few enough that workers finish together when
+// set sizes are heavy-tailed.
+const chunk = 256
+
+// setSeed is the seed of set i under the base seed. i is mixed before it
+// meets seed, so no structure among base seeds (wris.SampleKeyword's are
+// cfg.Seed XOR a golden multiple) can line up with a set index; the result is
+// mixed again because Source.Seed walks splitmix by adding its increment, and
+// seeds a small multiple of it apart would share state words.
+func setSeed(seed uint64, i int) uint64 { return rng.Mix64(seed ^ rng.Mix64(uint64(i))) }
+
+// Generate samples opts.Count RR sets concurrently. Set i is drawn from its
+// own stream, seeded by setSeed(opts.Seed, i), so the batch is a pure
+// function of (graph, model, picker, Count, Seed): Workers only sets how fast
+// it is built, and Generate(n) is a prefix of Generate(m) for n < m. Workers
+// claim chunks of consecutive sets from a shared counter, and the chunks are
+// joined in index order. Index construction for the paper's experiments runs
+// with 8 threads (§6.2); this is the equivalent machinery.
 func Generate(g *graph.Graph, model prop.Model, picker RootPicker, opts GenerateOptions) *Batch {
 	if opts.Count <= 0 {
 		return &Batch{Off: []int64{0}}
 	}
+	parts := make([]Batch, (opts.Count+chunk-1)/chunk) // local offsets from 0
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > opts.Count {
-		workers = opts.Count
-	}
+	workers = min(workers, len(parts))
 
-	type shard struct {
-		off  []int64 // local offsets, starting at 0
-		flat []uint32
-	}
-	shards := make([]shard, workers)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			src := rng.New(opts.Seed ^ (0x9E3779B97F4A7C15 * uint64(w+1)))
+			var src rng.Source
 			sampler := NewSampler(g, model)
-			local := shard{off: []int64{0}}
-			for i := w; i < opts.Count; i += workers {
-				root := picker.PickRoot(src)
-				local.flat = sampler.AppendRR(local.flat, root, src)
-				local.off = append(local.off, int64(len(local.flat)))
+			for c := int(next.Add(1)) - 1; c < len(parts); c = int(next.Add(1)) - 1 {
+				lo, hi := c*chunk, min((c+1)*chunk, opts.Count)
+				p := Batch{Off: make([]int64, 1, hi-lo+1)}
+				for i := lo; i < hi; i++ {
+					src.Seed(setSeed(opts.Seed, i))
+					p.Flat = sampler.AppendRR(p.Flat, picker.PickRoot(&src), &src)
+					p.Off = append(p.Off, int64(len(p.Flat)))
+				}
+				parts[c] = p
 			}
-			shards[w] = local
-		}(w)
+		}()
 	}
 	wg.Wait()
 
-	// Reassemble in global index order i = 0,1,2,...: set i is the
-	// (i/workers)-th set of shard i%workers.
-	out := &Batch{Off: make([]int64, 1, opts.Count+1)}
 	total := 0
-	for _, s := range shards {
-		total += len(s.flat)
+	for _, p := range parts {
+		total += len(p.Flat)
 	}
-	out.Flat = make([]uint32, 0, total)
-	for i := 0; i < opts.Count; i++ {
-		s := &shards[i%workers]
-		j := i / workers
-		out.Flat = append(out.Flat, s.flat[s.off[j]:s.off[j+1]]...)
-		out.Off = append(out.Off, int64(len(out.Flat)))
+	out := &Batch{Off: make([]int64, 1, opts.Count+1), Flat: make([]uint32, 0, total)}
+	for _, p := range parts {
+		base := int64(len(out.Flat))
+		for _, o := range p.Off[1:] {
+			out.Off = append(out.Off, base+o)
+		}
+		out.Flat = append(out.Flat, p.Flat...)
 	}
 	return out
 }

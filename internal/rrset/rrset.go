@@ -120,6 +120,3 @@ func NewWeightedRoots(users []uint32, weights []float64) (*WeightedRoots, error)
 func (w *WeightedRoots) PickRoot(src *rng.Source) uint32 {
 	return w.users[w.alias.Sample(src)]
 }
-
-// Support returns the number of users with positive weight support.
-func (w *WeightedRoots) Support() int { return len(w.users) }

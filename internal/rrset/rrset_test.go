@@ -1,8 +1,10 @@
 package rrset
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -134,9 +136,6 @@ func TestWeightedRootsDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if picker.Support() != 3 {
-		t.Fatalf("Support = %d", picker.Support())
-	}
 	src := rng.New(5)
 	counts := map[uint32]int{}
 	const n = 100000
@@ -212,28 +211,71 @@ func TestGenerateCountAndShape(t *testing.T) {
 	}
 }
 
-func TestGenerateStatisticallyMatchesSequential(t *testing.T) {
-	// Concurrency must not skew the distribution: frequency of vE appearing
-	// in RR sets rooted uniformly should match between 1 and 4 workers.
-	g := figure1(t)
-	count := 40000
-	freq := func(workers int, seed uint64) float64 {
-		b := Generate(g, prop.IC{}, UniformRoots{N: 7}, GenerateOptions{Count: count, Seed: seed, Workers: workers})
-		hits := 0
-		for i := 0; i < b.Len(); i++ {
-			for _, v := range b.Set(i) {
-				if v == vE {
-					hits++
-					break
+// randomGraph is a seeded directed graph with n vertices and m edges.
+func randomGraph(n, m int, seed uint64) *graph.Graph {
+	gb := graph.NewBuilder(n)
+	src := rng.New(seed)
+	for i := 0; i < m; i++ {
+		_ = gb.AddEdge(uint32(src.Intn(n)), uint32(src.Intn(n)))
+	}
+	return gb.Build()
+}
+
+// Workers sets only speed: every worker count gives the same batch, for a
+// count below one chunk, an exact chunk and one that ends mid-chunk.
+func TestGenerateWorkersInvariant(t *testing.T) {
+	g := randomGraph(300, 1500, 1)
+	for _, model := range []prop.Model{prop.IC{}, prop.LT{}} {
+		for _, count := range []int{1, 100, chunk, 3*chunk + 77} {
+			opts := GenerateOptions{Count: count, Seed: 42, Workers: 1}
+			want := Generate(g, model, UniformRoots{N: 300}, opts)
+			if want.Len() != count {
+				t.Fatalf("%s count %d: Len = %d", model.Name(), count, want.Len())
+			}
+			for _, workers := range []int{2, 3, 8} {
+				opts.Workers = workers
+				got := Generate(g, model, UniformRoots{N: 300}, opts)
+				if !slices.Equal(got.Off, want.Off) || !slices.Equal(got.Flat, want.Flat) {
+					t.Fatalf("%s count %d: Workers %d differs from Workers 1", model.Name(), count, workers)
 				}
 			}
 		}
-		return float64(hits) / float64(count)
 	}
-	f1 := freq(1, 11)
-	f4 := freq(4, 12)
-	if math.Abs(f1-f4) > 0.01 {
-		t.Fatalf("worker skew: f1=%v f4=%v", f1, f4)
+}
+
+// Generate(n) is a prefix of Generate(m) for n < m: set i depends on i and
+// the seed alone.
+func TestGeneratePrefix(t *testing.T) {
+	g := randomGraph(300, 1500, 2)
+	opts := GenerateOptions{Count: 2*chunk + 5, Seed: 7, Workers: 3}
+	long := Generate(g, prop.IC{}, UniformRoots{N: 300}, opts)
+	for _, n := range []int{1, chunk - 1, chunk, chunk + 1, 2 * chunk} {
+		opts.Count = n
+		short := Generate(g, prop.IC{}, UniformRoots{N: 300}, opts)
+		if !slices.Equal(short.Off, long.Off[:n+1]) || !slices.Equal(short.Flat, long.Flat[:long.Off[n]]) {
+			t.Fatalf("Generate(%d) is not a prefix of Generate(%d)", n, long.Len())
+		}
+	}
+}
+
+// No two sets of two keywords share a stream. The keyword seeds are those of
+// wris.SampleKeyword, base ^ G·(w+1); a stream per worker seeded
+// keyword ^ G·(worker+1) fails this, because XOR is symmetric: keyword a's
+// worker b is keyword b's worker a.
+func TestSetSeedsDoNotAlias(t *testing.T) {
+	const golden = 0x9E3779B97F4A7C15
+	for _, base := range []uint64{0, 1, 3} {
+		seen := map[uint64]string{}
+		for w := uint64(0); w < 64; w++ {
+			for i := 0; i < chunk; i++ {
+				x := rng.New(setSeed(base^(w+1)*golden, i)).Uint64()
+				name := fmt.Sprintf("keyword %d set %d", w, i)
+				if prev, dup := seen[x]; dup {
+					t.Fatalf("base %d: %s and %s start with the same draw", base, prev, name)
+				}
+				seen[x] = name
+			}
+		}
 	}
 }
 
@@ -265,12 +307,8 @@ func TestBatchAppendAndAccessors(t *testing.T) {
 }
 
 func BenchmarkSampleRRTwitterLike(b *testing.B) {
-	gb := graph.NewBuilder(20000)
-	src := rng.New(1)
-	for i := 0; i < 200000; i++ {
-		_ = gb.AddEdge(uint32(src.Intn(20000)), uint32(src.Intn(20000)))
-	}
-	g := gb.Build()
+	g := randomGraph(20000, 200000, 1)
+	src := rng.New(2)
 	sampler := NewSampler(g, prop.IC{})
 	var buf []uint32
 	b.ResetTimer()

@@ -67,10 +67,9 @@ func PlanThetaW(g *graph.Graph, model prop.Model, prof *topic.Profiles, w int, c
 // (PlanThetaW under mode) rooted with probability ps(v,w). The sampling seed
 // is cfg.Seed mixed with w alone, so both index kinds built from the same
 // inputs hold the same R_w (what makes Theorem 3 testable end to end), and a
-// keyword's sets do not depend on which other keywords share its file. They
-// do depend on cfg.Workers, because rrset.Generate gives set i to worker
-// i mod Workers (ROADMAP direction 8). The boolean reports whether the
-// configured cap truncated θ_w.
+// keyword's sets do not depend on which other keywords share its file, nor on
+// cfg.Workers (rrset.Generate seeds each set by its index). The boolean
+// reports whether the configured cap truncated θ_w.
 func SampleKeyword(g *graph.Graph, model prop.Model, prof *topic.Profiles, w int, cfg Config, mode SizingMode) (*rrset.Batch, bool, error) {
 	theta, capped, err := PlanThetaW(g, model, prof, w, cfg, mode)
 	if err != nil {

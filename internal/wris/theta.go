@@ -31,8 +31,8 @@ type Config struct {
 	MaxThetaPerKeyword int
 	// Seed drives all sampling.
 	Seed uint64
-	// Workers bounds sampling concurrency (0 = GOMAXPROCS). The paper
-	// builds indexes with 8 threads.
+	// Workers bounds sampling concurrency (0 = GOMAXPROCS); it changes
+	// speed, never a sampled set. The paper builds indexes with 8 threads.
 	Workers int
 }
 

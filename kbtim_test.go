@@ -327,3 +327,44 @@ func TestRebuildOverwritesOpenIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An index records the |V| and |T| it was sampled over; an engine must refuse
+// one built for another dataset, for both kinds, rather than answer queries
+// over vertex and topic IDs that mean something else.
+func TestOpenRefusesIndexOfAnotherDataset(t *testing.T) {
+	opts := exampleOptions()
+	opts.MaxThetaPerKeyword = 500
+	builder, err := NewEngine(exampleDataset(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer builder.Close()
+	dir := t.TempDir()
+	rrPath, irrPath := filepath.Join(dir, "ads.rr"), filepath.Join(dir, "ads.irr")
+	if _, err := builder.BuildRRIndex(rrPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := builder.BuildIRRIndex(irrPath); err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range [][2]int{{8, 4}, {6, 4}, {7, 5}, {7, 3}} {
+		ds, err := NewDataset(shape[0], shape[1], []Edge{{From: 0, To: 1}}, [][3]float64{{0, 0, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.OpenRRIndex(rrPath); err == nil {
+			t.Errorf("%d users, %d topics: RR index of 7 users, 4 topics accepted", shape[0], shape[1])
+		}
+		if err := eng.OpenIRRIndex(irrPath); err == nil {
+			t.Errorf("%d users, %d topics: IRR index of 7 users, 4 topics accepted", shape[0], shape[1])
+		}
+		if _, err := eng.QueryRR(Query{Topics: []int{0}, K: 1}); err == nil {
+			t.Errorf("%d users, %d topics: refused RR index left attached", shape[0], shape[1])
+		}
+		eng.Close()
+	}
+}
