@@ -8,22 +8,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"kbtim"
-	"kbtim/internal/diskio"
-	"kbtim/internal/indexfile"
-	"kbtim/internal/irrindex"
-	"kbtim/internal/objcache"
 	"kbtim/internal/remote"
-	"kbtim/internal/rrindex"
-	"kbtim/internal/shardmap"
-	"kbtim/internal/topic"
-	"kbtim/internal/wris"
 )
 
 // fanoutNode is one downstream kbtim-serve process as the router sees it:
@@ -53,21 +44,18 @@ type fanoutNode struct {
 }
 
 // shardGroup is the replica set serving one shard's keyword subset: R nodes
-// all serving byte-identical index files, a remote.Group that fails artifact
-// fetches over between them, and ONE remote-backed index per kind opened at
-// the group level (the directory is the same on every replica, so which
-// replica supplied it is irrelevant — and a replica coming back needs no
-// re-open, only a breaker close).
+// all serving byte-identical index files and a remote.Group that fails
+// artifact fetches over between them. The shard's indexes are opened once,
+// through the group, as shard `shard` of the router's kbtim.Sharded (the
+// directory is the same on every replica, so which replica supplied it is
+// irrelevant — and a replica coming back needs no re-open, only a breaker
+// close).
 type shardGroup struct {
-	f      *fanout
-	shard  int
-	nodes  []*fanoutNode
-	grp    *remote.Group
-	rr     *rrindex.Index
-	irr    *irrindex.Index
-	rrDec  *objcache.Cache
-	irrDec *objcache.Cache
-	next   atomic.Uint64 // proxy round-robin cursor across replicas
+	f     *fanout
+	shard int
+	nodes []*fanoutNode
+	grp   *remote.Group
+	next  atomic.Uint64 // proxy round-robin cursor across replicas
 }
 
 // groupHealth adapts a shardGroup's breakers to remote.Health, so artifact
@@ -79,26 +67,28 @@ func (h groupHealth) Observe(i int, err error) {
 	h.g.f.observeNode(h.g.nodes[i], err)
 }
 
-// fanout is the cross-node scatter-gather backend (kbtim-serve -router):
-// the same shardmap contract as kbtim.Sharded, with replica GROUPS of
-// processes behind it. Group i owns the keywords shard i of the map assigns,
-// exactly the partition kbtim-build -shards wrote into the file every
-// replica of group i serves, so build, backend, and router all agree on
-// ownership with no coordination service.
+// fanout is the cross-node backend (kbtim-serve -router): a kbtim.Sharded
+// whose shard i is replica GROUP i of kbtim-serve processes, opened remotely
+// (kbtim.OpenRemoteSharded). Group i owns the keywords shard i of the map
+// assigns, exactly the partition kbtim-build -shards wrote into the file
+// every replica of group i serves, so build, backend, and router all agree on
+// ownership with no coordination service. The embedded Sharded supplies the
+// keyword union, the cache counters and the per-shard /stats section.
 //
 // A query whose topics co-locate on one group is PROXIED whole to one of its
 // healthy replicas (one round trip; re-issued to a surviving replica on
-// failure — safe, the query is read-only). A query spanning groups runs
-// Algorithm 2/4 locally with every keyword's artifact fetches going over the
-// wire to its owning group — rrindex/irrindex QueryMultiStreamCtx over
-// remote-backed indexes whose fetches fail over mid-round — which keeps results
+// failure — safe, the query is read-only). A query spanning groups is
+// Sharded.Query: the same merge and the same Result conversion as an
+// in-process deployment, with every keyword's artifact fetches going over the
+// wire to its owning group and failing over mid-round — which keeps results
 // bit-identical to a single engine over the full index (the three-way parity
 // test pins engine == in-process Sharded == this router, and the failover
-// tests pin it under injected faults). Router-side decoded caches front the
-// wire per group, so hot keywords scatter without network I/O.
+// tests pin it under injected faults). The shards' decoded caches front the
+// wire, so hot keywords scatter without network I/O. What fanout adds is only
+// what is remote: replica groups, breakers, health, validation and the proxy
+// arm.
 type fanout struct {
-	sm     *shardmap.Map
-	mode   kbtim.ShardMode
+	*kbtim.Sharded
 	groups []*shardGroup
 	nodes  []*fanoutNode // flattened (shard-major) for stats and health scans
 	hc     *http.Client  // proxy/health/stats transport (per-request ctx bounds it)
@@ -184,9 +174,9 @@ func splitBackends(flag string) [][]string {
 }
 
 // openFanout connects to every replica group, opens each group's indexes
-// remotely (one "dir" fetch per kind from the first live replica), verifies
-// every reachable replica serves byte-identical preludes, and wires the
-// shard map over the discovered keyword universe.
+// remotely as one kbtim.Sharded (one "dir" fetch per kind from the first live
+// replica), and verifies every reachable replica serves byte-identical
+// preludes.
 //
 // Backends that are down at startup do NOT abort the open: as long as each
 // group keeps >= 1 live replica the router starts DEGRADED — the dead
@@ -195,9 +185,8 @@ func splitBackends(flag string) [][]string {
 // that disagrees with its group (different index file, missing kind) is a
 // configuration error and does abort: it can never be safely admitted.
 //
-// Every group must serve the same index kinds over the same topic universe
-// (spanning queries re-verify |V|/|T|/K at query time; topic-space agreement
-// is what the shard map needs up front).
+// Every group must serve the same index kinds, each with one header Shape
+// (|V|, |T|, K): OpenRemoteSharded refuses anything else and names the shard.
 func openFanout(groups [][]string, cfg fanoutConfig) (*fanout, error) {
 	if len(groups) == 0 {
 		return nil, errors.New("router mode needs -backends (comma-separated shards, |-separated replicas)")
@@ -211,19 +200,11 @@ func openFanout(groups [][]string, cfg fanoutConfig) (*fanout, error) {
 	if cfg.breaker.failures < 1 || cfg.breaker.minBackoff <= 0 || cfg.breaker.maxBackoff < cfg.breaker.minBackoff {
 		return nil, fmt.Errorf("invalid breaker config %+v", cfg.breaker)
 	}
-	m := shardmap.Hash
-	if cfg.mode != "" {
-		var err error
-		if m, err = shardmap.ParseMode(string(cfg.mode)); err != nil {
-			return nil, err
-		}
-	}
 	// One keep-alive transport serves every router→backend call — proxied
 	// queries, health probes, and artifact traffic alike — so a backend's
 	// warm connections are shared across paths instead of competing pools.
 	tr := remote.NewTransport()
 	f := &fanout{
-		mode:         cfg.mode,
 		hc:           &http.Client{Transport: tr}, // per-request contexts bound proxy calls
 		artifactHC:   &http.Client{Timeout: cfg.proxyTimeout, Transport: tr},
 		healthTTL:    cfg.healthTTL,
@@ -231,38 +212,35 @@ func openFanout(groups [][]string, cfg fanoutConfig) (*fanout, error) {
 		proxyTimeout: cfg.proxyTimeout,
 		brkCfg:       cfg.breaker,
 	}
-	numTopics := 0
+	grps := make([]*remote.Group, len(groups))
 	for si, urls := range groups {
-		g, err := f.openGroup(si, urls, cfg)
-		if err != nil {
-			return nil, err
+		g := &shardGroup{f: f, shard: si}
+		clients := make([]*remote.Client, len(urls))
+		for i, u := range urls {
+			n := &fanoutNode{url: u, shard: si, client: remote.NewClient(u, f.artifactHC)}
+			g.nodes = append(g.nodes, n)
+			clients[i] = n.client
 		}
-		if si > 0 {
-			if (g.rr == nil) != (f.groups[0].rr == nil) || (g.irr == nil) != (f.groups[0].irr == nil) {
-				return nil, fmt.Errorf("shard %d [%s] serves a different index-kind set than shard 0", si, strings.Join(urls, "|"))
-			}
-		}
-		nt := 0
-		switch {
-		case g.irr != nil:
-			nt = g.irr.Header().NumTopics
-		case g.rr != nil:
-			nt = g.rr.Header().NumTopics
-		}
-		if si == 0 {
-			numTopics = nt
-		} else if nt != numTopics {
-			return nil, fmt.Errorf("shard %d serves a %d-topic universe, shard 0 serves %d — not shards of one index",
-				si, nt, numTopics)
-		}
+		g.grp = remote.NewGroup(clients, groupHealth{g})
+		grps[si] = g.grp
 		f.groups = append(f.groups, g)
 		f.nodes = append(f.nodes, g.nodes...)
 	}
-	sm, err := shardmap.New(len(f.groups), m, numTopics)
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.proxyTimeout)
+	defer cancel()
+	var err error
+	f.Sharded, err = kbtim.OpenRemoteSharded(ctx, grps, cfg.mode, kbtim.Options{
+		DecodedCacheBytes: cfg.decBudget,
+		QueryParallelism:  cfg.queryPar,
+	})
 	if err != nil {
 		return nil, err
 	}
-	f.sm = sm
+	for _, g := range f.groups {
+		if err := g.census(cfg.proxyTimeout); err != nil {
+			return nil, err
+		}
+	}
 	if !cfg.noProbeLoop {
 		f.stopProbe = make(chan struct{})
 		f.probeWG.Add(1)
@@ -271,73 +249,31 @@ func openFanout(groups [][]string, cfg fanoutConfig) (*fanout, error) {
 	return f, nil
 }
 
-// openGroup opens one shard's replica set: group-level index opens through
-// the failover fetch, then a per-replica census that separates "down right
-// now" (degraded start, breaker forced open) from "serving the wrong file"
-// (config error, abort).
-func (f *fanout) openGroup(si int, urls []string, cfg fanoutConfig) (*shardGroup, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.proxyTimeout)
+// census checks every replica of g against the group's reference preludes,
+// within timeout: a reachable replica that disagrees byte-for-byte aborts the
+// open, an unreachable one starts behind an open breaker and is re-validated
+// by the probe loop when it comes back.
+func (g *shardGroup) census(timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	g := &shardGroup{f: f, shard: si}
-	clients := make([]*remote.Client, 0, len(urls))
-	for _, u := range urls {
-		n := &fanoutNode{url: u, shard: si, client: remote.NewClient(u, f.artifactHC)}
-		g.nodes = append(g.nodes, n)
-		clients = append(clients, n.client)
-	}
-	g.grp = remote.NewGroup(clients, groupHealth{g})
-	var err error
-	if g.rr, err = g.grp.OpenRR(ctx); err != nil && !errors.Is(err, remote.ErrNotServed) {
-		return nil, fmt.Errorf("shard %d [%s]: no live replica serves its RR index: %w", si, strings.Join(urls, "|"), err)
-	}
-	if g.irr, err = g.grp.OpenIRR(ctx); err != nil && !errors.Is(err, remote.ErrNotServed) {
-		return nil, fmt.Errorf("shard %d [%s]: no live replica serves its IRR index: %w", si, strings.Join(urls, "|"), err)
-	}
-	if g.rr == nil && g.irr == nil {
-		return nil, fmt.Errorf("shard %d [%s] serves no RR or IRR index", si, strings.Join(urls, "|"))
-	}
-	// Census: every reachable replica must agree byte-for-byte with the
-	// group's reference preludes; unreachable ones start behind an open
-	// breaker and are re-validated by the probe loop when they come back.
 	for ni, n := range g.nodes {
 		err := g.validateNode(ctx, ni)
 		switch {
 		case err == nil:
 		case errors.Is(err, remote.ErrReplicaMismatch), errors.Is(err, remote.ErrNotServed):
-			return nil, fmt.Errorf("backend %s is not a replica of shard %d: %w", n.url, si, err)
+			return fmt.Errorf("backend %s is not a replica of shard %d: %w", n.url, g.shard, err)
 		default:
-			n.brk.forceOpen(time.Now(), f.brkCfg)
+			n.brk.forceOpen(time.Now(), g.f.brkCfg)
 		}
 	}
-	if g.rr != nil {
-		if cfg.decBudget > 0 {
-			g.rrDec = objcache.NewSharded(cfg.decBudget, 0)
-			g.rr.SetDecodedCache(g.rrDec)
-		}
-		g.rr.SetQueryParallelism(cfg.queryPar)
-	}
-	if g.irr != nil {
-		if cfg.decBudget > 0 {
-			g.irrDec = objcache.NewSharded(cfg.decBudget, 0)
-			g.irr.SetDecodedCache(g.irrDec)
-		}
-		g.irr.SetQueryParallelism(cfg.queryPar)
-	}
-	return g, nil
+	return nil
 }
 
 // validateNode checks replica ni of g against the group's reference preludes
 // for every kind the group serves and, on success, marks it admitted.
 func (g *shardGroup) validateNode(ctx context.Context, ni int) error {
-	if g.rr != nil {
-		if err := g.grp.Validate(ctx, ni, remote.KindRR); err != nil {
-			return err
-		}
-	}
-	if g.irr != nil {
-		if err := g.grp.Validate(ctx, ni, remote.KindIRR); err != nil {
-			return err
-		}
+	if err := g.grp.Validate(ctx, ni); err != nil {
+		return err
 	}
 	g.nodes[ni].validated.Store(true)
 	return nil
@@ -355,14 +291,15 @@ func (f *fanout) observeNode(n *fanoutNode, err error) {
 	n.brk.failure(time.Now(), f.brkCfg)
 }
 
-// Close stops the background probe loop. The HTTP clients hold no
-// goroutines of their own.
+// Close stops the background probe loop and closes the remote shards. The
+// HTTP clients hold no goroutines of their own.
 func (f *fanout) Close() error {
 	f.closeOnce.Do(func() {
 		if f.stopProbe != nil {
 			close(f.stopProbe)
 			f.probeWG.Wait()
 		}
+		f.Sharded.Close()
 	})
 	return nil
 }
@@ -467,37 +404,11 @@ func (f *fanout) proxy(ctx context.Context, gi int, s kbtim.Strategy, q kbtim.Qu
 	var lastErr error
 	for attempt, ni := range order {
 		n := g.nodes[ni]
-		res, retryable, err := f.proxyOnce(ctx, n, body)
+		res, retryable, err := f.proxyOnce(ctx, n, body, so.Emit)
 		if err == nil {
 			n.proxied.Add(1)
 			if attempt > 0 {
 				f.proxyFailovers.Add(1)
-			}
-			// Proxied queries stream on arrival: the whole reply exists
-			// before the first emission (only scattered queries certify
-			// locally seed by seed), but the emitted (seed, marginal,
-			// spreadLB) sequence is identical to what the owning node's own
-			// stream produced — the prefix spread formula is shared.
-			if so.Emit != nil {
-				covered := 0
-				for _, m := range res.Marginals {
-					covered += m
-				}
-				run := 0
-				for i, seed := range res.Seeds {
-					if i < len(res.Marginals) {
-						run += res.Marginals[i]
-					}
-					lb := 0.0
-					if covered > 0 {
-						lb = res.EstSpread * float64(run) / float64(covered)
-					}
-					m := 0
-					if i < len(res.Marginals) {
-						m = res.Marginals[i]
-					}
-					so.Emit(seed, m, lb)
-				}
 			}
 			return res, nil
 		}
@@ -517,10 +428,19 @@ func (f *fanout) proxy(ctx context.Context, gi int, s kbtim.Strategy, q kbtim.Qu
 // another replica may well succeed) from deterministic ones (4xx: every
 // replica serves the same file and would reject identically). Outcomes feed
 // the node's breaker; a caller-canceled context feeds nothing.
-func (f *fanout) proxyOnce(ctx context.Context, n *fanoutNode, body []byte) (*kbtim.Result, bool, error) {
+//
+// With emit set the attempt asks for the owner's NDJSON stream and, once the
+// whole reply has arrived, replays its seed records verbatim — the owner's
+// own spread_lb values, bit for bit. Nothing is emitted before the reply is
+// complete, so a retry on another replica cannot duplicate emissions.
+func (f *fanout) proxyOnce(ctx context.Context, n *fanoutNode, body []byte, emit kbtim.EmitFunc) (*kbtim.Result, bool, error) {
 	ctx, cancel := context.WithTimeout(ctx, f.proxyTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.url+"/query", bytes.NewReader(body))
+	url := n.url + "/query"
+	if emit != nil {
+		url += "?stream=1"
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, false, err
 	}
@@ -555,121 +475,64 @@ func (f *fanout) proxyOnce(ctx context.Context, n *fanoutNode, body []byte) (*kb
 		}
 		return nil, retryable, fmt.Errorf("backend %s: %s: %s", n.url, resp.Status, msg)
 	}
-	var qr queryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		if ctx.Err() == nil {
-			f.observeNode(n, err)
+	// A batch reply is one queryResponse; a stream is seed records ending in
+	// a done record that carries the queryResponse, or the query's error when
+	// it failed after seeds were out — a verdict as deterministic as a 4xx.
+	dec := json.NewDecoder(resp.Body)
+	var recs []streamSeedRecord
+	for {
+		var line struct {
+			streamSeedRecord
+			streamDoneRecord
+			Error string `json:"error"`
 		}
-		return nil, true, fmt.Errorf("backend %s: decoding reply: %w", n.url, err)
+		if err := dec.Decode(&line); err != nil {
+			if ctx.Err() == nil {
+				f.observeNode(n, err)
+			}
+			return nil, true, fmt.Errorf("backend %s: decoding reply: %w", n.url, err)
+		}
+		if emit != nil && !line.Done {
+			recs = append(recs, line.streamSeedRecord)
+			continue
+		}
+		f.observeNode(n, nil)
+		if line.Error != "" {
+			return nil, false, errors.New(line.Error)
+		}
+		for _, r := range recs {
+			emit(r.Seed, r.Marginal, r.SpreadLB)
+		}
+		return line.result(), false, nil
 	}
-	f.observeNode(n, nil)
-	return qr.result(), false, nil
 }
 
 // Query implements backend: a query whose topics one group owns is proxied
-// whole (emitting on reply arrival); a spanning query runs Algorithm 2/4
-// locally over the remote-backed group indexes, certifying and emitting seed
-// by seed. This is the router's one strategy switch and its one index-result
-// → Result conversion.
+// whole (emitting once the reply is in); a spanning query is Sharded.Query
+// over the remote shards, certifying and emitting seed by seed.
 func (f *fanout) Query(ctx context.Context, s kbtim.Strategy, q kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
-	if s != kbtim.StrategyRR && s != kbtim.StrategyIRR {
-		return nil, fmt.Errorf("unknown strategy %q (want rr or irr)", s)
-	}
-	if g := f.groups[0]; (s == kbtim.StrategyRR && g.rr == nil) || (s == kbtim.StrategyIRR && g.irr == nil) {
-		return nil, fmt.Errorf("router backends serve no %s index", strings.ToUpper(string(s)))
-	}
-	gids := f.sm.Shards(q.Topics)
-	if len(gids) == 0 {
-		return nil, errors.New("query needs at least one keyword")
-	}
-	if len(gids) == 1 {
+	if gi, ok := f.colocated(q.Topics); ok {
 		f.proxCnt.Add(1)
-		return f.proxy(ctx, gids[0], s, q, so)
+		return f.proxy(ctx, gi, s, q, so)
 	}
 	f.scatCnt.Add(1)
-	// An out-of-space keyword has no owner; the shard map routes it to group
-	// 0 so the index reports "outside topic space", as a single engine would.
-	group := func(w int) *shardGroup { return f.groups[f.sm.Owner(w)] }
-	tq := topic.Query{Topics: q.Topics, K: q.K}
-	wso := wris.StreamOptions{Emit: wris.EmitFunc(so.Emit), Deadline: so.Deadline}
-	var (
-		r   *indexfile.Result
-		err error
-	)
-	if s == kbtim.StrategyRR {
-		r, err = rrindex.QueryMultiStreamCtx(ctx, func(w int) *rrindex.Index { return group(w).rr }, tq, wso)
-	} else {
-		r, err = irrindex.QueryMultiStreamCtx(ctx, func(w int) *irrindex.Index { return group(w).irr }, tq, wso)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// The scatter query's I/O scope recorded artifact transfers, so BytesRead
-	// are wire bytes here.
-	return &kbtim.Result{
-		Seeds:            r.Seeds,
-		Marginals:        r.Marginals,
-		EstSpread:        r.EstSpread,
-		NumRRSets:        r.NumRRSets,
-		PartitionsLoaded: r.PartitionsLoaded,
-		IO: kbtim.IOStats{
-			SequentialReads: r.IO.SequentialReads,
-			RandomReads:     r.IO.RandomReads,
-			BytesRead:       r.IO.BytesRead,
-			CacheHits:       r.IO.CacheHits,
-			CacheMisses:     r.IO.CacheMisses,
-			DecodedHits:     r.DecodedHits,
-			DecodedMisses:   r.DecodedMisses,
-		},
-		Elapsed: r.Elapsed,
-		Partial: r.Partial,
-	}, nil
+	return f.Sharded.Query(ctx, s, q, so)
 }
 
-// IndexedKeywords implements backend: the sorted union of every group's
-// queryable topics.
-func (f *fanout) IndexedKeywords() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, g := range f.groups {
-		var kws []int
-		switch {
-		case g.irr != nil:
-			kws = g.irr.Keywords()
-		case g.rr != nil:
-			kws = g.rr.Keywords()
-		}
-		for _, w := range kws {
-			if !seen[w] {
-				seen[w] = true
-				out = append(out, w)
-			}
+// colocated returns the group owning every topic, if one does. An
+// out-of-space keyword has no owner; the shard map routes it to group 0, so
+// the index reports "outside topic space", as a single engine would.
+func (f *fanout) colocated(topics []int) (int, bool) {
+	if len(topics) == 0 {
+		return 0, false
+	}
+	gi := f.Owner(topics[0])
+	for _, w := range topics[1:] {
+		if f.Owner(w) != gi {
+			return 0, false
 		}
 	}
-	if out == nil {
-		return nil
-	}
-	sort.Ints(out)
-	return out
-}
-
-// CacheStats implements backend. The router holds no segment cache — raw
-// bytes never land here outside an artifact fetch, which the decoded tier
-// fronts — so the segment section is zero.
-func (f *fanout) CacheStats() (rr, irr diskio.CacheStats) { return }
-
-// DecodedCacheStats implements backend: the router-side caches, summed
-// across groups.
-func (f *fanout) DecodedCacheStats() (rr, irr objcache.Stats) {
-	for _, g := range f.groups {
-		if g.rrDec != nil {
-			rr = rr.Add(g.rrDec.Stats())
-		}
-		if g.irrDec != nil {
-			irr = irr.Add(g.irrDec.Stats())
-		}
-	}
-	return
+	return gi, true
 }
 
 // nodeHealthy returns one node's /healthz verdict, served from a
@@ -773,7 +636,7 @@ func (f *fanout) RouterStats(ctx context.Context) *routerStatsJSON {
 		wire = wire.Add(n.client.Stats())
 	}
 	out := &routerStatsJSON{
-		Mode:            string(f.mode),
+		Mode:            string(f.Mode()),
 		ProxyTimeoutSec: f.proxyTimeout.Seconds(),
 		HealthTTLSec:    f.healthTTL.Seconds(),
 		ProbeTimeoutSec: f.probeTimeout.Seconds(),

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -86,22 +88,40 @@ func startRouterCluster(t *testing.T) *routerCluster {
 }
 
 // TestRouterThreeWayParity is the tentpole acceptance test: for both
-// strategies and every query shape (co-located fast path and spanning
-// scatter), a 2-node HTTP router returns byte-identical seeds, marginals,
+// strategies and every query shape (proxied whole to either node, and
+// spanning), a 2-node HTTP router returns byte-identical seeds, marginals,
 // and spreads to BOTH a single engine and an in-process Sharded deployment
-// over the same index payloads.
+// over the same index payloads, and streams the same records, spread_lb
+// included. Rows are picked by asking the shard map, and each row asserts
+// the arm it took, so a hash change cannot quietly drop an arm.
 func TestRouterThreeWayParity(t *testing.T) {
 	c := startRouterCluster(t)
-	queries := []queryRequest{
-		{Topics: []int{0}, K: 3},                      // co-located: proxied whole
-		{Topics: []int{3}, K: 2},                      // co-located on the other node
-		{Topics: []int{0, 1}, K: 3},                   // spans under hash
-		{Topics: []int{2, 5, 7}, K: 4},                // spans
-		{Topics: []int{0, 1, 2, 3, 4, 5, 6, 7}, K: 5}, // whole universe
+	const spanning = -1
+	var owned [2][]int
+	for w := 0; w < 8; w++ {
+		owned[c.fo.Owner(w)] = append(owned[c.fo.Owner(w)], w)
+	}
+	if len(owned[0]) < 2 || len(owned[1]) < 1 {
+		t.Fatalf("hash map leaves too few keywords per shard for the matrix: %v", owned)
+	}
+	rows := []struct {
+		owner int // the group the router must proxy to, or spanning
+		q     queryRequest
+	}{
+		{0, queryRequest{Topics: owned[0][:1], K: 3}},
+		{1, queryRequest{Topics: owned[1][:1], K: 2}},
+		{0, queryRequest{Topics: owned[0][:2], K: 4}},
+		{spanning, queryRequest{Topics: []int{owned[0][0], owned[1][0]}, K: 3}},
+		{spanning, queryRequest{Topics: []int{0, 1, 2, 3, 4, 5, 6, 7}, K: 5}},
+	}
+	arms := func() [3]int64 {
+		return [3]int64{c.fo.groups[0].nodes[0].proxied.Load(), c.fo.groups[1].nodes[0].proxied.Load(), c.fo.scatCnt.Load()}
 	}
 	for _, strategy := range []string{"rr", "irr"} {
-		for _, q := range queries {
+		for _, row := range rows {
+			q := row.q
 			q.Strategy = strategy
+			before := arms()
 			one, resp := postQuery(t, c.single, q)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("single %s %v: %v", strategy, q.Topics, resp.Status)
@@ -135,11 +155,20 @@ func TestRouterThreeWayParity(t *testing.T) {
 			// payload) — including across the router's proxy wire, which
 			// forwards the remaining budget as deadline_ms.
 			q.DeadlineMS = 60_000
+			var singleRecs []streamSeedRecord
 			for _, topo := range []struct {
 				name string
 				ts   *httptest.Server
 			}{{"single", c.single}, {"sharded", c.sharded}, {"router", c.router}} {
 				recs, final := postQueryStream(t, topo.ts, q)
+				if topo.name == "single" {
+					singleRecs = recs
+				} else if !reflect.DeepEqual(recs, singleRecs) {
+					// spread_lb too, bit for bit: a proxied stream replays
+					// the owner's records, a spanning one certifies locally.
+					t.Fatalf("%s stream %s %v: records %+v != single's %+v",
+						topo.name, strategy, q.Topics, recs, singleRecs)
+				}
 				var seeds []uint32
 				var marginals []int
 				for _, r := range recs {
@@ -157,7 +186,17 @@ func TestRouterThreeWayParity(t *testing.T) {
 					t.Fatalf("%s stream %s %v: terminal record diverged from single batch", topo.name, strategy, q.Topics)
 				}
 			}
-			q.DeadlineMS = 0
+			// The row's batch and stream query both took its arm.
+			want := before
+			if row.owner == spanning {
+				want[2] += 2
+			} else {
+				want[row.owner] += 2
+			}
+			if got := arms(); got != want {
+				t.Fatalf("router %s %v: [proxied to 0, proxied to 1, scattered] went %v -> %v, want %v",
+					strategy, q.Topics, before, got, want)
+			}
 		}
 	}
 	// The matrix above must have exercised BOTH router paths, on both nodes.
@@ -191,6 +230,10 @@ func TestRouterThreeWayParity(t *testing.T) {
 	}
 	if stats.Router.UnitsPerRequest <= 1 {
 		t.Fatalf("units_per_request = %v, want > 1", stats.Router.UnitsPerRequest)
+	}
+	// Spanning queries read through the remote shards' decoded caches.
+	if stats.RRDecoded.Hits+stats.RRDecoded.Misses == 0 || stats.IRRDecoded.Hits+stats.IRRDecoded.Misses == 0 {
+		t.Fatalf("router decoded caches saw no lookups: rr %+v, irr %+v", stats.RRDecoded, stats.IRRDecoded)
 	}
 }
 
@@ -349,4 +392,48 @@ func TestRouterStatsAndHealth(t *testing.T) {
 		t.Fatalf("healthz with a dead backend: got %v, want 503", resp.Status)
 	}
 	resp.Body.Close()
+}
+
+// TestRouterRefusesShardsOfDifferentShape: two backends whose shard files
+// were built with different K are not shards of one index. The router must
+// refuse to start and name the shard, rather than start and fail every
+// spanning query (and never check proxied ones).
+func TestRouterRefusesShardsOfDifferentShape(t *testing.T) {
+	ds, opts, _, irrPath := shardedFixture(t, 2)
+	opts.K--
+	builder, err := kbtim.NewEngine(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer builder.Close()
+	parts, err := builder.ShardTopics(2, kbtim.ShardHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherK := filepath.Join(t.TempDir(), "otherk.irr.s1")
+	if _, err := builder.BuildIRRIndexTopics(otherK, parts[1]); err != nil {
+		t.Fatal(err)
+	}
+	var groups [][]string
+	for _, path := range []string{kbtim.ShardIndexPath(irrPath, 0), otherK} {
+		be, closeBE, err := openBackend(ds, opts, "", path, 1, kbtim.ShardHash, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { closeBE() })
+		srv := httptest.NewServer(NewServer(be, 4).Handler())
+		t.Cleanup(srv.Close)
+		groups = append(groups, []string{srv.URL})
+	}
+	cfg := defaultFanoutConfig()
+	cfg.mode = kbtim.ShardHash
+	cfg.noProbeLoop = true
+	fo, err := openFanout(groups, cfg)
+	if err == nil {
+		fo.Close()
+		t.Fatal("router started over shards built with different K")
+	}
+	if !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "K=") {
+		t.Fatalf("error should name shard 1 and the shapes, got: %v", err)
+	}
 }

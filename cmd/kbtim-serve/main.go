@@ -22,10 +22,12 @@
 // in front of N replica GROUPS of kbtim-serve nodes, every replica of group
 // i serving shard i's index files (comma separates shards, | separates
 // replicas of one shard). Queries whose topics co-locate on one group are
-// proxied whole to a healthy replica of it; spanning queries run the exact
-// scatter-gather merge locally with every keyword's artifact fetch going to
-// its owning group over the batched /internal/artifacts protocol (results
-// stay bit-identical to one engine — see DESIGN.md §6.2). Per-replica
+// proxied whole to a healthy replica of it. The router is otherwise a
+// kbtim.Sharded whose shard i is group i, opened remotely: a spanning query is
+// Sharded.Query, the exact merge an in-process deployment runs, with every
+// keyword's artifact fetch going to its owning group over the batched
+// /internal/artifacts protocol, and the root package's one Result conversion
+// (results stay bit-identical to one engine — see DESIGN.md §6.2). Per-replica
 // circuit breakers feed on both passive traffic outcomes and the /healthz
 // probe loop; failed proxies and artifact fetches retry on a surviving
 // replica, and a backend that is down at startup joins the rotation when it

@@ -2,6 +2,7 @@ package kbtim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -236,13 +237,14 @@ func (h *indexHandle) substrate() *indexfile.File {
 	return h.irr.Substrate()
 }
 
-// release drops one reference; the last release closes the file and
-// returns its error (earlier releases return nil).
+// release drops one reference; the last release closes the file, if the
+// handle has one, and returns its error (earlier releases return nil). A
+// remote-opened handle has no file: its bytes live on another node.
 func (h *indexHandle) release() error {
 	if h == nil {
 		return nil
 	}
-	if h.refs.Add(-1) == 0 {
+	if h.refs.Add(-1) == 0 && h.file != nil {
 		return h.file.Close()
 	}
 	return nil
@@ -250,7 +252,10 @@ func (h *indexHandle) release() error {
 
 // Engine answers KB-TIM queries over one dataset. Create with NewEngine,
 // then either query online (QueryWRIS) or build/open a disk index and use
-// QueryRR / QueryIRR.
+// QueryRR / QueryIRR. The shards of OpenRemoteSharded are index-only
+// engines: they hold remote-opened indexes and no dataset, so their dataset
+// methods (builds, online queries, evaluation, opens by path) fail with
+// errNoDataset.
 //
 // An Engine is safe for concurrent use: any number of goroutines may issue
 // QueryRR/QueryIRR (and the online queries) against one shared Engine.
@@ -263,7 +268,7 @@ func (h *indexHandle) release() error {
 // Open/Close and vice versa. Close is idempotent; after Close, new queries
 // fail immediately while in-flight ones finish on their pinned handles.
 type Engine struct {
-	ds    *Dataset
+	ds    *Dataset // nil for an index-only engine
 	opts  Options
 	model prop.Model
 	cfg   wris.Config
@@ -314,6 +319,23 @@ func NewEngine(ds *Dataset, opts Options) (*Engine, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("kbtim: nil dataset")
 	}
+	return newEngine(ds, opts)
+}
+
+// errNoDataset is what every dataset method of an index-only engine returns.
+var errNoDataset = errors.New("kbtim: index-only engine has no dataset (its indexes were opened remotely)")
+
+// needDataset is the one check every dataset method makes first.
+func (e *Engine) needDataset() error {
+	if e.ds == nil {
+		return errNoDataset
+	}
+	return nil
+}
+
+// newEngine validates options and binds them to ds, which is nil for an
+// index-only engine.
+func newEngine(ds *Dataset, opts Options) (*Engine, error) {
 	model, err := opts.Model.internal()
 	if err != nil {
 		return nil, err
@@ -399,6 +421,9 @@ func (e *Engine) buildOptions(topics []int) indexfile.BuildOptions {
 // buildIndex runs one index build into a new file at path, removing the
 // file if the build fails, and reports it.
 func (e *Engine) buildIndex(path string, build func(io.Writer) (*indexfile.BuildStats, error)) (*BuildReport, error) {
+	if err := e.needDataset(); err != nil {
+		return nil, err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
@@ -430,8 +455,12 @@ func (e *Engine) buildIndex(path string, build func(io.Writer) (*indexfile.Build
 // IndexableTopics returns the sorted topic IDs a full index build would
 // cover: every topic with positive relevance mass. Sharded deployments
 // partition exactly this universe (via internal/shardmap) so the per-shard
-// builds and the serve-time router agree on ownership.
+// builds and the serve-time router agree on ownership. An index-only engine
+// has no dataset and returns nil.
 func (e *Engine) IndexableTopics() []int {
+	if e.needDataset() != nil {
+		return nil
+	}
 	var topics []int
 	for t := 0; t < e.ds.NumTopics(); t++ {
 		if e.ds.profiles.TFSum(t) > 0 {
@@ -468,16 +497,17 @@ func (e *Engine) OpenRRIndex(path string) error { return e.open(StrategyRR, path
 // to OpenRRIndex's.
 func (e *Engine) OpenIRRIndex(path string) error { return e.open(StrategyIRR, path) }
 
-// open opens path as strategy s's index — a fresh handle holding the
-// engine's reference, with the cache tiers Options ask for wired in — and
-// swaps it into s's slot.
+// open opens path as strategy s's index, behind the segment cache Options
+// ask for, checks it was sampled over the engine's dataset, and installs it.
 func (e *Engine) open(s Strategy, path string) error {
+	if err := e.needDataset(); err != nil {
+		return err
+	}
 	f, err := diskio.Open(path, diskio.NewCounter())
 	if err != nil {
 		return err
 	}
 	h := &indexHandle{file: f}
-	h.refs.Store(1)
 	var r diskio.Segmented = f
 	if e.opts.CacheBytes > 0 {
 		h.cache = diskio.NewCachedReader(f, e.opts.CacheBytes)
@@ -492,20 +522,28 @@ func (e *Engine) open(s Strategy, path string) error {
 		f.Close()
 		return err
 	}
-	sub := h.substrate()
-	if got := sub.Shape; got.NumVertices != e.ds.NumUsers() || got.NumTopics != e.ds.NumTopics() {
+	if got := h.substrate().Shape; got.NumVertices != e.ds.NumUsers() || got.NumTopics != e.ds.NumTopics() {
 		f.Close()
 		return fmt.Errorf("kbtim: %s index %s was built for %d users and %d topics, the dataset has %d and %d",
 			s.upper(), path, got.NumVertices, got.NumTopics, e.ds.NumUsers(), e.ds.NumTopics())
 	}
+	return e.install(s, h)
+}
+
+// install wires the decoded cache and query parallelism Options ask for into
+// a freshly opened handle, gives the engine its reference, and swaps it into
+// s's slot. A handle that cannot be attached is released.
+func (e *Engine) install(s Strategy, h *indexHandle) error {
+	sub := h.substrate()
 	if e.opts.DecodedCacheBytes > 0 {
 		h.dec = objcache.NewSharded(e.opts.DecodedCacheBytes, e.opts.CacheShards)
 		sub.SetDecodedCache(h.dec)
 	}
 	sub.SetQueryParallelism(e.opts.QueryParallelism)
+	h.refs.Store(1)
 	old, err := e.attach(e.slot(s), h)
 	if err != nil {
-		f.Close()
+		h.release()
 		return err
 	}
 	if cerr := old.release(); cerr != nil {
@@ -567,6 +605,9 @@ func (e *Engine) IndexedKeywords() []int {
 // QueryWRIS answers q with online weighted sampling (§3.2) — the
 // theoretically clean but slow baseline.
 func (e *Engine) QueryWRIS(q Query) (*Result, error) {
+	if err := e.needDataset(); err != nil {
+		return nil, err
+	}
 	r, err := wris.Query(e.ds.graph, e.model, e.ds.profiles, q.internal(), e.cfg)
 	if err != nil {
 		return nil, err
@@ -583,6 +624,9 @@ func (e *Engine) QueryWRIS(q Query) (*Result, error) {
 // QueryRIS answers a classic non-targeted IM query (top-k influencers
 // regardless of the advertisement) — the Table 8 comparator.
 func (e *Engine) QueryRIS(k int) (*Result, error) {
+	if err := e.needDataset(); err != nil {
+		return nil, err
+	}
 	r, err := wris.QueryRIS(e.ds.graph, e.model, k, e.cfg)
 	if err != nil {
 		return nil, err
@@ -739,6 +783,9 @@ func (e *Engine) ArtifactBytes(kind, unit string, topic int, aux int64) ([]byte,
 // E[I^Q(S)] of a seed set under the engine's propagation model (the Table 7
 // methodology). rounds of 10000 give ±1% on the scales used here.
 func (e *Engine) EvaluateSpread(seeds []Seed, q Query, rounds int) (float64, error) {
+	if err := e.needDataset(); err != nil {
+		return 0, err
+	}
 	if rounds <= 0 {
 		return 0, fmt.Errorf("kbtim: rounds must be positive")
 	}
@@ -751,6 +798,9 @@ func (e *Engine) EvaluateSpread(seeds []Seed, q Query, rounds int) (float64, err
 
 // EvaluateReach Monte-Carlo-estimates the unweighted spread E[|I(S)|].
 func (e *Engine) EvaluateReach(seeds []Seed, rounds int) (float64, error) {
+	if err := e.needDataset(); err != nil {
+		return 0, err
+	}
 	if rounds <= 0 {
 		return 0, fmt.Errorf("kbtim: rounds must be positive")
 	}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -88,9 +90,6 @@ type Group struct {
 func NewGroup(clients []*Client, health Health) *Group {
 	return &Group{clients: clients, health: health, dirs: make(map[string]dirRecord)}
 }
-
-// NumReplicas returns the replica count.
-func (g *Group) NumReplicas() int { return len(g.clients) }
 
 // Stats returns the cumulative failover counters.
 func (g *Group) Stats() GroupStats {
@@ -186,32 +185,36 @@ func (g *Group) OpenIRR(ctx context.Context) (*irrindex.Index, error) {
 	return idx, nil
 }
 
-// Validate checks replica i against the group's recorded view of kind: it
-// fetches the dir artifact directly from that replica and requires a
-// byte-identical prelude and the same advertised size. This is the admission
-// check for a replica that was unreachable when the group opened — until it
-// passes, the replica must not serve artifact traffic (the router gates it
-// behind its breaker). A network failure returns the transport error; a
-// reachable replica serving different bytes returns ErrReplicaMismatch.
-// Validate itself reports nothing to Health — the caller owns that verdict.
-func (g *Group) Validate(ctx context.Context, i int, kind string) error {
+// Validate checks replica i against the group's recorded view of every index
+// kind the group opened: it fetches each dir artifact directly from that
+// replica and requires a byte-identical prelude and the same advertised
+// size. This is the admission check for a replica that was unreachable when
+// the group opened — until it passes, the replica must not serve artifact
+// traffic (the router gates it behind its breaker). A network failure
+// returns the transport error; a reachable replica serving different bytes
+// returns ErrReplicaMismatch. Validate itself reports nothing to Health — the
+// caller owns that verdict.
+func (g *Group) Validate(ctx context.Context, i int) error {
 	g.mu.Lock()
-	rec, ok := g.dirs[kind]
+	dirs := maps.Clone(g.dirs)
 	g.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("remote: group never opened a %s index to validate against", kind)
+	if len(dirs) == 0 {
+		return errors.New("remote: group never opened an index to validate against")
 	}
-	replies, size, err := g.clients[i].FetchBatch(ctx, kind, []artifact.Request{{Unit: indexfile.UnitDir}})
-	if err != nil {
-		return err
-	}
-	if err := replies[0].Err; err != nil {
-		return err
-	}
-	prelude := replies[0].Payload
-	if size != rec.size || !bytes.Equal(prelude, rec.prelude) {
-		return fmt.Errorf("%w: %s dir is %d bytes in a %d-byte file, group reference is %d bytes in a %d-byte file",
-			ErrReplicaMismatch, kind, len(prelude), size, len(rec.prelude), rec.size)
+	for _, kind := range slices.Sorted(maps.Keys(dirs)) {
+		rec := dirs[kind]
+		replies, size, err := g.clients[i].FetchBatch(ctx, kind, []artifact.Request{{Unit: indexfile.UnitDir}})
+		if err != nil {
+			return err
+		}
+		if err := replies[0].Err; err != nil {
+			return err
+		}
+		prelude := replies[0].Payload
+		if size != rec.size || !bytes.Equal(prelude, rec.prelude) {
+			return fmt.Errorf("%w: %s dir is %d bytes in a %d-byte file, group reference is %d bytes in a %d-byte file",
+				ErrReplicaMismatch, kind, len(prelude), size, len(rec.prelude), rec.size)
+		}
 	}
 	return nil
 }

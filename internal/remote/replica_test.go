@@ -446,7 +446,7 @@ func TestGroupOpensDegraded(t *testing.T) {
 	if s := g.Stats(); s.Retries == 0 || s.Failovers == 0 {
 		t.Fatalf("degraded open counted retries=%d failovers=%d; want both > 0", s.Retries, s.Failovers)
 	}
-	if err := g.Validate(ctx, pref, remote.KindRR); err == nil || errors.Is(err, remote.ErrReplicaMismatch) {
+	if err := g.Validate(ctx, pref); err == nil || errors.Is(err, remote.ErrReplicaMismatch) {
 		t.Fatalf("validating a dead replica: got %v, want a transport error", err)
 	}
 }
@@ -484,7 +484,7 @@ func TestGroupMismatchedReplicaRejected(t *testing.T) {
 	if _, err := g.OpenRR(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(ctx, 1, remote.KindRR); !errors.Is(err, remote.ErrReplicaMismatch) {
+	if err := g.Validate(ctx, 1); !errors.Is(err, remote.ErrReplicaMismatch) {
 		t.Fatalf("validating the tampered replica: got %v, want ErrReplicaMismatch", err)
 	}
 	// Force fetches to prefer the tampered replica: the mismatch must read

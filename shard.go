@@ -2,13 +2,16 @@ package kbtim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
 	"sync/atomic"
 
 	"kbtim/internal/diskio"
+	"kbtim/internal/indexfile"
 	"kbtim/internal/objcache"
+	"kbtim/internal/remote"
 	"kbtim/internal/shardmap"
 )
 
@@ -48,11 +51,13 @@ type ShardStat struct {
 	IRRDecoded objcache.Stats
 }
 
-// Sharded serves one logical keyword universe from N engine shards on one
-// box. Each shard's indexes cover a disjoint keyword subset: a query whose
-// topics co-locate on one shard is answered from that shard's index exactly
-// as a single-engine deployment would, and a query spanning shards by the
-// exact cross-index merge
+// Sharded serves one logical keyword universe from N engine shards, on one
+// box (NewSharded, OpenShardedIndexes) or over remote-opened shards whose
+// bytes live on other nodes (OpenRemoteSharded — the cross-node router's
+// scatter arm). Each shard's indexes cover a disjoint keyword subset: a
+// query whose topics co-locate on one shard is answered from that shard's
+// index exactly as a single-engine deployment would, and a query spanning
+// shards by the exact cross-index merge
 // (rrindex/irrindex QueryMultiStreamCtx), which returns bit-identical seeds,
 // marginals, and spreads to a single full index — per-keyword build
 // determinism makes shard payloads equal to the full index's, and the merge
@@ -90,10 +95,9 @@ func NewSharded(engines []*Engine, mode ShardMode, perShardWorkers int) (*Sharde
 		if e == nil {
 			return nil, fmt.Errorf("kbtim: shard %d engine is nil", i)
 		}
-	}
-	m, err := mode.internal()
-	if err != nil {
-		return nil, fmt.Errorf("kbtim: %w", err)
+		if err := e.needDataset(); err != nil {
+			return nil, fmt.Errorf("kbtim: shard %d: %w", i, err)
+		}
 	}
 	numTopics := engines[0].ds.NumTopics()
 	numUsers := engines[0].ds.NumUsers()
@@ -105,6 +109,16 @@ func NewSharded(engines []*Engine, mode ShardMode, perShardWorkers int) (*Sharde
 			return nil, fmt.Errorf("kbtim: shard %d dataset (%d users, %d topics) differs from shard 0's (%d users, %d topics)",
 				i+1, e.ds.NumUsers(), e.ds.NumTopics(), numUsers, numTopics)
 		}
+	}
+	return newSharded(engines, mode, numTopics, perShardWorkers)
+}
+
+// newSharded maps a numTopics-keyword universe over engines by mode, with
+// perShardWorkers slots per shard (<= 0 = unbounded).
+func newSharded(engines []*Engine, mode ShardMode, numTopics, perShardWorkers int) (*Sharded, error) {
+	m, err := mode.internal()
+	if err != nil {
+		return nil, fmt.Errorf("kbtim: %w", err)
 	}
 	sm, err := shardmap.New(len(engines), m, numTopics)
 	if err != nil {
@@ -305,15 +319,15 @@ func (s *Sharded) pin(shards []int, st Strategy) ([]*indexHandle, func(), error)
 }
 
 // ArtifactBytes implements the cross-node artifact-serving interface
-// (remote.Source) so a sharded box still mounts /internal/artifacts — and
-// answers every request with a diagnosis instead of a bare route 404. A
-// fan-out router expects SINGLE-ENGINE backends (node i serving shard i's
-// "<index>.s<i>" file): a multi-shard box holds several disjoint keyword
-// directories and has no one prelude to serve, so an operator who points
-// -router at it gets this message rather than a misleading "serves no RR
-// or IRR index".
+// (remote.Source) so a sharded box — or a router, which is a Sharded over
+// remote shards — still mounts /internal/artifacts and answers every request
+// with a diagnosis instead of a bare route 404. A fan-out router expects
+// SINGLE-ENGINE backends (node i serving shard i's "<index>.s<i>" file): a
+// multi-shard node holds several disjoint keyword directories and has no one
+// prelude to serve, so an operator who points -router at it gets this
+// message rather than a misleading "serves no RR or IRR index".
 func (s *Sharded) ArtifactBytes(kind, unit string, topic int, aux int64) ([]byte, int64, error) {
-	return nil, 0, fmt.Errorf("kbtim: cross-node artifact serving needs single-engine backends (run one kbtim-serve per shard file, -shards 1); this node runs %d engine shards behind one process", len(s.engines))
+	return nil, 0, fmt.Errorf("kbtim: cross-node artifact serving needs single-engine backends (run one kbtim-serve per shard file, -shards 1); this node serves %d shards", len(s.engines))
 }
 
 // BuildShardIndexes builds per-shard index files for a sharded deployment:
@@ -322,13 +336,9 @@ func (s *Sharded) ArtifactBytes(kind, unit string, topic int, aux int64) ([]byte
 // Shards left with no keywords (possible at tiny universes under hash skew)
 // get no file and a nil report.
 func (e *Engine) BuildShardIndexes(kind string, shards int, mode ShardMode, pathFor func(shard int) string) ([]*BuildReport, error) {
-	m, err := mode.internal()
+	parts, err := e.ShardTopics(shards, mode)
 	if err != nil {
-		return nil, fmt.Errorf("kbtim: %w", err)
-	}
-	sm, err := shardmap.New(shards, m, e.ds.NumTopics())
-	if err != nil {
-		return nil, fmt.Errorf("kbtim: %w", err)
+		return nil, err
 	}
 	build := e.BuildIRRIndexTopics
 	switch kind {
@@ -338,7 +348,6 @@ func (e *Engine) BuildShardIndexes(kind string, shards int, mode ShardMode, path
 	default:
 		return nil, fmt.Errorf("kbtim: unknown index kind %q (want rr or irr)", kind)
 	}
-	parts := sm.Partition(e.IndexableTopics())
 	reports := make([]*BuildReport, shards)
 	var written []string
 	for sh, part := range parts {
@@ -430,6 +439,67 @@ func OpenShardedIndexes(ds *Dataset, opts Options, rrPath, irrPath string, shard
 	return s, nil
 }
 
+// OpenRemoteSharded assembles a Sharded deployment whose shard i reads its
+// indexes from another node: it opens groups[i]'s RR and IRR index through
+// the group's failover fetch (remote.ErrNotServed: the kind is absent) and
+// installs them in an index-only engine with the cache tiers opts asks for.
+// A spanning query over the result is the same Sharded.Query — the same
+// merge, the same Result — as over local shards, with every keyword's
+// artifacts fetched from its owning group. Every shard must serve shard 0's
+// index kinds, each with shard 0's Shape (|V|, |T|, K); the error names the
+// first shard that does not. (A serving engine has already checked its two
+// kinds against one dataset.) Shards have no worker pools of their own.
+func OpenRemoteSharded(ctx context.Context, groups []*remote.Group, mode ShardMode, opts Options) (*Sharded, error) {
+	if len(groups) == 0 {
+		return nil, fmt.Errorf("kbtim: sharded deployment needs at least one shard")
+	}
+	engines := make([]*Engine, len(groups))
+	ref := map[Strategy]indexfile.Shape{} // shard 0's shape per kind
+	for i, g := range groups {
+		e, err := newEngine(nil, opts)
+		if err != nil {
+			return nil, err
+		}
+		engines[i] = e
+		for _, s := range []Strategy{StrategyRR, StrategyIRR} {
+			h := &indexHandle{} // no file: the bytes live on g's replicas
+			if s == StrategyRR {
+				h.rr, err = g.OpenRR(ctx)
+			} else {
+				h.irr, err = g.OpenIRR(ctx)
+			}
+			want, served := ref[s]
+			switch {
+			case errors.Is(err, remote.ErrNotServed) && !served:
+				continue
+			case errors.Is(err, remote.ErrNotServed):
+				return nil, fmt.Errorf("kbtim: shard %d serves no %s index, shard 0 does", i, s.upper())
+			case err != nil:
+				return nil, fmt.Errorf("kbtim: shard %d: opening its %s index: %w", i, s.upper(), err)
+			case i == 0:
+				ref[s] = h.substrate().Shape
+			case !served:
+				return nil, fmt.Errorf("kbtim: shard %d serves an %s index, shard 0 does not", i, s.upper())
+			case h.substrate().Shape != want:
+				got := h.substrate().Shape
+				return nil, fmt.Errorf("kbtim: shard %d %s index has |V|=%d |T|=%d K=%d, shard 0's has |V|=%d |T|=%d K=%d — not shards of one index",
+					i, s.upper(), got.NumVertices, got.NumTopics, got.K, want.NumVertices, want.NumTopics, want.K)
+			}
+			if err := e.install(s, h); err != nil {
+				return nil, err
+			}
+		}
+		if len(ref) == 0 {
+			return nil, fmt.Errorf("kbtim: shard 0 serves no RR or IRR index")
+		}
+	}
+	numTopics := 0
+	for _, shape := range ref {
+		numTopics = shape.NumTopics
+	}
+	return newSharded(engines, mode, numTopics, 0)
+}
+
 // shardOpenErr decorates a per-shard open failure with the likely fix when
 // the file simply is not there.
 func shardOpenErr(path string, shard, shards int, mode ShardMode, err error) error {
@@ -444,6 +514,9 @@ func shardOpenErr(path string, shard, shards int, mode ShardMode, err error) err
 // agrees on: result[i] is shard i's topic list over this engine's
 // indexable universe.
 func (e *Engine) ShardTopics(shards int, mode ShardMode) ([][]int, error) {
+	if err := e.needDataset(); err != nil {
+		return nil, err
+	}
 	m, err := mode.internal()
 	if err != nil {
 		return nil, fmt.Errorf("kbtim: %w", err)
